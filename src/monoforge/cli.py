@@ -212,7 +212,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_count(args) -> int:
     f = _load_formula(args.input, args.format)
-    mc = count_models(f, cap=args.cap)
+    try:
+        mc = count_models(f, cap=args.cap)
+    except ValueError as e:
+        raise CliError(str(e)) from None
     suffix = " (capped)" if mc.capped else ""
     print(f"{mc.count}{suffix}")
     return EXIT_OK

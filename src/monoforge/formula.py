@@ -204,6 +204,57 @@ class InvalidInstanceError(ValueError):
         super().__init__(f"{what} fails validation: {lines}")
 
 
+# the CLI prints these messages, so their text is part of its output
+_OCCURRENCE_MESSAGES = {
+    "occurrence": "variable {var} appears ({got[0]},{got[1]}), expected ({want[0]},{want[1]})",
+    "universal-occurrence": "universal {var} appears {got}, expected {want}",
+    "existential-occurrence": "existential {var} appears {got}, expected {want}",
+}
+
+
+def validate_instance(
+    f: CnfFormula,
+    groups: Iterable[tuple[str, Iterable[int], tuple[int, int]]],
+    *,
+    distinct: bool,
+    monotone: bool,
+    all_positive: bool,
+    unique: bool,
+) -> list[Violation]:
+    """The width, clause and occurrence checks behind every instance class.
+
+    Every clause must have width 3; the flags add three pairwise-distinct
+    variables, monotone clauses, no negated literal, and no repeated clause.
+    Each group ``(rule, variables, (pos, neg))`` requires every listed
+    variable to appear exactly ``pos`` times unnegated and ``neg`` times
+    negated, reported under ``rule``.  Violations come clause by clause,
+    then repeated clauses, then groups in the order given.
+    """
+    v: list[Violation] = []
+    repeats: list[Violation] = []
+    seen: dict[Clause, int] = {}
+    for j, c in enumerate(f.clauses):
+        if len(c) != 3:
+            v.append(Violation("width", j, f"clause {j} has width {len(c)}, expected 3"))
+        if distinct and not clause_has_distinct_vars(c):
+            v.append(Violation("distinct-vars", j, f"clause {j} repeats a variable: {c}"))
+        if monotone and not clause_is_monotone(c):
+            v.append(Violation("monotone", j, f"clause {j} is mixed: {c}"))
+        if all_positive and any(l < 0 for l in c):
+            v.append(Violation("all-positive", j, f"clause {j} has a negated literal: {c}"))
+        if unique and (first := seen.setdefault(c, j)) != j:
+            repeats.append(Violation("unique", j, f"clause {j} duplicates clause {first}: {c}"))
+    v.extend(repeats)
+    counts = occurrence_profile(f).counts
+    for rule, variables, want in groups:
+        for var in variables:
+            got = counts[var - 1]
+            if got != want:
+                message = _OCCURRENCE_MESSAGES[rule].format(var=var, got=got, want=want)
+                v.append(Violation(rule, var, message))
+    return v
+
+
 def validate_class(f: CnfFormula, cls: InstanceClass) -> ValidationReport:
     """Check membership in one of the bounded-occurrence instance classes.
 
@@ -217,38 +268,15 @@ def validate_class(f: CnfFormula, cls: InstanceClass) -> ValidationReport:
     * every variable unnegated twice and negated twice, or exactly two
       total all-positive appearances for MONO_NAE_E2.
     """
-    v: list[Violation] = []
-    check_distinct = cls is not InstanceClass.MONO_3SAT_STAR_22
-    check_monotone = cls is not InstanceClass.THREE_SAT_22
-    check_unique = cls is not InstanceClass.MONO_NAE_E2
-    for j, c in enumerate(f.clauses):
-        if len(c) != 3:
-            v.append(Violation("width", j, f"clause {j} has width {len(c)}, expected 3"))
-        if check_distinct and not clause_has_distinct_vars(c):
-            v.append(Violation("distinct-vars", j, f"clause {j} repeats a variable: {c}"))
-        if check_monotone and not clause_is_monotone(c):
-            v.append(Violation("monotone", j, f"clause {j} is mixed: {c}"))
-        if cls is InstanceClass.MONO_NAE_E2 and any(l < 0 for l in c):
-            v.append(Violation("all-positive", j, f"clause {j} has a negated literal: {c}"))
-    if check_unique:
-        seen: dict[Clause, int] = {}
-        for j, c in enumerate(f.clauses):
-            if c in seen:
-                v.append(Violation("unique", j, f"clause {j} duplicates clause {seen[c]}: {c}"))
-            else:
-                seen[c] = j
-    prof = occurrence_profile(f)
-    for var, (p, n) in prof.items():
-        if cls is InstanceClass.MONO_NAE_E2:
-            if (p, n) != (2, 0):
-                v.append(Violation(
-                    "occurrence", var,
-                    f"variable {var} appears ({p},{n}), expected (2,0)"))
-        else:
-            if (p, n) != (2, 2):
-                v.append(Violation(
-                    "occurrence", var,
-                    f"variable {var} appears ({p},{n}), expected (2,2)"))
+    nae = cls is InstanceClass.MONO_NAE_E2
+    v = validate_instance(
+        f,
+        [("occurrence", range(1, f.n_vars + 1), (2, 0) if nae else (2, 2))],
+        distinct=cls is not InstanceClass.MONO_3SAT_STAR_22,
+        monotone=cls is not InstanceClass.THREE_SAT_22,
+        all_positive=nae,
+        unique=not nae,
+    )
     return ValidationReport(not v, tuple(v))
 
 

@@ -20,9 +20,9 @@ from .formula import (
     InstanceClass,
     InvalidInstanceError,
     is_total,
-    occurrence_profile,
     satisfies,
     validate_class,
+    validate_instance,
     ValidationReport,
     Violation,
 )
@@ -263,13 +263,9 @@ def nae_solve_e2(f: CnfFormula) -> Assignment:
     true and {2,3} to false, then give each stripped pair (x, y, z) the fixed
     values x=T, y=F, z=F.  A coloring failure is surfaced, never patched.
     """
-    rep = validate_class(f, InstanceClass.MONO_NAE_E2)
-    if not rep.verdict:
-        raise InvalidInstanceError(rep, "two-appearance all-positive instance")
     stripped, removed = strip_trivial_pairs(f)
     touched = {abs(l) for c in stripped.clauses for l in c}
-    sub = CnfFormula(f.n_vars, stripped.clauses, f.allows_duplicate_literals)
-    g = variable_graph(sub)
+    g = variable_graph(stripped)
     core = VariableGraph(
         tuple(sorted(touched)), {v: g.adj[v] for v in sorted(touched)}
     )
@@ -296,15 +292,10 @@ def solve_complement_closed_22(f: CnfFormula) -> Assignment:
     required here: a duplicated pair plus its duplicated complement is still
     solvable (the projection is then a trivial pair).
     """
-    violations: list[Violation] = []
-    for j, c in enumerate(f.clauses):
-        if len(c) != 3 or len({abs(l) for l in c}) != 3:
-            violations.append(Violation("width", j, f"clause {j} is not a 3-clause over distinct variables"))
-        elif not (all(l > 0 for l in c) or all(l < 0 for l in c)):
-            violations.append(Violation("monotone", j, f"clause {j} is mixed: {c}"))
-    for var, pair in occurrence_profile(f).items():
-        if pair != (2, 2):
-            violations.append(Violation("occurrence", var, f"variable {var} appears {pair}, expected (2,2)"))
+    violations = validate_instance(
+        f, [("occurrence", range(1, f.n_vars + 1), (2, 2))],
+        distinct=True, monotone=True, all_positive=False, unique=False,
+    )
     counts: dict[Clause, int] = {}
     for c in f.clauses:
         counts[c] = counts.get(c, 0) + 1

@@ -24,11 +24,11 @@ from .formula import (
     ValidationReport,
     Violation,
     canonical_clause,
-    clause_has_distinct_vars,
-    clause_is_monotone,
     cnf,
+    validate_instance,
 )
-from .gadgets import FreshVarAllocator, build_frakM, build_frakMbar
+from .gadgets import FreshVarAllocator
+from .reductions import MonotonizeError, build_enforcer, mixed_triples, splice, triple
 from .solver import Solver, Status
 
 
@@ -84,32 +84,12 @@ class BalanceSpec:
 
 def validate_balanced(q: Qbf2Formula, spec: BalanceSpec) -> ValidationReport:
     """Report-based check of the balanced-occurrence instance conditions."""
-    v: list[Violation] = []
-    for j, c in enumerate(q.matrix.clauses):
-        if len(c) != 3:
-            v.append(Violation("width", j, f"clause {j} has width {len(c)}, expected 3"))
-        if not clause_has_distinct_vars(c):
-            v.append(Violation("distinct-vars", j, f"clause {j} repeats a variable: {c}"))
-        if spec.require_monotone and not clause_is_monotone(c):
-            v.append(Violation("monotone", j, f"clause {j} is mixed: {c}"))
-    pos: dict[int, int] = {}
-    neg: dict[int, int] = {}
-    for c in q.matrix.clauses:
-        for l in c:
-            d = pos if l > 0 else neg
-            d[abs(l)] = d.get(abs(l), 0) + 1
-    for u in q.universals:
-        got = (pos.get(u, 0), neg.get(u, 0))
-        if got != (spec.s1, spec.s2):
-            v.append(Violation(
-                "universal-occurrence", u,
-                f"universal {u} appears {got}, expected {(spec.s1, spec.s2)}"))
-    for e in q.existentials:
-        got = (pos.get(e, 0), neg.get(e, 0))
-        if got != (spec.t1, spec.t2):
-            v.append(Violation(
-                "existential-occurrence", e,
-                f"existential {e} appears {got}, expected {(spec.t1, spec.t2)}"))
+    v = validate_instance(
+        q.matrix,
+        [("universal-occurrence", q.universals, (spec.s1, spec.s2)),
+         ("existential-occurrence", q.existentials, (spec.t1, spec.t2))],
+        distinct=True, monotone=spec.require_monotone, all_positive=False, unique=False,
+    )
     if spec.require_equal_counts and len(q.universals) != len(q.existentials):
         v.append(Violation(
             "equal-counts", None,
@@ -254,33 +234,15 @@ def qbf_truth(
 def triple_copy(q: Qbf2Formula) -> Qbf2Formula:
     """Three variable-disjoint copies under one prefix; truth is preserved."""
     n = q.matrix.n_vars
-    universals = tuple(v + k * n for k in range(3) for v in q.universals)
-    existentials = tuple(v + k * n for k in range(3) for v in q.existentials)
-    clauses = []
-    for k in range(3):
-        off = k * n
-        for c in q.matrix.clauses:
-            clauses.append(canonical_clause((l + off if l > 0 else l - off) for l in c))
-    matrix = CnfFormula(3 * n, tuple(clauses), q.matrix.allows_duplicate_literals)
-    return Qbf2Formula(universals, existentials, matrix)
+    matrix = CnfFormula(3 * n, tuple(triple(q.matrix.clauses, n)),
+                        q.matrix.allows_duplicate_literals)
+    return Qbf2Formula(sum(triple([q.universals], n), ()),
+                       sum(triple([q.existentials], n), ()), matrix)
 
 
 class PadVariant(Enum):
     USE_Q3 = "q3"
     USE_Q1MON = "q1mon"
-
-
-def _mixed_shape(c) -> str | None:
-    pos = sum(1 for l in c if l > 0)
-    if pos == 1 and len(c) == 3:
-        return "A"  # one positive, two negative
-    if pos == 2 and len(c) == 3:
-        return "B"
-    return None
-
-
-class MonotonizeError(ValueError):
-    pass
 
 
 def monotonize(q: Qbf2Formula) -> Qbf2Formula:
@@ -289,36 +251,16 @@ def monotonize(q: Qbf2Formula) -> Qbf2Formula:
     Triples pair the i-th mixed clause of each shape with the (i + k)-th and
     (i + 2k)-th, which matches same-source clauses across the copies produced
     by :func:`triple_copy`.  Gadget variables join the existential block.
+    Raises :class:`MonotonizeError` unless each shape count is divisible by 3.
     """
-    a_idx = [j for j, c in enumerate(q.matrix.clauses) if _mixed_shape(c) == "A"]
-    b_idx = [j for j, c in enumerate(q.matrix.clauses) if _mixed_shape(c) == "B"]
-    if len(a_idx) % 3 or len(b_idx) % 3:
-        raise MonotonizeError(
-            f"mixed-clause counts not divisible by 3: {len(a_idx)} one-positive, "
-            f"{len(b_idx)} one-negative"
-        )
-    replaced = set(a_idx) | set(b_idx)
-    passthrough = [c for j, c in enumerate(q.matrix.clauses) if j not in replaced]
-
-    alloc = FreshVarAllocator(q.matrix.n_vars + 1)
-    gadget_clauses: list[tuple[int, ...]] = []
-    new_existentials: list[int] = []
-    for shape, idxs, build in (("A", a_idx, build_frakM), ("B", b_idx, build_frakMbar)):
-        k = len(idxs) // 3
-        for t in range(k):
-            triple = [q.matrix.clauses[idxs[t]], q.matrix.clauses[idxs[t + k]],
-                      q.matrix.clauses[idxs[t + 2 * k]]]
-            inst = build(alloc, triple, tag=f"{shape}{t}")
-            gadget_clauses.extend(inst.formula.clauses)
-            new_existentials.extend(sorted(inst.fresh_vars.values()))
-
-    n_vars = alloc.next_id - 1
+    clauses, fresh, _ = splice(
+        q.matrix.clauses, q.matrix.n_vars, mixed_triples(q.matrix.clauses), build_enforcer)
     matrix = cnf(
-        list(passthrough) + gadget_clauses,
-        n_vars=n_vars,
+        clauses,
+        n_vars=q.matrix.n_vars + len(fresh),
         allows_duplicate_literals=q.matrix.allows_duplicate_literals,
     )
-    return Qbf2Formula(q.universals, q.existentials + tuple(new_existentials), matrix)
+    return Qbf2Formula(q.universals, q.existentials + tuple(fresh), matrix)
 
 
 def build_Q3(alloc: FreshVarAllocator) -> Qbf2Formula:

@@ -1,24 +1,34 @@
 """The two hardness reductions into the balanced monotone class, as executable
-and provenance-tracked transformations.
+and provenance-tracked transformations, and the tripling-and-monotonize core
+they share with :mod:`monoforge.qbf`: :func:`triple`, :func:`mixed_triples`,
+:func:`build_enforcer` and :func:`splice`.
 
-Both keep pass-through clauses first (in copy order for the tripling
-reduction) and append gadget blocks in source-clause order, so outputs are
-deterministic functions of their inputs.
+Outputs keep pass-through clauses first (in copy order after tripling) and
+append gadget blocks in the order of their groups, so they are deterministic
+functions of their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .formula import (
+    Clause,
     CnfFormula,
     InstanceClass,
     InvalidInstanceError,
-    canonical_clause,
+    clause_has_distinct_vars,
     cnf,
     validate_class,
 )
-from .gadgets import FreshVarAllocator, build_S, build_frakM, build_frakMbar
+from .gadgets import (
+    FreshVarAllocator,
+    GadgetInstantiation,
+    build_S,
+    build_frakM,
+    build_frakMbar,
+)
 
 
 @dataclass(frozen=True)
@@ -48,13 +58,103 @@ class ReductionOutput:
         return [p.to_json() for p in self.provenance]
 
 
-def _dup_var(c) -> int | None:
-    seen = set()
-    for l in c:
-        if abs(l) in seen:
-            return abs(l)
-        seen.add(abs(l))
-    return None
+class MonotonizeError(ValueError):
+    pass
+
+
+def triple(rows: Sequence[Sequence[int]], n_vars: int) -> list[tuple[int, ...]]:
+    """Three variable-disjoint copies of rows of literals, copy-major.
+
+    Copy k adds k * n_vars to every variable and keeps signs and order, so
+    canonical clauses stay canonical and quantifier blocks keep their order.
+    """
+    return [
+        tuple(l + off if l > 0 else l - off for l in row)
+        for off in (0, n_vars, 2 * n_vars)
+        for row in rows
+    ]
+
+
+def _mixed_shape(c: Clause) -> int:
+    """The number of positive literals, 1 or 2, of a mixed 3-clause; else 0."""
+    pos = sum(1 for l in c if l > 0)
+    return pos if len(c) == 3 and pos in (1, 2) else 0
+
+
+def mixed_triples(clauses: Sequence[Clause]) -> list[tuple[int, int, int]]:
+    """Group the mixed clauses into triples of one shape, shape-major.
+
+    With 3k clauses of a shape, the t-th triple holds its t-th, (t + k)-th
+    and (t + 2k)-th clause.  After :func:`triple` these are the three copies
+    of one source clause, and the first index is that source clause.
+    """
+    a_idx, b_idx = ([j for j, c in enumerate(clauses) if _mixed_shape(c) == s] for s in (1, 2))
+    if len(a_idx) % 3 or len(b_idx) % 3:
+        raise MonotonizeError(
+            f"mixed-clause counts not divisible by 3: {len(a_idx)} one-positive, "
+            f"{len(b_idx)} one-negative"
+        )
+    triples = []
+    for idxs in (a_idx, b_idx):
+        k = len(idxs) // 3
+        triples.extend((idxs[t], idxs[t + k], idxs[t + 2 * k]) for t in range(k))
+    return triples
+
+
+def build_enforcer(alloc: FreshVarAllocator, group: Sequence[Clause], first: int):
+    """The 96-variable combined enforcer for three mixed clauses of one shape."""
+    if _mixed_shape(group[0]) == 1:
+        return build_frakM(alloc, group, tag=f"frakM{first}")
+    return build_frakMbar(alloc, group, tag=f"frakMbar{first}")
+
+
+def splice(
+    clauses: Sequence[Clause],
+    n_vars: int,
+    groups: Sequence[Sequence[int]],
+    build: Callable[..., GadgetInstantiation],
+) -> tuple[list[Clause], range, list[tuple[int, str | None]]]:
+    """Replace each group of clause indices by the block that
+    ``build(alloc, group_clauses, first_index)`` makes.
+
+    Returns the clauses in no group, in input order, then the blocks in group
+    order; the fresh variables, numbered from n_vars + 1; and per output
+    clause its input index (a block's is its group's first index) and the
+    gadget tag, None for pass-through clauses.
+    """
+    replaced = {j for g in groups for j in g}
+    source: list[tuple[int, str | None]] = [
+        (j, None) for j in range(len(clauses)) if j not in replaced]
+    out = [clauses[j] for j, _ in source]
+    alloc = FreshVarAllocator(n_vars + 1)
+    for g in groups:
+        inst = build(alloc, [clauses[j] for j in g], g[0])
+        out.extend(inst.formula.clauses)
+        source.extend([(g[0], inst.tag)] * inst.formula.m)
+    return out, range(n_vars + 1, alloc.next_id), source
+
+
+def _reduction_output(f, clauses, n_vars, groups, build) -> ReductionOutput:
+    out, fresh, source = splice(clauses, n_vars, groups, build)
+    # clause j of a tripled list is a copy of source clause j mod m
+    provenance = tuple(
+        ProvenanceEntry("original" if tag is None else "gadget", j % f.m, tag)
+        for j, tag in source
+    )
+    formula = cnf(out, n_vars=n_vars + len(fresh))
+    stats = ReductionStats(
+        vars_added=formula.n_vars - f.n_vars,
+        clauses_added=sum(1 for _, tag in source if tag is not None),
+        enforcers_used=len(groups),
+    )
+    return ReductionOutput(formula, provenance, stats)
+
+
+def _simulator(alloc, group, j) -> GadgetInstantiation:
+    (c,) = group
+    negative = c[0] < 0
+    tag = f"Sbar{j}" if negative else f"S{j}"
+    return build_S(alloc, *(abs(l) for l in c), negative=negative, tag=tag)
 
 
 def reduce_star22_to_mono22(f: CnfFormula) -> ReductionOutput:
@@ -67,34 +167,8 @@ def reduce_star22_to_mono22(f: CnfFormula) -> ReductionOutput:
     rep = validate_class(f, InstanceClass.MONO_3SAT_STAR_22)
     if not rep.verdict:
         raise InvalidInstanceError(rep, "monotone *(2,2) input")
-    alloc = FreshVarAllocator(f.n_vars + 1)
-    passthrough: list[tuple[int, ...]] = []
-    pass_prov: list[ProvenanceEntry] = []
-    gadget_clauses: list[tuple[int, ...]] = []
-    gadget_prov: list[ProvenanceEntry] = []
-    enforcers = 0
-    for j, c in enumerate(f.clauses):
-        if _dup_var(c) is None:
-            passthrough.append(c)
-            pass_prov.append(ProvenanceEntry("original", j))
-            continue
-        enforcers += 1
-        vs = [abs(l) for l in c]
-        negative = c[0] < 0
-        tag = f"S{j}" if not negative else f"Sbar{j}"
-        inst = build_S(alloc, vs[0], vs[1], vs[2], negative=negative, tag=tag)
-        gadget_clauses.extend(inst.formula.clauses)
-        gadget_prov.extend(
-            ProvenanceEntry("gadget", j, tag) for _ in inst.formula.clauses
-        )
-    n_vars = alloc.next_id - 1
-    out = cnf(passthrough + gadget_clauses, n_vars=n_vars)
-    stats = ReductionStats(
-        vars_added=n_vars - f.n_vars,
-        clauses_added=len(gadget_clauses),
-        enforcers_used=enforcers,
-    )
-    return ReductionOutput(out, tuple(pass_prov + gadget_prov), stats)
+    groups = [(j,) for j, c in enumerate(f.clauses) if not clause_has_distinct_vars(c)]
+    return _reduction_output(f, f.clauses, f.n_vars, groups, _simulator)
 
 
 def reduce_3sat22_to_mono22(f: CnfFormula) -> ReductionOutput:
@@ -102,53 +176,13 @@ def reduce_3sat22_to_mono22(f: CnfFormula) -> ReductionOutput:
 
     Three variable-disjoint copies make every mixed-clause shape count
     divisible by 3; each mixed source clause together with its two copies is
-    then replaced by one 96-variable combined enforcer.  Monotone clauses
-    pass through in copy order.
+    then replaced by one 96-variable combined enforcer, in source-clause
+    order.  Monotone clauses pass through in copy order.
     """
     rep = validate_class(f, InstanceClass.THREE_SAT_22)
     if not rep.verdict:
         raise InvalidInstanceError(rep, "(2,2)-balanced 3-SAT input")
-    n = f.n_vars
-
-    def copy_clause(c, k):
-        off = k * n
-        return canonical_clause((l + off if l > 0 else l - off) for l in c)
-
-    mixed = []
-    for j, c in enumerate(f.clauses):
-        pos = sum(1 for l in c if l > 0)
-        if pos in (1, 2):
-            mixed.append((j, "A" if pos == 1 else "B"))
-    # after tripling, each shape count is three times the source count
-    assert (3 * sum(1 for _, s in mixed if s == "A")) % 3 == 0
-    assert (3 * sum(1 for _, s in mixed if s == "B")) % 3 == 0
-
-    mixed_idx = {j for j, _ in mixed}
-    passthrough: list[tuple[int, ...]] = []
-    pass_prov: list[ProvenanceEntry] = []
-    for k in range(3):
-        for j, c in enumerate(f.clauses):
-            if j not in mixed_idx:
-                passthrough.append(copy_clause(c, k))
-                pass_prov.append(ProvenanceEntry("original", j))
-
-    alloc = FreshVarAllocator(3 * n + 1)
-    gadget_clauses: list[tuple[int, ...]] = []
-    gadget_prov: list[ProvenanceEntry] = []
-    for j, shape in mixed:
-        triple = [copy_clause(f.clauses[j], k) for k in range(3)]
-        builder = build_frakM if shape == "A" else build_frakMbar
-        tag = f"frakM{j}" if shape == "A" else f"frakMbar{j}"
-        inst = builder(alloc, triple, tag=tag)
-        gadget_clauses.extend(inst.formula.clauses)
-        gadget_prov.extend(
-            ProvenanceEntry("gadget", j, tag) for _ in inst.formula.clauses
-        )
-    n_vars = alloc.next_id - 1 if alloc.next_id > 3 * n + 1 else 3 * n
-    out = cnf(passthrough + gadget_clauses, n_vars=n_vars)
-    stats = ReductionStats(
-        vars_added=n_vars - f.n_vars,
-        clauses_added=len(gadget_clauses),
-        enforcers_used=len(mixed),
-    )
-    return ReductionOutput(out, tuple(pass_prov + gadget_prov), stats)
+    tripled = triple(f.clauses, f.n_vars)
+    # source-clause order; shape-major order slows the solver on the output
+    groups = sorted(mixed_triples(tripled))
+    return _reduction_output(f, tripled, 3 * f.n_vars, groups, build_enforcer)

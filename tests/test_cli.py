@@ -97,6 +97,20 @@ def test_count(capsys, tmp_path):
     assert out.strip() == "3 (capped)"
 
 
+def test_count_usage_errors(capsys, tmp_path):
+    u = tmp_path / "u.cnf"
+    u.write_text(write_dimacs(build_U()))  # 198 variables: exact counting needs a cap
+    code, out, err = run(capsys, "count", "--in", str(u))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "pass a cap" in err
+
+    f = tmp_path / "f.cnf"
+    f.write_text("p cnf 3 1\n1 2 3 0\n")
+    code, out, err = run(capsys, "count", "--in", str(f), "--cap", "-3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "non-negative" in err
+
+
 def test_reduce_star22(tmp_path, capsys):
     src = tmp_path / "star.cnf"
     from monoforge.generate import random_mono_3sat_star22

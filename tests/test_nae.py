@@ -170,6 +170,20 @@ def test_solve_complement_closed_rejects_missing_complement():
     assert any("complement" in v.rule for v in err.value.report.violations)
 
 
+def test_solve_complement_closed_reports_class_rules():
+    # a repeated variable and a short clause fail under the same rule names
+    # that validate_class uses
+    f = cnf([[1, 1, 2], [-1, -1, -2], [1, 2], [-1, -2]], n_vars=2,
+            allows_duplicate_literals=True)
+    with pytest.raises(InvalidInstanceError) as err:
+        solve_complement_closed_22(f)
+    rules = [(v.rule, v.index) for v in err.value.report.violations]
+    assert rules == [
+        ("distinct-vars", 0), ("distinct-vars", 1), ("width", 2), ("width", 3),
+        ("occurrence", 1),
+    ]
+
+
 def test_graph_edge_text():
     text = graph_edge_text(variable_graph(cnf([[1, 2, 3]])))
     assert text == "1 2\n1 3\n2 3\n"
