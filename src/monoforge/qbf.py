@@ -8,6 +8,15 @@ existential satisfiability with the clause-learning solver.  Variable-disjoint
 parts of the matrix are evaluated independently and structurally identical
 parts only once; the verdict and the reported counterexample are exactly
 those of plain enumeration.
+
+Within a part, existential witnesses are reused.  Each SAT answer is kept as
+its universal residue: the universal literals of the clauses that the
+model's existential part leaves unsatisfied.  A later universal assignment
+that satisfies a stored residue is extended by that existential part to a
+model of the whole matrix, so it is skipped without a solver call; an empty
+residue makes the part true outright.  Only assignments that do have an
+extension are skipped and the walk keeps its order, so the first assignment
+the solver refutes is still the lexicographically first counterexample.
 """
 
 from __future__ import annotations
@@ -150,6 +159,16 @@ def _component_key(q, us, es, clause_idx):
     return (len(us), len(es), tuple(mapped))
 
 
+_Residue = tuple[int, int, frozenset[tuple[int, int]]]
+
+
+def _covers(residue: _Residue, a: int) -> bool:
+    """Assignment ``a`` satisfies the residue's unit clauses (the cube
+    ``a & mask == want``) and each wider (positive, negative mask) clause."""
+    mask, want, wide = residue
+    return a & mask == want and all(a & pos or ~a & neg for pos, neg in wide)
+
+
 def _component_first_failure(
     q: Qbf2Formula,
     us: list[int],
@@ -157,7 +176,13 @@ def _component_first_failure(
     clause_idx: list[int],
     conflict_budget: int,
 ) -> tuple[str, tuple[bool, ...] | None]:
-    """('yes'|'no'|'budget', lexicographically first failing local assignment)."""
+    """('yes'|'no'|'budget', lexicographically first failing local assignment).
+
+    Each SAT answer leaves its universal residue: the universal literals of
+    every clause that the model's existential part leaves unsatisfied.  An
+    assignment that satisfies every clause of a stored residue is skipped, as
+    that model's existential part extends it to a model of the whole matrix.
+    """
     clauses = [q.matrix.clauses[j] for j in clause_idx]
     n_local = 0
     index: dict[int, int] = {}
@@ -169,14 +194,54 @@ def _component_first_failure(
         n_vars=n_local,
         allows_duplicate_literals=q.matrix.allows_duplicate_literals,
     )
+    # the walk counter holds local universal i (1-based) in bit k - i, so
+    # counting up visits assignments in lexicographic order; clauses with no
+    # universal literal, or both literals of one, never constrain a residue
+    k = len(us)
+    split: list[tuple[int, int, list[int]]] = []
+    for c in local.clauses:
+        pos = neg = 0
+        ex: list[int] = []
+        for l in c:
+            if abs(l) > k:
+                ex.append(l)
+            elif l > 0:
+                pos |= 1 << (k - l)
+            else:
+                neg |= 1 << (k + l)
+        if (pos or neg) and not pos & neg:
+            split.append((pos, neg, ex))
+    residues: dict[_Residue, None] = {}
+    last: _Residue | None = None  # covered the previous skipped assignment
     solver = Solver(local, conflict_budget=conflict_budget)
-    for bits in itertools.product((False, True), repeat=len(us)):
-        assumptions = [i + 1 if b else -(i + 1) for i, b in enumerate(bits)]
-        res = solver.solve(assumptions)
+    for a in range(1 << k):
+        if last and _covers(last, a):
+            continue
+        last = next((r for r in residues if _covers(r, a)), None)
+        if last:
+            continue
+        bits = tuple(bool(a >> (k - i) & 1) for i in range(1, k + 1))
+        res = solver.solve([i if b else -i for i, b in enumerate(bits, 1)])
         if res.status is Status.BUDGET:
             return "budget", None
         if res.status is Status.UNSAT:
             return "no", bits
+        # every residue clause holds under ``a``, so the units never clash
+        model = res.model
+        mask = want = 0
+        wide = []
+        for pos, neg, ex in split:
+            if any(model[l] if l > 0 else not model[-l] for l in ex):
+                continue
+            lits = pos | neg
+            if lits & (lits - 1):
+                wide.append((pos, neg))
+            else:
+                mask |= lits
+                want |= pos
+        if not mask and not wide:
+            return "yes", None
+        residues[mask, want, frozenset(wide)] = None
     return "yes", None
 
 
@@ -310,17 +375,23 @@ def pad_to_balance(q: Qbf2Formula, variant: PadVariant) -> Qbf2Formula:
     else:
         blocks = surplus
         builder = build_Q1mon
-    alloc = FreshVarAllocator(q.matrix.n_vars + 1)
+    # one block, copied at offsets b * width: a uniform shift keeps every
+    # clause in canonical order; each copy maps its literals through one
+    # table, so a literal is one int object however often it occurs
+    base = q.matrix.n_vars
+    block = builder(FreshVarAllocator(base + 1))
+    width = block.matrix.n_vars - base
     universals = list(q.universals)
     existentials = list(q.existentials)
     clauses = list(q.matrix.clauses)
-    for _ in range(blocks):
-        frag = builder(alloc)
-        universals.extend(frag.universals)
-        existentials.extend(frag.existentials)
-        clauses.extend(frag.matrix.clauses)
-    matrix = cnf(clauses, n_vars=alloc.next_id - 1,
-                 allows_duplicate_literals=q.matrix.allows_duplicate_literals)
+    for off in range(0, blocks * width, width):
+        shift = {v: v + off for v in range(base + 1, base + width + 1)}
+        shift.update({-v: -w for v, w in shift.items()})
+        universals.extend(map(shift.__getitem__, block.universals))
+        existentials.extend(map(shift.__getitem__, block.existentials))
+        clauses.extend(tuple(map(shift.__getitem__, c)) for c in block.matrix.clauses)
+    matrix = CnfFormula(base + blocks * width, tuple(clauses),
+                        q.matrix.allows_duplicate_literals)
     return Qbf2Formula(tuple(universals), tuple(existentials), matrix)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .formula import Assignment, CnfFormula, satisfies
+from .formula import Assignment, CnfFormula
 from .rup import RupProof
 
 _ACT_RESCALE = 1e100
@@ -277,6 +277,17 @@ class Solver:
         if self.trace_enabled:
             self.trace_clauses.append(tuple(_elit(i) for i in learnt))
 
+    def _model_satisfies_formula(self) -> bool:
+        """Check the original clauses against the current total assignment."""
+        val = self.val
+        for c in self.formula.clauses:
+            for l in c:
+                if (val[l] > 0) if l > 0 else (val[-l] < 0):
+                    break
+            else:
+                return False
+        return True
+
     def _result_unsat(self, conflicts: int) -> SolveResult:
         proof = None
         if self.trace_enabled:
@@ -355,10 +366,10 @@ class Solver:
 
             v = self._pick_var()
             if v == 0:
+                if not self._model_satisfies_formula():
+                    raise AssertionError("internal error: model fails verification")
                 model = {u: self.val[u] > 0 for u in range(1, self.n + 1)}
                 self._backtrack(0)
-                if not satisfies(self.formula, model):
-                    raise AssertionError("internal error: model fails verification")
                 return SolveResult(Status.SAT, model=model, conflicts=used)
             lit = (v << 1) | (0 if self.phase[v] else 1)
             self.trail_lim.append(len(self.trail))

@@ -1,6 +1,11 @@
-import pytest
+import itertools
 
-from monoforge.formula import InvalidInstanceError, cnf
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import corpus
+from monoforge import solver as solver_module
+from monoforge.formula import CnfFormula, InvalidInstanceError, canonical_clause, cnf
 from monoforge.gadgets import FreshVarAllocator
 from monoforge.qbf import (
     BalanceSpec,
@@ -92,6 +97,80 @@ def test_decompose_matches_naive_multicomponent():
     slow = qbf_truth(q, decompose=False)
     assert fast.value == slow.value == QbfValue.NO
     assert fast.counterexample == slow.counterexample
+
+
+def brute_force_truth(q):
+    """First universal assignment (declared order, false < true) with no
+    existential extension, or None when every assignment has one."""
+    for ubits in itertools.product((False, True), repeat=len(q.universals)):
+        alpha = dict(zip(q.universals, ubits))
+        for ebits in itertools.product((False, True), repeat=len(q.existentials)):
+            a = {**alpha, **dict(zip(q.existentials, ebits))}
+            if all(any(a[abs(l)] == (l > 0) for l in c) for c in q.matrix.clauses):
+                break
+        else:
+            return alpha
+    return None
+
+
+@st.composite
+def small_qbfs(draw):
+    """Two-level formulas of up to three variable-disjoint parts (the first
+    possibly copied), in a shuffled declared order, with repeated clauses and
+    optionally a variable repeated inside a clause."""
+    dup = draw(st.booleans())
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        nu = draw(st.integers(0, 3))
+        ne = draw(st.integers(0 if nu else 1, 3))
+        lit = st.integers(1, nu + ne).flatmap(lambda v: st.sampled_from((v, -v)))
+        clause = st.lists(lit, min_size=1, max_size=3, unique_by=None if dup else abs)
+        clauses = draw(st.lists(clause, max_size=6))
+        if clauses:
+            clauses += draw(st.lists(st.sampled_from(clauses), max_size=2))
+        parts.append((nu, ne, clauses))
+    if draw(st.booleans()):
+        parts.append(parts[0])
+    n = sum(nu + ne for nu, ne, _ in parts)
+    ids = draw(st.permutations(range(1, n + 1)))
+    universals, existentials, matrix = [], [], []
+    base = 0
+    for nu, ne, clauses in parts:
+        universals += [ids[base + i] for i in range(nu)]
+        existentials += [ids[base + nu + i] for i in range(ne)]
+        matrix += [canonical_clause(ids[base + abs(l) - 1] * (1 if l > 0 else -1) for l in c)
+                   for c in clauses]
+        base += nu + ne
+    universals = draw(st.permutations(universals))
+    return Qbf2Formula(tuple(universals), tuple(existentials),
+                       CnfFormula(n, tuple(matrix), allows_duplicate_literals=dup))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_qbfs())
+def test_truth_matches_brute_force(q):
+    alpha = brute_force_truth(q)
+    res = qbf_truth(q)
+    assert res.value is (QbfValue.YES if alpha is None else QbfValue.NO)
+    assert res.counterexample == alpha
+
+
+def test_witness_reuse_skips_solves(monkeypatch, qbf_1122_corpus):
+    # a (1,1) yes-instance with p = 3: its monotonized matrix is one
+    # component with 9 universals
+    assert corpus.QBF_1122_SPECS[3][0] == 3
+    q = monotonize(triple_copy(qbf_1122_corpus[3]))
+    calls = []
+    solve = solver_module.Solver.solve
+
+    def counting_solve(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module.Solver, "solve", counting_solve)
+    assert qbf_truth(q).value is QbfValue.YES
+    assert len(q.universals) == 9
+    assert 0 < len(calls) < 2 ** 9
 
 
 def test_triple_copy(qbf_1122_corpus):

@@ -105,3 +105,12 @@ def test_conflicting_pending_units():
 def test_assumption_out_of_range():
     with pytest.raises(ValueError):
         solve(cnf([[1]]), assumptions=[7])
+
+
+def test_model_check_rejects_a_violating_model():
+    # the solver decides [1 v 2]; the formula it verifies against also holds
+    # the units 1 and -1, one of which every total model violates
+    solver = Solver(cnf([[1, 2]], n_vars=2))
+    solver.formula = cnf([[1, 2], [1], [-1]], n_vars=2)
+    with pytest.raises(AssertionError, match="model fails verification"):
+        solver.solve()
