@@ -67,11 +67,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as e:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}") from None
 
 

@@ -1,19 +1,30 @@
 """Dense truth-table kernels for small-universe enumeration.
 
 Assignment index convention: bit ``v - 1`` of the index is the value of
-variable ``v``, so index 0 is the all-false assignment.  Each kernel exists
-twice, as a numba-jitted loop and as a blocked pure-numpy fallback; both give
-identical results.  Set ``MONOFORGE_BACKEND=numpy`` to force the fallback
-(``numba`` selects the jitted path, the default when numba imports).
+variable ``v``, so index 0 is the all-false assignment.
+
+The kernels are bitsliced (Biham, FSE 1997): one uint64 word holds 64
+assignments, bit ``b`` of word ``w`` being index ``64 * w + b``.  Variables
+1-6 are then the same mask in every word (``0xAAAA...`` for variable 1,
+``0xCCCC...`` for 2, ...), and variable ``v >= 7`` is an all-ones or
+all-zero word, bit ``v - 7`` of the word number.  A clause is the OR of its
+literal words and the formula the AND of its clauses, so each word operation
+decides 64 assignments; a clause is not-all-equal when both it and its
+negation hold.  Words are evaluated in blocks of ``_BLOCK_WORDS`` (65536
+assignments), and bits past ``2 ** n_vars`` are cleared.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_BLOCK = 1 << 14
+_BLOCK_WORDS = 1 << 10
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_LANES = np.array(
+    [0xAAAA_AAAA_AAAA_AAAA, 0xCCCC_CCCC_CCCC_CCCC, 0xF0F0_F0F0_F0F0_F0F0,
+     0xFF00_FF00_FF00_FF00, 0xFFFF_0000_FFFF_0000, 0xFFFF_FFFF_0000_0000],
+    dtype=np.uint64,
+)
 
 
 def clause_arrays(clauses) -> tuple[np.ndarray, np.ndarray]:
@@ -30,203 +41,74 @@ def clause_arrays(clauses) -> tuple[np.ndarray, np.ndarray]:
     return lits, widths
 
 
-# -- pure numpy fallback ----------------------------------------------------
+def _blocks(lits, widths, n_vars: int, nae: bool):
+    """Yield ``(start, words)`` per block of assignments, in ascending order.
 
-def _block_masks(lits, widths, idx):
-    """Per-clause satisfaction masks for a block of assignment indices."""
-    m = lits.shape[0]
-    sat = np.ones(idx.shape[0], dtype=bool)
-    for j in range(m):
-        cl = np.zeros(idx.shape[0], dtype=bool)
-        for k in range(int(widths[j])):
-            l = int(lits[j, k])
-            bit = (idx >> (abs(l) - 1)) & 1
-            cl |= (bit == 1) if l > 0 else (bit == 0)
-        sat &= cl
-    return sat
+    Bit ``b`` of ``words[w]`` is set when assignment ``start + 64 * w + b``
+    satisfies every clause: some literal true, and with ``nae`` also some
+    literal false, that is, the negated clause satisfied too.
+    """
+    # Padding repeats a clause's first literal, which leaves its OR unchanged;
+    # an empty clause reads row 0 of the table, which is all-zero.
+    pad = np.arange(lits.shape[1]) >= widths[:, None]
+    lits = np.where(pad, lits[:, :1], lits)
+    var = np.abs(lits).T
+    flips = [np.where(lits < 0, _ONES, np.uint64(0)).T[:, :, None]]
+    if nae:
+        flips.append(~flips[0])
+    high = np.arange(max(n_vars - 6, 0), dtype=np.uint64)[:, None]
+    n_words = 1 << max(n_vars - 6, 0)
+    for w0 in range(0, n_words, _BLOCK_WORDS):
+        words = np.arange(w0, min(w0 + _BLOCK_WORDS, n_words), dtype=np.uint64)
+        table = np.zeros((n_vars + 1, words.shape[0]), dtype=np.uint64)
+        table[1:7] = _LANES[:n_vars, None]
+        table[7:] = ((words >> high) & 1) * _ONES
+        ok = np.full(words.shape[0], _ONES)
+        for flip in flips:
+            some_true = table[var[0]] ^ flip[0]
+            for k in range(1, var.shape[0]):
+                some_true |= table[var[k]] ^ flip[k]
+            ok &= np.bitwise_and.reduce(some_true, axis=0)
+        if n_vars < 6:
+            ok &= np.uint64((1 << (1 << n_vars)) - 1)
+        yield 64 * w0, ok
 
 
-def count_sat_numpy(lits, widths, n_vars: int, limit: int) -> int:
+def active_backend() -> str:
+    """Name of the kernel implementation, for benchmark metadata."""
+    return "numpy"
+
+
+def count_sat(lits, widths, n_vars: int, limit: int) -> int:
+    """Number of satisfying assignments, or ``limit`` once it is reached."""
     total = 0
-    n_assign = 1 << n_vars
-    for start in range(0, n_assign, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, n_assign), dtype=np.int64)
-        total += int(_block_masks(lits, widths, idx).sum())
+    for _, ok in _blocks(lits, widths, n_vars, nae=False):
+        total += int(np.bitwise_count(ok).sum())
         if total >= limit:
             return limit
     return total
 
 
-def collect_sat_numpy(lits, widths, n_vars: int, cap: int) -> np.ndarray:
-    """Indices of satisfying assignments, at most ``cap`` of them."""
+def collect_sat(lits, widths, n_vars: int, cap: int) -> np.ndarray:
+    """Ascending indices of satisfying assignments, at most ``cap`` of them."""
     out: list[np.ndarray] = []
     found = 0
-    n_assign = 1 << n_vars
-    for start in range(0, n_assign, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, n_assign), dtype=np.int64)
-        hits = idx[_block_masks(lits, widths, idx)]
-        if found + hits.shape[0] >= cap:
-            out.append(hits[: cap - found])
-            return np.concatenate(out) if out else np.empty(0, np.int64)
-        out.append(hits)
-        found += hits.shape[0]
+    if cap > 0:
+        for start, ok in _blocks(lits, widths, n_vars, nae=False):
+            bits = np.unpackbits(ok.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+            out.append(np.flatnonzero(bits)[: cap - found] + start)
+            found += out[-1].shape[0]
+            if found >= cap:
+                break
     return np.concatenate(out) if out else np.empty(0, np.int64)
 
 
-def first_nae_numpy(lits, widths, n_vars: int) -> int:
-    """First assignment index with a true and a false literal in every clause."""
-    m = lits.shape[0]
-    n_assign = 1 << n_vars
-    for start in range(0, n_assign, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, n_assign), dtype=np.int64)
-        ok = np.ones(idx.shape[0], dtype=bool)
-        for j in range(m):
-            some_true = np.zeros(idx.shape[0], dtype=bool)
-            some_false = np.zeros(idx.shape[0], dtype=bool)
-            for k in range(int(widths[j])):
-                l = int(lits[j, k])
-                bit = (idx >> (abs(l) - 1)) & 1
-                true_here = (bit == 1) if l > 0 else (bit == 0)
-                some_true |= true_here
-                some_false |= ~true_here
-            ok &= some_true & some_false
-        where = np.nonzero(ok)[0]
-        if where.shape[0]:
-            return int(idx[where[0]])
-    return -1
-
-
-# -- numba path -------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-
-    @njit(cache=True)
-    def _count_sat_jit(lits, widths, n_vars, limit):  # pragma: no cover - jitted
-        m = lits.shape[0]
-        count = 0
-        for a in range(1 << n_vars):
-            ok = True
-            for j in range(m):
-                sat = False
-                for k in range(widths[j]):
-                    l = lits[j, k]
-                    if l > 0:
-                        if (a >> (l - 1)) & 1 == 1:
-                            sat = True
-                            break
-                    else:
-                        if (a >> (-l - 1)) & 1 == 0:
-                            sat = True
-                            break
-                if not sat:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-                if count >= limit:
-                    return count
-        return count
-
-    @njit(cache=True)
-    def _collect_sat_jit(lits, widths, n_vars, cap):  # pragma: no cover - jitted
-        m = lits.shape[0]
-        out = np.empty(cap, np.int64)
-        found = 0
-        for a in range(1 << n_vars):
-            ok = True
-            for j in range(m):
-                sat = False
-                for k in range(widths[j]):
-                    l = lits[j, k]
-                    if l > 0:
-                        if (a >> (l - 1)) & 1 == 1:
-                            sat = True
-                            break
-                    else:
-                        if (a >> (-l - 1)) & 1 == 0:
-                            sat = True
-                            break
-                if not sat:
-                    ok = False
-                    break
-            if ok:
-                out[found] = a
-                found += 1
-                if found >= cap:
-                    return out[:found]
-        return out[:found]
-
-    @njit(cache=True)
-    def _first_nae_jit(lits, widths, n_vars):  # pragma: no cover - jitted
-        m = lits.shape[0]
-        for a in range(1 << n_vars):
-            ok = True
-            for j in range(m):
-                some_true = False
-                some_false = False
-                for k in range(widths[j]):
-                    l = lits[j, k]
-                    if l > 0:
-                        t = (a >> (l - 1)) & 1 == 1
-                    else:
-                        t = (a >> (-l - 1)) & 1 == 0
-                    if t:
-                        some_true = True
-                    else:
-                        some_false = True
-                if not (some_true and some_false):
-                    ok = False
-                    break
-            if ok:
-                return a
-        return -1
-
-    def count_sat_numba(lits, widths, n_vars: int, limit: int) -> int:
-        return int(_count_sat_jit(lits, widths, n_vars, limit))
-
-    def collect_sat_numba(lits, widths, n_vars: int, cap: int) -> np.ndarray:
-        if cap <= 0:
-            return np.empty(0, np.int64)
-        return _collect_sat_jit(lits, widths, n_vars, cap)
-
-    def first_nae_numba(lits, widths, n_vars: int) -> int:
-        return int(_first_nae_jit(lits, widths, n_vars))
-
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-    count_sat_numba = None
-    collect_sat_numba = None
-    first_nae_numba = None
-
-
-_requested = os.environ.get("MONOFORGE_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"MONOFORGE_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-_USE_NUMBA = HAVE_NUMBA and _requested != "numpy"
-
-
-def active_backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def count_sat(lits, widths, n_vars: int, limit: int) -> int:
-    if _USE_NUMBA:
-        return count_sat_numba(lits, widths, n_vars, limit)
-    return count_sat_numpy(lits, widths, n_vars, limit)
-
-
-def collect_sat(lits, widths, n_vars: int, cap: int) -> np.ndarray:
-    if cap <= 0:
-        return np.empty(0, np.int64)
-    if _USE_NUMBA:
-        return collect_sat_numba(lits, widths, n_vars, cap)
-    return collect_sat_numpy(lits, widths, n_vars, cap)
-
-
 def first_nae(lits, widths, n_vars: int) -> int:
-    if _USE_NUMBA:
-        return first_nae_numba(lits, widths, n_vars)
-    return first_nae_numpy(lits, widths, n_vars)
+    """First assignment index with a true and a false literal in every clause."""
+    for start, ok in _blocks(lits, widths, n_vars, nae=True):
+        nonzero = np.flatnonzero(ok)
+        if nonzero.shape[0]:
+            w = int(nonzero[0])
+            word = int(ok[w])
+            return start + 64 * w + (word & -word).bit_length() - 1
+    return -1

@@ -430,7 +430,10 @@ def read_qdimacs(text: str) -> Qbf2Formula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"malformed header {line!r}", lineno)
-            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            try:
+                n_vars, n_clauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"malformed header {line!r}", lineno) from None
             continue
         if line.startswith("a ") or line.startswith("e "):
             if n_vars is None:
@@ -440,7 +443,10 @@ def read_qdimacs(text: str) -> Qbf2Formula:
             toks = line.split()
             if toks[-1] != "0":
                 raise ParseError("quantifier line missing 0 terminator", lineno)
-            ids = [int(t) for t in toks[1:-1]]
+            try:
+                ids = [int(t) for t in toks[1:-1]]
+            except ValueError:
+                raise ParseError(f"invalid variable in quantifier line {line!r}", lineno) from None
             if any(i <= 0 or i > n_vars for i in ids):
                 raise ParseError("quantified variable out of range", lineno)
             if toks[0] == "a":

@@ -218,6 +218,26 @@ def test_usage_errors(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_undecodable_input_is_a_read_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cnf"
+    bad.write_bytes(b"\xff\xfep cnf 1 1\n1 0\n")
+    good = tmp_path / "good.cnf"
+    good.write_text("p cnf 2 1\n1 2 0\n")
+    for argv in (
+        ["count", "--in", str(bad)],
+        ["solve", "--in", str(bad)],
+        ["validate", "--class", "mono3sat22", "--in", str(bad)],
+        ["reduce", "--from", "star22", "--in", str(bad)],
+        ["nae", "solve", "--in", str(bad)],
+        ["qbf", "check", "--in", str(bad)],
+        ["rup-check", "--in", str(good), "--proof", str(bad)],
+        ["nae", "check", "--in", str(good), "--assignment", str(bad)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: cannot read {bad}: "), argv
+
+
 def test_qbf_rejects_unquantified_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.qdimacs"
     bad.write_text("p cnf 3 1\n1 2 3 0\n")

@@ -283,3 +283,7 @@ def test_qdimacs_errors():
         read_qdimacs("p cnf 2 1\ne 1 0\na 2 0\n1 2 0\n")
     with pytest.raises(ParseError, match="terminator"):
         read_qdimacs("p cnf 2 1\na 1 0\ne 2 0\n1 2\n")
+    with pytest.raises(ParseError, match="line 1: malformed header"):
+        read_qdimacs("p cnf x 1\n")
+    with pytest.raises(ParseError, match="line 2: invalid variable"):
+        read_qdimacs("p cnf 2 1\na 1 x 0\ne 2 0\n1 2 0\n")
