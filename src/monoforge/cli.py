@@ -182,12 +182,10 @@ def _cmd_gadget(args) -> int:
 def _cmd_validate(args) -> int:
     f = _load_formula(args.input, args.format)
     report = validate_class(f, _CLASS_NAMES[args.cls])
-    if report.verdict:
-        print("valid")
-        return EXIT_OK
-    for v in report.violations:
-        print(f"{v.rule}: {v.message}", file=sys.stderr)
-    return EXIT_INVALID
+    if not report.verdict:
+        raise InvalidInstanceError(report, f"{args.cls} input")
+    print("valid")
+    return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
@@ -235,15 +233,10 @@ def _cmd_rup_check(args) -> int:
 
 def _cmd_reduce(args) -> int:
     f = _load_formula(args.input, args.format)
-    try:
-        if args.source == "star22":
-            out = reduce_star22_to_mono22(f)
-        else:
-            out = reduce_3sat22_to_mono22(f)
-    except InvalidInstanceError as e:
-        for v in e.report.violations:
-            print(f"{v.rule}: {v.message}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.source == "star22":
+        out = reduce_star22_to_mono22(f)
+    else:
+        out = reduce_3sat22_to_mono22(f)
     _write_text(args.out, _dump_formula(out.formula, args.out_format))
     if args.provenance:
         payload = {
@@ -276,12 +269,7 @@ def _cmd_qbf(args) -> int:
         print("no")
         print("counterexample: " + " ".join(str(l) for l in lits))
         return EXIT_UNSAT
-    try:
-        out = transform_1122(q) if args.action == "transform-1122" else transform_2222(q)
-    except InvalidInstanceError as e:
-        for v in e.report.violations:
-            print(f"{v.rule}: {v.message}", file=sys.stderr)
-        return EXIT_INVALID
+    out = transform_1122(q) if args.action == "transform-1122" else transform_2222(q)
     _write_text(args.out, write_qdimacs(out))
     return EXIT_OK
 
@@ -292,12 +280,7 @@ def _cmd_nae(args) -> int:
         _write_text(args.out, graph_edge_text(variable_graph(f)))
         return EXIT_OK
     if args.action == "solve":
-        try:
-            a = nae_solve_e2(f)
-        except InvalidInstanceError as e:
-            for v in e.report.violations:
-                print(f"{v.rule}: {v.message}", file=sys.stderr)
-            return EXIT_INVALID
+        a = nae_solve_e2(f)
         lits = [v if a[v] else -v for v in range(1, f.n_vars + 1)]
         print("v " + " ".join(str(l) for l in lits) + " 0")
         return EXIT_OK
@@ -435,6 +418,10 @@ def main(argv: list[str] | None = None) -> int:
     except fileio.ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except InvalidInstanceError as e:
+        for v in e.report.violations:
+            print(f"{v.rule}: {v.message}", file=sys.stderr)
+        return EXIT_INVALID
     except BrokenPipeError:
         return EXIT_ERROR
 

@@ -23,11 +23,12 @@ def _needs_dup_flag(clauses) -> bool:
     return any(not clause_has_distinct_vars(c) for c in clauses)
 
 
-def read_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF: 'p cnf <vars> <clauses>' then 0-terminated clauses.
+def _parse_dimacs(text: str, quantifier=None) -> tuple[int, list[tuple[int, ...]]]:
+    """Header and 0-terminated clauses of DIMACS text: (n_vars, clauses).
 
-    Clauses may span lines.  The duplicate-literal dialect flag is set
-    automatically when some clause repeats a variable.
+    With ``quantifier``, a line starting with 'a ' or 'e ' is passed to
+    ``quantifier(line, lineno, n_vars, after_clauses)`` instead of being read
+    as clauses; ``n_vars`` is None before the header.
     """
     n_vars = None
     n_clauses = None
@@ -50,6 +51,9 @@ def read_dimacs(text: str) -> CnfFormula:
             if n_vars < 0 or n_clauses < 0:
                 raise ParseError(f"malformed header {line!r}", lineno)
             continue
+        if quantifier is not None and line.startswith(("a ", "e ")):
+            quantifier(line, lineno, n_vars, bool(clauses or pending))
+            continue
         if n_vars is None:
             raise ParseError(f"clause before header: {line!r}", lineno)
         for tok in line.split():
@@ -68,10 +72,20 @@ def read_dimacs(text: str) -> CnfFormula:
         raise ParseError("missing 'p cnf' header")
     if pending:
         raise ParseError("missing 0 terminator for the last clause")
-    if n_clauses is not None and len(clauses) != n_clauses:
+    if len(clauses) != n_clauses:
         raise ParseError(
             f"header declares {n_clauses} clauses but {len(clauses)} were read"
         )
+    return n_vars, clauses
+
+
+def read_dimacs(text: str) -> CnfFormula:
+    """Parse DIMACS CNF: 'p cnf <vars> <clauses>' then 0-terminated clauses.
+
+    Clauses may span lines.  The duplicate-literal dialect flag is set
+    automatically when some clause repeats a variable.
+    """
+    n_vars, clauses = _parse_dimacs(text)
     return CnfFormula(n_vars, tuple(clauses), _needs_dup_flag(clauses))
 
 

@@ -56,6 +56,9 @@ class MinerConfig:
             )
         if self.n_vars % 3:
             raise MinerConfigError("n_vars must be divisible by 3 to split slots by sign")
+        if self.n_vars == 3:
+            raise MinerConfigError(
+                "no all-(2,2) monotone candidate on 3 variables: its two positive clauses coincide")
 
 
 @dataclass(frozen=True)

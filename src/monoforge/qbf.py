@@ -1,13 +1,13 @@
-"""Two-level quantified CNF: data model, brute-force truth, and the
-monotonization / balancing pipelines.
+"""Two-level quantified CNF: data model, truth by a per-component walk with
+witness reuse, and the monotonization / balancing pipelines.
 
 A formula is a single universal block followed by a single existential block
-over a CNF matrix.  Truth is decided by enumerating universal assignments in
-lexicographic order (declared variable order, false before true) and checking
-existential satisfiability with the clause-learning solver.  Variable-disjoint
-parts of the matrix are evaluated independently and structurally identical
-parts only once; the verdict and the reported counterexample are exactly
-those of plain enumeration.
+over a CNF matrix.  Truth is decided part by part: the matrix splits into
+variable-disjoint parts, structurally identical parts are decided once, and
+each part walks its universal assignments in lexicographic order (declared
+variable order, false before true), checking existential satisfiability with
+the clause-learning solver.  The verdict and the reported counterexample are
+exactly those of plain enumeration over the whole formula.
 
 Within a part, existential witnesses are reused.  Each SAT answer is kept as
 its universal residue: the universal literals of the clauses that the
@@ -25,14 +25,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .fileio import ParseError
+from .fileio import ParseError, _parse_dimacs
 from .formula import (
     Assignment,
     CnfFormula,
     InvalidInstanceError,
     ValidationReport,
     Violation,
-    canonical_clause,
     cnf,
     validate_instance,
 )
@@ -108,6 +107,10 @@ def validate_balanced(q: Qbf2Formula, spec: BalanceSpec) -> ValidationReport:
 
 # -- truth ------------------------------------------------------------------
 
+# parts with more universals answer BUDGET instead of walking 2^k assignments
+MAX_UNIVERSAL_BITS = 24
+
+
 def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
     """Variable-disjoint parts: (universals, existentials, clause indices)."""
     parent: dict[int, int] = {}
@@ -145,20 +148,6 @@ def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
     ]
 
 
-def _component_key(q, us, es, clause_idx):
-    """Positional canonical form; equal keys behave identically under truth."""
-    index: dict[int, int] = {}
-    for i, v in enumerate(us):
-        index[v] = i + 1
-    for i, v in enumerate(es):
-        index[v] = len(us) + i + 1
-    mapped = sorted(
-        tuple(sorted((index[abs(l)] if l > 0 else -index[abs(l)]) for l in q.matrix.clauses[j]))
-        for j in clause_idx
-    )
-    return (len(us), len(es), tuple(mapped))
-
-
 _Residue = tuple[int, int, frozenset[tuple[int, int]]]
 
 
@@ -170,34 +159,20 @@ def _covers(residue: _Residue, a: int) -> bool:
 
 
 def _component_first_failure(
-    q: Qbf2Formula,
-    us: list[int],
-    es: list[int],
-    clause_idx: list[int],
-    conflict_budget: int,
+    local: CnfFormula, k: int, conflict_budget: int
 ) -> tuple[str, tuple[bool, ...] | None]:
-    """('yes'|'no'|'budget', lexicographically first failing local assignment).
+    """('yes'|'no'|'budget', lexicographically first failing assignment of
+    the universals 1..k of a renumbered part; 'no' only after the solver
+    refutes it).
 
     Each SAT answer leaves its universal residue: the universal literals of
     every clause that the model's existential part leaves unsatisfied.  An
     assignment that satisfies every clause of a stored residue is skipped, as
     that model's existential part extends it to a model of the whole matrix.
     """
-    clauses = [q.matrix.clauses[j] for j in clause_idx]
-    n_local = 0
-    index: dict[int, int] = {}
-    for v in itertools.chain(us, es):
-        n_local += 1
-        index[v] = n_local
-    local = cnf(
-        [[(index[abs(l)] if l > 0 else -index[abs(l)]) for l in c] for c in clauses],
-        n_vars=n_local,
-        allows_duplicate_literals=q.matrix.allows_duplicate_literals,
-    )
-    # the walk counter holds local universal i (1-based) in bit k - i, so
-    # counting up visits assignments in lexicographic order; clauses with no
-    # universal literal, or both literals of one, never constrain a residue
-    k = len(us)
+    # the walk counter holds universal i in bit k - i, so counting up visits
+    # assignments in lexicographic order; clauses with no universal literal,
+    # or both literals of one, never constrain a residue
     split: list[tuple[int, int, list[int]]] = []
     for c in local.clauses:
         pos = neg = 0
@@ -245,53 +220,45 @@ def _component_first_failure(
     return "yes", None
 
 
-def qbf_truth(
-    q: Qbf2Formula,
-    *,
-    conflict_budget: int = 1_000_000,
-    max_universal_bits: int = 24,
-    decompose: bool = True,
-) -> QbfResult:
+def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     """Decide the formula; a 'no' carries the lexicographically first failing
     universal assignment (declared order, false < true).
-    """
-    if not decompose:
-        if len(q.universals) > max_universal_bits:
-            return QbfResult(QbfValue.BUDGET)
-        solver = Solver(q.matrix, conflict_budget=conflict_budget)
-        for bits in itertools.product((False, True), repeat=len(q.universals)):
-            assumptions = [v if b else -v for v, b in zip(q.universals, bits)]
-            res = solver.solve(assumptions)
-            if res.status is Status.BUDGET:
-                return QbfResult(QbfValue.BUDGET)
-            if res.status is Status.UNSAT:
-                return QbfResult(QbfValue.NO, dict(zip(q.universals, bits)))
-        return QbfResult(QbfValue.YES)
 
+    A part with more than ``MAX_UNIVERSAL_BITS`` universals, or a solver call
+    that runs out of ``conflict_budget``, makes the answer BUDGET.
+    """
     if any(len(c) == 0 for c in q.matrix.clauses):
         return QbfResult(QbfValue.NO, {v: False for v in q.universals})
     cache: dict[tuple, tuple[str, tuple[bool, ...] | None]] = {}
     candidates: list[tuple[tuple[bool, ...], dict[int, bool]]] = []
     for us, es, clause_idx in _components(q):
-        if len(us) > max_universal_bits:
+        if len(us) > MAX_UNIVERSAL_BITS:
             return QbfResult(QbfValue.BUDGET)
-        key = _component_key(q, us, es, clause_idx)
+        # renumber the part: universals 1..k, then existentials, both in
+        # declared order.  A matrix clause is canonical, so a stable sort by
+        # variable keeps a negative literal before its positive twin and the
+        # renumbered clause is canonical too.  The sorted clauses make the
+        # cache key: equal keys are equal formulas up to clause order.
+        lit: dict[int, int] = {}
+        for i, v in enumerate(itertools.chain(us, es), 1):
+            lit[v], lit[-v] = i, -i
+        clauses = tuple(tuple(sorted(map(lit.__getitem__, q.matrix.clauses[j]), key=abs))
+                        for j in clause_idx)
+        key = (len(us), len(es), tuple(sorted(clauses)))
         if key not in cache:
-            cache[key] = _component_first_failure(q, us, es, clause_idx, conflict_budget)
-        verdict, local = cache[key]
+            local = CnfFormula(len(us) + len(es), clauses, q.matrix.allows_duplicate_literals)
+            cache[key] = _component_first_failure(local, len(us), conflict_budget)
+        verdict, bits = cache[key]
         if verdict == "budget":
             return QbfResult(QbfValue.BUDGET)
         if verdict == "no":
-            assert local is not None
+            assert bits is not None
             alpha = {v: False for v in q.universals}
-            for v, b in zip(us, local):
-                alpha[v] = b
-            vec = tuple(alpha[v] for v in q.universals)
-            candidates.append((vec, alpha))
+            alpha.update(zip(us, bits))
+            candidates.append((tuple(alpha[v] for v in q.universals), alpha))
     if not candidates:
         return QbfResult(QbfValue.YES)
-    vec, alpha = min(candidates, key=lambda t: t[0])
-    return QbfResult(QbfValue.NO, alpha)
+    return QbfResult(QbfValue.NO, min(candidates, key=lambda t: t[0])[1])
 
 
 # -- pipeline stages ---------------------------------------------------------
@@ -414,71 +381,40 @@ def transform_2222(q: Qbf2Formula) -> Qbf2Formula:
 # -- QDIMACS -----------------------------------------------------------------
 
 def read_qdimacs(text: str) -> Qbf2Formula:
-    """Parse a two-block (a then e) QDIMACS file; both blocks may be empty."""
-    n_vars = None
-    n_clauses = None
+    """Parse a two-block (a then e) QDIMACS file; both blocks may be empty.
+
+    The matrix is read in the strict dialect: a clause that repeats a
+    variable is rejected.
+    """
     universals: list[int] = []
     existentials: list[int] = []
-    clauses: list[tuple[int, ...]] = []
-    pending: list[int] = []
     seen_e = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                n_vars, n_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
-            continue
-        if line.startswith("a ") or line.startswith("e "):
-            if n_vars is None:
-                raise ParseError("quantifier line before header", lineno)
-            if clauses or pending:
-                raise ParseError("quantifier line after clauses", lineno)
-            toks = line.split()
-            if toks[-1] != "0":
-                raise ParseError("quantifier line missing 0 terminator", lineno)
-            try:
-                ids = [int(t) for t in toks[1:-1]]
-            except ValueError:
-                raise ParseError(f"invalid variable in quantifier line {line!r}", lineno) from None
-            if any(i <= 0 or i > n_vars for i in ids):
-                raise ParseError("quantified variable out of range", lineno)
-            if toks[0] == "a":
-                if seen_e:
-                    raise ParseError("universal block after existential block", lineno)
-                universals.extend(ids)
-            else:
-                seen_e = True
-                existentials.extend(ids)
-            continue
+
+    def quantifier(line: str, lineno: int, n_vars: int | None, after_clauses: bool) -> None:
+        nonlocal seen_e
         if n_vars is None:
-            raise ParseError(f"clause before header: {line!r}", lineno)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"invalid literal token {tok!r}", lineno) from None
-            if lit == 0:
-                clauses.append(canonical_clause(pending))
-                pending = []
-            elif abs(lit) > n_vars:
-                raise ParseError(f"literal {lit} out of range", lineno)
-            else:
-                pending.append(lit)
-    if n_vars is None:
-        raise ParseError("missing 'p cnf' header")
-    if pending:
-        raise ParseError("missing 0 terminator for the last clause")
-    if n_clauses is not None and len(clauses) != n_clauses:
-        raise ParseError(f"header declares {n_clauses} clauses but {len(clauses)} were read")
-    matrix = CnfFormula(n_vars, tuple(clauses))
-    return Qbf2Formula(tuple(universals), tuple(existentials), matrix)
+            raise ParseError("quantifier line before header", lineno)
+        if after_clauses:
+            raise ParseError("quantifier line after clauses", lineno)
+        toks = line.split()
+        if toks[-1] != "0":
+            raise ParseError("quantifier line missing 0 terminator", lineno)
+        try:
+            ids = [int(t) for t in toks[1:-1]]
+        except ValueError:
+            raise ParseError(f"invalid variable in quantifier line {line!r}", lineno) from None
+        if any(i <= 0 or i > n_vars for i in ids):
+            raise ParseError("quantified variable out of range", lineno)
+        if toks[0] == "a":
+            if seen_e:
+                raise ParseError("universal block after existential block", lineno)
+            universals.extend(ids)
+        else:
+            seen_e = True
+            existentials.extend(ids)
+
+    n_vars, clauses = _parse_dimacs(text, quantifier)
+    return Qbf2Formula(tuple(universals), tuple(existentials), CnfFormula(n_vars, tuple(clauses)))
 
 
 def write_qdimacs(q: Qbf2Formula) -> str:

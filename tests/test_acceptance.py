@@ -219,14 +219,27 @@ def test_criterion_06_reduction_correctness():
     report(6, "both reductions preserve satisfiability and land in the target class", t.elapsed)
 
 
+def every_universal_assignment_extends(q) -> bool:
+    """Solver-free forall-exists check: each of the 2^p universal assignments
+    has an existential assignment that satisfies every clause."""
+    def satisfied(ubits, ebits):
+        a = dict(zip(q.universals + q.existentials, ubits + ebits))
+        return all(any(a[abs(l)] == (l > 0) for l in c) for c in q.matrix.clauses)
+
+    def bits(vs):
+        return itertools.product((False, True), repeat=len(vs))
+
+    return all(any(satisfied(u, e) for e in bits(q.existentials)) for u in bits(q.universals))
+
+
 def test_criterion_07_quantified_enforcers():
     with Timer() as t:
-        q3 = build_Q3(FreshVarAllocator(1))
-        res = qbf_truth(q3, decompose=False)  # all 32 universal assignments
-        assert res.value is QbfValue.YES
-        q1 = build_Q1mon(FreshVarAllocator(1))
-        res = qbf_truth(q1, decompose=False)
-        assert res.value is QbfValue.YES
+        q3 = build_Q3(FreshVarAllocator(1))  # 2^5 x 2^2 assignments
+        assert every_universal_assignment_extends(q3)
+        assert qbf_truth(q3).value is QbfValue.YES
+        q1 = build_Q1mon(FreshVarAllocator(1))  # 2^5 x 2^4 assignments
+        assert every_universal_assignment_extends(q1)
+        assert qbf_truth(q1).value is QbfValue.YES
     assert t.elapsed < 1.0
     report(7, "both quantified enforcers decide yes by exhaustive enumeration", t.elapsed)
 

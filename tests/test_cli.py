@@ -1,4 +1,5 @@
 import json
+import time
 
 from monoforge import refdata
 from monoforge.cli import main
@@ -204,6 +205,12 @@ def test_mine_command(tmp_path, capsys):
     code, _, err = run(capsys, "mine", "--vars", "9", "--clauses", "13")
     assert code == 1 and "budget" in err
 
+    # no all-(2,2) monotone candidate exists on 3 variables: refused up front
+    start = time.perf_counter()
+    code, _, err = run(capsys, "mine", "--vars", "3", "--clauses", "4")
+    assert code == 1 and err.startswith("error: ") and "3 variables" in err
+    assert time.perf_counter() - start < 1.0
+
 
 def test_selftest_command(capsys):
     code, out, _ = run(capsys, "selftest")
@@ -243,6 +250,11 @@ def test_qbf_rejects_unquantified_matrix(tmp_path, capsys):
     bad.write_text("p cnf 3 1\n1 2 3 0\n")
     code, _, err = run(capsys, "qbf", "check", "--in", str(bad))
     assert code == 1 and "not quantified" in err
+
+    for header in ("p cnf -1 0", "p cnf 2 -1"):
+        bad.write_text(header + "\n")
+        code, _, err = run(capsys, "qbf", "check", "--in", str(bad))
+        assert (code, err) == (1, f"error: line 1: malformed header {header!r}\n")
 
 
 def test_nae_check_accepts_v_line_and_rejects_junk(tmp_path, capsys):

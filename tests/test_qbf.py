@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 import corpus
 from monoforge import solver as solver_module
 from monoforge.formula import CnfFormula, InvalidInstanceError, canonical_clause, cnf
-from monoforge.gadgets import FreshVarAllocator
+from monoforge.gadgets import FreshVarAllocator, build_U
 from monoforge.qbf import (
+    MAX_UNIVERSAL_BITS,
     BalanceSpec,
     MonotonizeError,
     PadError,
@@ -80,10 +81,10 @@ def test_validate_balanced_empty_formula():
 
 def test_decompose_matches_naive(qbf_1122_corpus):
     for q in qbf_1122_corpus[:5]:
-        fast = qbf_truth(q)
-        slow = qbf_truth(q, decompose=False)
-        assert fast.value == slow.value
-        assert fast.counterexample == slow.counterexample
+        res = qbf_truth(q)
+        alpha = brute_force_truth(q)
+        assert res.value is (QbfValue.YES if alpha is None else QbfValue.NO)
+        assert res.counterexample == alpha
 
 
 def test_decompose_matches_naive_multicomponent():
@@ -93,10 +94,9 @@ def test_decompose_matches_naive_multicomponent():
         (1, 3), (2, 4),
         cnf([[1, 2], [-1, 2], [3, 4], [-3, -4], [3, -4]], n_vars=4),
     )
-    fast = qbf_truth(q)
-    slow = qbf_truth(q, decompose=False)
-    assert fast.value == slow.value == QbfValue.NO
-    assert fast.counterexample == slow.counterexample
+    res = qbf_truth(q)
+    assert res.value is QbfValue.NO
+    assert res.counterexample == brute_force_truth(q) == {1: False, 3: False}
 
 
 def brute_force_truth(q):
@@ -111,6 +111,22 @@ def brute_force_truth(q):
         else:
             return alpha
     return None
+
+
+def test_budget_on_too_many_universals(monkeypatch):
+    # one part with 25 universals, chained through a shared existential
+    q = Qbf2Formula(tuple(range(1, 26)), (26,),
+                    cnf([[i, i + 1, 26] for i in range(1, 25)], n_vars=26))
+    assert MAX_UNIVERSAL_BITS == 24
+    calls = []
+    monkeypatch.setattr(solver_module.Solver, "solve", lambda *a, **k: calls.append(1))
+    assert qbf_truth(q).value is QbfValue.BUDGET
+    assert calls == []
+
+
+def test_budget_on_conflict_budget():
+    q = Qbf2Formula((), tuple(range(1, 199)), build_U())
+    assert qbf_truth(q, conflict_budget=5).value is QbfValue.BUDGET
 
 
 @st.composite
@@ -287,3 +303,11 @@ def test_qdimacs_errors():
         read_qdimacs("p cnf x 1\n")
     with pytest.raises(ParseError, match="line 2: invalid variable"):
         read_qdimacs("p cnf 2 1\na 1 x 0\ne 2 0\n1 2 0\n")
+    with pytest.raises(ParseError, match="line 1: malformed header"):
+        read_qdimacs("p cnf -1 0\n")
+    with pytest.raises(ParseError, match="line 1: malformed header"):
+        read_qdimacs("p cnf 2 -1\n")
+    with pytest.raises(ParseError, match="line 2: duplicate header"):
+        read_qdimacs("p cnf 2 1\np cnf 3 1\na 1 0\ne 2 3 0\n1 2 3 0\n")
+    with pytest.raises(ValueError, match="repeats a variable"):
+        read_qdimacs("p cnf 2 1\na 1 0\ne 2 0\n1 -1 2 0\n")
