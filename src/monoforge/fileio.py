@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .formula import CnfFormula, canonical_clause, clause_has_distinct_vars
+from .formula import CnfFormula, FormulaError, canonical_clause, clause_has_distinct_vars
 
 
 class ParseError(ValueError):
@@ -134,6 +134,10 @@ def formula_to_json(f: CnfFormula) -> str:
 
 
 def formula_from_json(text: str) -> CnfFormula:
+    """Parse the JSON mirror written by :func:`formula_to_json`.
+
+    Every malformed input raises :class:`ParseError`.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -141,8 +145,10 @@ def formula_from_json(text: str) -> CnfFormula:
     if not isinstance(obj, dict) or "n_vars" not in obj or "clauses" not in obj:
         raise ParseError("expected an object with n_vars and clauses")
     n_vars = obj["n_vars"]
-    if not isinstance(n_vars, int) or n_vars < 0:
+    if not isinstance(n_vars, int) or isinstance(n_vars, bool) or n_vars < 0:
         raise ParseError("n_vars must be a non-negative integer")
+    if not isinstance(obj["clauses"], list):
+        raise ParseError("clauses must be a list")
     clauses = []
     for j, c in enumerate(obj["clauses"]):
         if not isinstance(c, list) or any(
@@ -151,11 +157,18 @@ def formula_from_json(text: str) -> CnfFormula:
             raise ParseError(f"clause {j} is not a list of nonzero integers")
         clauses.append(canonical_clause(c))
     symbols = None
-    if "symbols" in obj and obj["symbols"] is not None:
-        symbols = {int(v): str(s) for v, s in obj["symbols"].items()}
-    return CnfFormula(
-        n_vars,
-        tuple(clauses),
-        bool(obj.get("allows_duplicate_literals", _needs_dup_flag(clauses))),
-        symbols,
-    )
+    if obj.get("symbols") is not None:
+        if not isinstance(obj["symbols"], dict):
+            raise ParseError("symbols must be an object")
+        symbols = {}
+        for v, name in obj["symbols"].items():
+            if not v.isdecimal() or not 1 <= int(v) <= n_vars:
+                raise ParseError(f"symbol key {v!r} is not a variable in 1..{n_vars}")
+            symbols[int(v)] = str(name)
+    dup = obj.get("allows_duplicate_literals", _needs_dup_flag(clauses))
+    if not isinstance(dup, bool):
+        raise ParseError("allows_duplicate_literals must be true or false")
+    try:
+        return CnfFormula(n_vars, tuple(clauses), dup, symbols)
+    except FormulaError as e:
+        raise ParseError(str(e)) from None

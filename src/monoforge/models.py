@@ -4,6 +4,12 @@ Small universes (n_vars <= 22) go through the dense truth-table kernels;
 larger ones fall back to solve-and-block enumeration, which requires a cap.
 Models are returned in ascending assignment-index order on the dense path
 (variable v is bit v-1 of the index).
+
+Solve-and-block keeps one incremental :class:`~monoforge.solver.Solver` per
+enumeration and adds each blocking clause to it, so learned clauses carry
+over from one model to the next.  Neither check on a model trusts the
+solver: each is checked against the formula, and a model already returned
+raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .formula import Assignment, CnfFormula, cnf, satisfies
+from .formula import Assignment, CnfFormula, satisfies
 from .solver import Solver, Status
 
 DENSE_VAR_LIMIT = 22
@@ -77,13 +83,12 @@ def enumerate_models(f: CnfFormula, cap: int = 1 << 20) -> ModelEnumeration:
 
 
 def _enumerate_blocking(f: CnfFormula, cap: int) -> ModelEnumeration:
-    """Solve-and-block loop; blocking clauses span all variables."""
+    """Solve-and-block on one solver; blocking clauses span all variables."""
     models: list[Assignment] = []
-    clauses = [list(c) for c in f.clauses]
+    seen: set[int] = set()
+    solver = Solver(f)
     while True:
-        g = cnf(clauses, n_vars=f.n_vars,
-                allows_duplicate_literals=f.allows_duplicate_literals)
-        res = Solver(g).solve()
+        res = solver.solve()
         if res.status is Status.BUDGET:
             raise RuntimeError("conflict budget exhausted during enumeration")
         if res.status is Status.UNSAT:
@@ -94,5 +99,9 @@ def _enumerate_blocking(f: CnfFormula, cap: int) -> ModelEnumeration:
             return ModelEnumeration(models, True)
         if not satisfies(f, model):
             raise AssertionError("internal error: enumerated non-model")
+        idx = _index_from_assignment(model)
+        if idx in seen:
+            raise AssertionError("internal error: enumerated a model twice")
+        seen.add(idx)
         models.append(model)
-        clauses.append([-v if model[v] else v for v in range(1, f.n_vars + 1)])
+        solver.add_clause([-v if model[v] else v for v in range(1, f.n_vars + 1)])

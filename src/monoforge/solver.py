@@ -9,6 +9,14 @@ that :func:`monoforge.rup.verify_rup` accepts.
 Assumptions are asserted as the first decisions, so one solver instance can
 decide a fixed matrix under many partial assignments while keeping its
 learned clauses (they are consequences of the clause set alone).
+
+The solver is incremental: :meth:`Solver.add_clause` may be called between
+solves, and every later solve decides ``formula.clauses`` plus the clauses
+added so far.  Learned clauses stay valid because the clause set only grows.
+``__init__`` feeds the formula through the same intake, and the SAT model
+check covers the added clauses too.  With ``trace=True`` the added clauses
+are premises, not proof steps: the proof replays against the formula plus
+every clause added before the UNSAT answer.
 """
 
 from __future__ import annotations
@@ -94,28 +102,54 @@ class Solver:
         self.root_conflict = False
         self.pending_units: list[int] = []
         self.total_conflicts = 0
+        self.added: list[tuple[int, ...]] = []
 
         for c in formula.clauses:
-            lits: list[int] = []
-            seen: set[int] = set()
-            taut = False
-            for e in c:
-                i = _ilit(e)
-                if i ^ 1 in seen:
-                    taut = True
-                    break
-                if i in seen:
-                    continue  # duplicate literals collapse for propagation
-                seen.add(i)
-                lits.append(i)
-            if taut:
-                continue
-            if not lits:
-                self.root_conflict = True
-            elif len(lits) == 1:
-                self.pending_units.append(lits[0])
-            else:
-                self._attach(lits)
+            self._intake(c)
+
+    def add_clause(self, clause: Iterable[int]) -> None:
+        """Add a clause between solves; later solves decide it too.
+
+        Literals are signed variable ids in 1..n_vars.  With ``trace=True`` the
+        clause is a premise of any later proof, not a step of it.
+        """
+        clause = tuple(clause)
+        for e in clause:
+            if not isinstance(e, int) or isinstance(e, bool) or not 1 <= abs(e) <= self.n:
+                raise ValueError(f"literal {e!r} out of range 1..{self.n}")
+        self._backtrack(0)
+        self.added.append(clause)
+        self._intake(clause)
+
+    def _intake(self, clause: Iterable[int]) -> None:
+        """The one clause path: collapse duplicates, drop tautologies, watch.
+
+        Called at level 0 only.  The two watches go to literals that are not
+        false at level 0; a clause with one such literal becomes a pending
+        unit and one with none a root conflict (level-0 values are final).
+        """
+        lits: list[int] = []
+        seen: set[int] = set()
+        for e in clause:
+            i = _ilit(e)
+            if i ^ 1 in seen:
+                return  # tautology
+            if i in seen:
+                continue  # duplicate literals collapse for propagation
+            seen.add(i)
+            lits.append(i)
+        if self.trail:  # only after a solve has assigned level 0
+            free = [i for i in lits if not self._lit_false(i)]
+            lits = free + [i for i in lits if self._lit_false(i)]
+            n_free = len(free)
+        else:
+            n_free = len(lits)
+        if n_free == 0:
+            self.root_conflict = True
+        elif n_free == 1:
+            self.pending_units.append(lits[0])
+        else:
+            self._attach(lits)
 
     # -- literal and clause plumbing ------------------------------------
 
@@ -129,6 +163,10 @@ class Solver:
     def _lit_true(self, i: int) -> bool:
         v = self.val[i >> 1]
         return v != 0 and (v > 0) == ((i & 1) == 0)
+
+    def _lit_false(self, i: int) -> bool:
+        v = self.val[i >> 1]
+        return v != 0 and (v > 0) == ((i & 1) == 1)
 
     def _enqueue(self, lit: int, reason: int) -> None:
         v = lit >> 1
@@ -278,20 +316,22 @@ class Solver:
             self.trace_clauses.append(tuple(_elit(i) for i in learnt))
 
     def _model_satisfies_formula(self) -> bool:
-        """Check the original clauses against the current total assignment."""
+        """Check the formula and the added clauses against the total assignment."""
         val = self.val
-        for c in self.formula.clauses:
-            for l in c:
-                if (val[l] > 0) if l > 0 else (val[-l] < 0):
-                    break
-            else:
-                return False
+        for clauses in (self.formula.clauses, self.added):
+            for c in clauses:
+                for l in c:
+                    if (val[l] > 0) if l > 0 else (val[-l] < 0):
+                        break
+                else:
+                    return False
         return True
 
     def _result_unsat(self, conflicts: int) -> SolveResult:
         proof = None
         if self.trace_enabled:
-            self.trace_clauses.append(())
+            if not self.trace_clauses or self.trace_clauses[-1]:
+                self.trace_clauses.append(())  # once, however often asked
             proof = RupProof.from_added_clauses(self.trace_clauses)
         return SolveResult(Status.UNSAT, proof=proof, conflicts=conflicts)
 

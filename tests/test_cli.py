@@ -1,12 +1,15 @@
 import json
 import time
 
+import pytest
+
 from monoforge import refdata
 from monoforge.cli import main
 from monoforge.fileio import read_dimacs, write_dimacs
 from monoforge.gadgets import build_U, build_U_NAE, build_y_core
 from monoforge.qbf import build_Q3, read_qdimacs, write_qdimacs
 from monoforge.gadgets import FreshVarAllocator
+from monoforge.generate import random_3sat22
 
 
 def run(capsys, *argv):
@@ -110,6 +113,39 @@ def test_count_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "count", "--in", str(f), "--cap", "-3")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "non-negative" in err
+
+
+def test_count_cap_beyond_dense_limit(capsys, tmp_path):
+    # more than 22 variables: counted by solve-and-block up to the cap
+    f = tmp_path / "f.cnf"
+    f.write_text(write_dimacs(random_3sat22(27, 5)))
+    code, out, err = run(capsys, "count", "--in", str(f), "--cap", "100")
+    assert (code, out, err) == (0, "100 (capped)\n", "")
+
+    # 6 models over 24 variables: x4..x24 fixed, x1..x3 not all equal
+    g = tmp_path / "g.cnf"
+    units = "".join(f"{v} 0\n" for v in range(4, 25))
+    g.write_text(f"p cnf 24 23\n1 2 3 0\n-1 -2 -3 0\n{units}")
+    code, out, err = run(capsys, "count", "--in", str(g), "--cap", "100")
+    assert (code, out, err) == (0, "6\n", "")
+
+
+MALFORMED_JSON = [
+    ('{"n_vars": 2, "clauses": [[1, 5]]}', "out of range"),
+    ('{"n_vars": 2, "clauses": [[1]], "symbols": [1]}', "symbols"),
+    ('{"n_vars": 2, "clauses": 5}', "clauses"),
+    ('{"n_vars": 2, "clauses": [[1]], "symbols": {"x": "a"}}', "symbol key"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_JSON)
+@pytest.mark.parametrize("command", [["solve"], ["count"], ["validate", "--class", "3sat22"]])
+def test_malformed_json_is_a_parse_error(capsys, tmp_path, command, text, message):
+    j = tmp_path / "j.json"
+    j.write_text(text)
+    code, out, err = run(capsys, *command, "--in", str(j))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_reduce_star22(tmp_path, capsys):

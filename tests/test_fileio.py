@@ -99,3 +99,18 @@ def test_json_mirror_errors():
         formula_from_json("[1, 2]")
     with pytest.raises(ParseError):
         formula_from_json('{"n_vars": 2, "clauses": [[0]]}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n_vars": 2, "clauses": [[1, 5]]}', "literal 5 out of range 1..2"),
+    ('{"n_vars": 2, "clauses": [[1, 1]], "allows_duplicate_literals": false}', "repeats a variable"),
+    ('{"n_vars": 2, "clauses": [[1]], "symbols": [1]}', "symbols must be an object"),
+    ('{"n_vars": 2, "clauses": 5}', "clauses must be a list"),
+    ('{"n_vars": 2, "clauses": [[1]], "symbols": {"x": "a"}}', "symbol key 'x'"),
+    ('{"n_vars": 2, "clauses": [[1]], "symbols": {"3": "a"}}', "symbol key '3'"),
+    ('{"n_vars": true, "clauses": [[1]]}', "n_vars"),
+    ('{"n_vars": 2, "clauses": [[1]], "allows_duplicate_literals": "no"}', "true or false"),
+])
+def test_json_mirror_rejects_malformed_fields(text, message):
+    with pytest.raises(ParseError, match=message):
+        formula_from_json(text)

@@ -1,8 +1,16 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from monoforge import kernels, solver as solver_module
 from monoforge.formula import cnf, satisfies
 from monoforge.gadgets import build_core8, build_z_core
-from monoforge.models import count_models, enumerate_models
+from monoforge.models import (
+    ModelCount,
+    _enumerate_blocking,
+    _index_from_assignment,
+    count_models,
+    enumerate_models,
+)
 
 
 def test_count_examples():
@@ -70,3 +78,70 @@ def test_blocking_path_exact_when_under_cap():
     f = cnf([[v] for v in range(1, 24)], n_vars=23)  # single model
     mc = count_models(f, cap=10)
     assert mc.count == 1 and not mc.capped
+
+
+@st.composite
+def small_formulas(draw):
+    """Up to 12 variables; n to 2n + 2 clauses of width 2-3, up to two
+    units and, rarely, an empty clause.  Repeated literals, tautologies and
+    repeated clauses are included."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return cnf(draw(st.lists(st.just([]), max_size=1)), n_vars=0)
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=2, max_size=3),
+                            min_size=n, max_size=2 * n + 2))
+    clauses += draw(st.lists(st.lists(lit, min_size=1, max_size=1), max_size=2))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=2))
+    if draw(st.integers(0, 19)) == 13:
+        clauses.append([])
+    return cnf(clauses, n_vars=n, allows_duplicate_literals=True)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_formulas())
+def test_blocking_enumeration_matches_kernel(f):
+    lits, widths = kernels.clause_arrays(f.clauses)
+    want = [int(i) for i in kernels.collect_sat(lits, widths, f.n_vars, 1 << f.n_vars)]
+    count = len(want)
+    # solve-and-block time grows with the square of the model count
+    assume(count <= 256)
+    for cap in sorted({0, 1, count - 1, count, count + 1} - {-1}):
+        enum = _enumerate_blocking(f, cap)
+        got = [_index_from_assignment(a) for a in enum.models]
+        assert len(got) == len(set(got)) == min(cap, count)
+        assert set(got) <= set(want)
+        assert enum.capped == (count > cap)
+        if cap >= count:
+            assert sorted(got) == want
+
+
+def test_one_solver_per_enumeration(monkeypatch):
+    built, solves = [], []
+    init, solve = solver_module.Solver.__init__, solver_module.Solver.solve
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_solve(self, *args, **kwargs):
+        solves.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module.Solver, "__init__", counting_init)
+    monkeypatch.setattr(solver_module.Solver, "solve", counting_solve)
+    f = cnf([[1, 2, 3], [-1, -2, -3]] + [[v] for v in range(4, 26)], n_vars=25)
+    enum = enumerate_models(f, cap=100)
+    assert len(enum.models) == 6 and not enum.capped
+    assert len(built) == 1 and len(solves) == 7  # one solve per model, one UNSAT
+    built.clear()
+    assert count_models(f, cap=3) == ModelCount(3, True)
+    assert len(built) == 1
+
+
+def test_repeated_model_is_an_error(monkeypatch):
+    # a solver that forgets its added clauses returns the same model again
+    monkeypatch.setattr(solver_module.Solver, "add_clause", lambda self, clause: None)
+    with pytest.raises(AssertionError, match="twice"):
+        enumerate_models(cnf([[1]], n_vars=23), cap=2)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoforge.formula import cnf, satisfies
 from monoforge.gadgets import build_M, build_U, build_y_core, build_z_core
@@ -112,5 +113,97 @@ def test_model_check_rejects_a_violating_model():
     # the units 1 and -1, one of which every total model violates
     solver = Solver(cnf([[1, 2]], n_vars=2))
     solver.formula = cnf([[1, 2], [1], [-1]], n_vars=2)
+    with pytest.raises(AssertionError, match="model fails verification"):
+        solver.solve()
+
+
+def check_incremental(f, additions, solve_first=True):
+    """Add clauses one at a time; every solve must agree with a fresh solver
+    on the formula plus the clauses added so far, with a replayable proof
+    on UNSAT and a model of the grown formula on SAT."""
+    s = Solver(f, trace=True)
+    if solve_first:
+        s.solve()
+    added = []
+    statuses = []
+    for c in additions:
+        s.add_clause(c)
+        added.append(list(c))
+        g = cnf(list(f.clauses) + added, n_vars=f.n_vars, allows_duplicate_literals=True)
+        res = s.solve()
+        assert res.status is solve(g).status
+        if res.status is Status.UNSAT:
+            assert verify_rup(g, res.proof)
+            assert [step.lits for step in res.proof.steps].count(()) == 1
+        else:
+            assert satisfies(g, res.model)
+        statuses.append(res.status)
+    return statuses
+
+
+SAT, UNSAT = Status.SAT, Status.UNSAT
+
+
+@pytest.mark.parametrize("solve_first", [False, True])
+@pytest.mark.parametrize("clauses, additions, want", [
+    ([[1, 2]], [[]], [UNSAT]),                                  # empty clause
+    ([[1, 2]], [[-1], [-2]], [SAT, UNSAT]),                     # unit clauses
+    ([[1], [1, 2]], [[-1]], [UNSAT]),                           # contradicts a root unit
+    ([[1, 2]], [[-1, -1, -2], [-2, -2]], [SAT, SAT]),           # duplicate literals
+    ([[1, 2]], [[1, -1], [2, -2, 3], [-1], [-2]], [SAT, SAT, SAT, UNSAT]),  # tautologies
+    ([[1], [2], [-1, 3]], [[-1, -2, -3]], [UNSAT]),             # all false at level 0
+    ([[1], [2], [-1, 3]], [[-1, -2, 4], [-3, -4]], [SAT, UNSAT]),  # one literal left
+    ([[1], [-1]], [[2], [-2, 3]], [UNSAT, UNSAT]),              # after an UNSAT answer
+])
+def test_add_clause_matches_fresh_solves(clauses, additions, want, solve_first):
+    f = cnf(clauses, n_vars=4)
+    assert check_incremental(f, additions, solve_first) == want
+
+
+def test_add_clause_blocks_every_model(sat22_corpus):
+    # after each SAT answer, block its model: the statuses follow fresh
+    # solves, and the final refutation replays against every blocking clause
+    f = next(g for g in sat22_corpus if g.n_vars == 6)
+    s = Solver(f, trace=True)
+    blocks = []
+    while True:
+        res = s.solve()
+        if res.status is Status.UNSAT:
+            break
+        blocks.append([-v if res.model[v] else v for v in range(1, f.n_vars + 1)])
+        check = cnf(list(f.clauses) + blocks[:-1], n_vars=f.n_vars)
+        assert satisfies(check, res.model)
+        s.add_clause(blocks[-1])
+    assert len(blocks) == count_models(f).count > 0
+    assert verify_rup(cnf(list(f.clauses) + blocks, n_vars=f.n_vars), res.proof)
+
+
+@st.composite
+def clause_sequences(draw):
+    n = draw(st.integers(1, 6))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = st.lists(st.lists(lit, max_size=3), max_size=8)
+    return n, draw(clauses), draw(st.lists(st.lists(lit, max_size=3), max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(clause_sequences())
+def test_add_clause_sequences_match_fresh_solves(case):
+    n, clauses, additions = case
+    f = cnf(clauses, n_vars=n, allows_duplicate_literals=True)
+    check_incremental(f, additions)
+
+
+def test_add_clause_rejects_bad_literals():
+    s = Solver(cnf([[1, 2]]))
+    for bad in ([3], [0], [-3], [True]):
+        with pytest.raises(ValueError, match="out of range"):
+            s.add_clause(bad)
+    assert s.added == [] and s.solve().status is Status.SAT
+
+
+def test_model_check_covers_added_clauses():
+    solver = Solver(cnf([[1, 2]], n_vars=2))
+    solver.added += [(1,), (-1,)]  # recorded, but never watched
     with pytest.raises(AssertionError, match="model fails verification"):
         solver.solve()
