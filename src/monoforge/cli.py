@@ -412,10 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except fileio.ParseError as e:
+    except (CliError, fileio.ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except InvalidInstanceError as e:

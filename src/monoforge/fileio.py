@@ -96,14 +96,8 @@ def write_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_clause_list(text: str) -> CnfFormula:
-    """Parse a bracketed list of signed-integer clauses, e.g. [[1, 2], [-2, -3]]."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"not a well-formed clause list: {e}") from None
-    if not isinstance(data, list):
-        raise ParseError("expected a list of clauses")
+def _json_clauses(data: list) -> list[tuple[int, ...]]:
+    """Canonical clauses from decoded JSON: each a list of nonzero integers."""
     clauses = []
     for j, c in enumerate(data):
         if not isinstance(c, list):
@@ -114,6 +108,18 @@ def read_clause_list(text: str) -> CnfFormula:
             if l == 0:
                 raise ParseError(f"clause {j}: zero literal")
         clauses.append(canonical_clause(c))
+    return clauses
+
+
+def read_clause_list(text: str) -> CnfFormula:
+    """Parse a bracketed list of signed-integer clauses, e.g. [[1, 2], [-2, -3]]."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"not a well-formed clause list: {e}") from None
+    if not isinstance(data, list):
+        raise ParseError("expected a list of clauses")
+    clauses = _json_clauses(data)
     n_vars = max((abs(l) for c in clauses for l in c), default=0)
     return CnfFormula(n_vars, tuple(clauses), _needs_dup_flag(clauses))
 
@@ -149,13 +155,7 @@ def formula_from_json(text: str) -> CnfFormula:
         raise ParseError("n_vars must be a non-negative integer")
     if not isinstance(obj["clauses"], list):
         raise ParseError("clauses must be a list")
-    clauses = []
-    for j, c in enumerate(obj["clauses"]):
-        if not isinstance(c, list) or any(
-            not isinstance(l, int) or isinstance(l, bool) or l == 0 for l in c
-        ):
-            raise ParseError(f"clause {j} is not a list of nonzero integers")
-        clauses.append(canonical_clause(c))
+    clauses = _json_clauses(obj["clauses"])
     symbols = None
     if obj.get("symbols") is not None:
         if not isinstance(obj["symbols"], dict):

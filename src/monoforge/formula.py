@@ -85,14 +85,6 @@ class CnfFormula:
     def m(self) -> int:
         return len(self.clauses)
 
-    def lit_count(self) -> int:
-        return sum(len(c) for c in self.clauses)
-
-    def var_name(self, v: int) -> str:
-        if self.symbol_table and v in self.symbol_table:
-            return self.symbol_table[v]
-        return str(v)
-
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
 
@@ -280,20 +272,21 @@ def validate_class(f: CnfFormula, cls: InstanceClass) -> ValidationReport:
     return ValidationReport(not v, tuple(v))
 
 
-def lit_value(l: int, a: Mapping[int, bool]) -> bool | None:
-    b = a.get(abs(l))
-    if b is None:
-        return None
-    return b if l > 0 else not b
-
-
-def clause_satisfied(c: Clause, a: Mapping[int, bool]) -> bool:
-    return any(lit_value(l, a) for l in c)
-
-
 def satisfies(f: CnfFormula, a: Mapping[int, bool]) -> bool:
-    """True when the assignment sets at least one literal in each clause true."""
-    return all(clause_satisfied(c, a) for c in f.clauses)
+    """True when the assignment sets at least one literal in each clause true.
+
+    A literal is true when its variable's value (or, negated, the value's
+    negation) is truthy; a variable missing from ``a`` or mapped to None
+    makes its literals neither true nor false.
+    """
+    for c in f.clauses:
+        for l in c:
+            b = a.get(abs(l))
+            if b is not None and (b if l > 0 else not b):
+                break
+        else:
+            return False
+    return True
 
 
 def is_total(a: Mapping[int, bool], n_vars: int) -> bool:

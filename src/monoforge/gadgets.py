@@ -119,15 +119,19 @@ class FreshVarAllocator:
 
 @dataclass(frozen=True)
 class GadgetInstantiation:
-    """One freshly built gadget: its formula, ports and fresh-variable map."""
+    """One freshly built gadget: its formula, port literals and tag.
+
+    The formula's symbol table names exactly the fresh variables;
+    ``fresh_vars`` is that table inverted (name -> id), in the same order.
+    """
 
     formula: CnfFormula
     port_literals: dict[str, int] = field(compare=False)
-    fresh_vars: dict[str, int] = field(compare=False)
     tag: int | str = 0
 
-    def port_vars(self) -> tuple[int, ...]:
-        return tuple(sorted({abs(l) for l in self.port_literals.values()}))
+    @property
+    def fresh_vars(self) -> dict[str, int]:
+        return {s: v for v, s in self.formula.symbol_table.items()}
 
 
 def _group_formula(clauses) -> CnfFormula:
@@ -206,8 +210,9 @@ def _m_instance_clauses(
     return out
 
 
-def _fresh_symbols(fresh: range, tag: int | str) -> dict[str, int]:
-    return {f"{TEMPLATE_SYMBOLS[t]}^{tag}": fresh.start + t - 1 for t in range(1, 33)}
+def _block_symbols(fresh: range, tag: int | str) -> dict[int, str]:
+    """Symbol table of a 32-variable template copy: ``x1^tag`` .. ``z15^tag``."""
+    return {fresh.start + t - 1: f"{s}^{tag}" for t, s in TEMPLATE_SYMBOLS.items()}
 
 
 def _check_ports_fresh(ports: Iterable[int], fresh: Iterable[range]) -> None:
@@ -216,6 +221,24 @@ def _check_ports_fresh(ports: Iterable[int], fresh: Iterable[range]) -> None:
             raise ValueError(f"port variable {p} is not a variable id")
         if any(p in r for r in fresh):
             raise ValueError(f"port variable {p} collides with fresh range")
+
+
+def _m_enforcer(
+    alloc: FreshVarAllocator,
+    label: str,
+    tag: int | str,
+    ports: tuple[int, ...],
+    slots: tuple[int | None, int | None, int | None],
+    negate: bool,
+    port_literals: dict[str, int],
+) -> GadgetInstantiation:
+    """One 42-clause instance over a fresh block, ``slots`` on its port slots."""
+    fresh = alloc.reserve(32, f"{label}^{tag}")
+    _check_ports_fresh(ports, [fresh])
+    clauses = _m_instance_clauses(fresh, slots, negate=negate)
+    n_vars = max(fresh.stop - 1, *ports)
+    formula = CnfFormula(n_vars, tuple(clauses), False, _block_symbols(fresh, tag))
+    return GadgetInstantiation(formula, port_literals, tag)
 
 
 def build_M_enforcer(
@@ -228,17 +251,8 @@ def build_M_enforcer(
     """
     if u1 in (u2, u3):
         raise ValueError("u1 must differ from u2 and u3")
-    fresh = alloc.reserve(32, f"M^{tag}")
-    _check_ports_fresh((u1, u2, u3), [fresh])
-    clauses = _m_instance_clauses(fresh, (u1, -u2, -u3))
-    n_vars = max(fresh.stop - 1, u1, u2, u3)
-    symbols = {v: s for s, v in _fresh_symbols(fresh, tag).items()}
-    return GadgetInstantiation(
-        formula=CnfFormula(n_vars, tuple(clauses), False, symbols),
-        port_literals={"u1": u1, "u2": -u2, "u3": -u3},
-        fresh_vars=_fresh_symbols(fresh, tag),
-        tag=tag,
-    )
+    return _m_enforcer(alloc, "M", tag, (u1, u2, u3), (u1, -u2, -u3), False,
+                       {"u1": u1, "u2": -u2, "u3": -u3})
 
 
 def build_Mbar_enforcer(
@@ -247,17 +261,8 @@ def build_Mbar_enforcer(
     """Literal-wise negation of the M enforcer: simulates {-u1, u2, u3}."""
     if u1 in (u2, u3):
         raise ValueError("u1 must differ from u2 and u3")
-    fresh = alloc.reserve(32, f"Mbar^{tag}")
-    _check_ports_fresh((u1, u2, u3), [fresh])
-    clauses = _m_instance_clauses(fresh, (u1, -u2, -u3), negate=True)
-    n_vars = max(fresh.stop - 1, u1, u2, u3)
-    symbols = {v: s for s, v in _fresh_symbols(fresh, tag).items()}
-    return GadgetInstantiation(
-        formula=CnfFormula(n_vars, tuple(clauses), False, symbols),
-        port_literals={"u1": -u1, "u2": u2, "u3": u3},
-        fresh_vars=_fresh_symbols(fresh, tag),
-        tag=tag,
-    )
+    return _m_enforcer(alloc, "Mbar", tag, (u1, u2, u3), (u1, -u2, -u3), True,
+                       {"u1": -u1, "u2": u2, "u3": u3})
 
 
 def build_N(alloc: FreshVarAllocator, u: int, tag: int | str = 0) -> GadgetInstantiation:
@@ -265,17 +270,7 @@ def build_N(alloc: FreshVarAllocator, u: int, tag: int | str = 0) -> GadgetInsta
 
     Satisfiable exactly when the external assignment sets u false.
     """
-    fresh = alloc.reserve(32, f"N^{tag}")
-    _check_ports_fresh((u,), [fresh])
-    clauses = _m_instance_clauses(fresh, (None, -u, -u))
-    n_vars = max(fresh.stop - 1, u)
-    symbols = {v: s for s, v in _fresh_symbols(fresh, tag).items()}
-    return GadgetInstantiation(
-        formula=CnfFormula(n_vars, tuple(clauses), False, symbols),
-        port_literals={"u": -u},
-        fresh_vars=_fresh_symbols(fresh, tag),
-        tag=tag,
-    )
+    return _m_enforcer(alloc, "N", tag, (u,), (None, -u, -u), False, {"u": -u})
 
 
 def build_S(
@@ -316,24 +311,17 @@ def build_S(
 
     n_vars = max(u_range.stop - 1, *ports)
     symbols: dict[int, str] = {}
-    fresh_vars: dict[str, int] = {}
     for i in (1, 2, 3):
-        for s, v in _fresh_symbols(copies[i - 1], f"{tag}.{i}").items():
-            symbols[v] = s
-            fresh_vars[s] = v
+        symbols |= _block_symbols(copies[i - 1], f"{tag}.{i}")
     for i, uv in enumerate(us, 1):
         symbols[uv] = f"u{i}^{tag}"
-        fresh_vars[f"u{i}^{tag}"] = uv
     formula = CnfFormula(n_vars, tuple(clauses), False, symbols)
     port_sign = 1
     if negative:
         formula = negate_formula(formula)
         port_sign = -1
     return GadgetInstantiation(
-        formula=formula,
-        port_literals={f"v{i}": port_sign * ports[i - 1] for i in (1, 2, 3)},
-        fresh_vars=fresh_vars,
-        tag=tag,
+        formula, {f"v{i}": port_sign * ports[i - 1] for i in (1, 2, 3)}, tag
     )
 
 
@@ -397,11 +385,8 @@ def _build_frak(
     port_vars = [v for t in ports for v in t]
     n_vars = max([copies[2].stop - 1] + port_vars)
     symbols: dict[int, str] = {}
-    fresh_vars: dict[str, int] = {}
     for i in (1, 2, 3):
-        for s, v in _fresh_symbols(copies[i - 1], f"{tag}.{i}").items():
-            symbols[v] = s
-            fresh_vars[s] = v
+        symbols |= _block_symbols(copies[i - 1], f"{tag}.{i}")
     formula = CnfFormula(n_vars, tuple(clauses), False, symbols)
     port_literals = {}
     for i, (u1, u2, u3) in enumerate(ports):
@@ -409,7 +394,7 @@ def _build_frak(
         port_literals[f"u{base + 1}"] = sign * u1
         port_literals[f"u{base + 2}"] = sign * -u2
         port_literals[f"u{base + 3}"] = sign * -u3
-    return GadgetInstantiation(formula, port_literals, fresh_vars, tag)
+    return GadgetInstantiation(formula, port_literals, tag)
 
 
 def build_frakM(
@@ -474,13 +459,14 @@ def build_U() -> CnfFormula:
         canonical_clause((-a, -d, -f)),
         canonical_clause((b, d, e)),
     ]
+    symbols: dict[int, str] = {}
     for i, (bar, (p1, p2, p3)) in enumerate(specs):
         fresh = range(32 * i + 1, 32 * i + 33)
         clauses.extend(_m_instance_clauses(fresh, (p1, -p2, -p3), negate=bar))
+        symbols |= _block_symbols(fresh, i + 1)
     for t in ONCE_POSITIVE_VARS:
         clauses.append(canonical_clause((t, 32 + t, 64 + t)))
         clauses.append(canonical_clause((-(96 + t), -(128 + t), -(160 + t))))
-    symbols = {32 * i + t: f"{TEMPLATE_SYMBOLS[t]}^{i + 1}" for i in range(6) for t in range(1, 33)}
     symbols |= {193 + k: s for k, s in enumerate("abcdef")}
     return CnfFormula(198, tuple(clauses), False, symbols)
 

@@ -55,27 +55,20 @@ def _repair(
     rng: random.Random,
     distinct: bool,
     unique: bool,
-    groups: list[list[int]] | None,
+    groups: list[list[int]],
 ) -> bool:
     """Swap slots between clauses until constraints hold; bounded attempts.
 
-    ``groups`` optionally partitions clause indices into swap classes (used to
-    keep monotone clauses single-signed).
+    ``groups`` partitions clause indices into swap classes (one per slot
+    group, which keeps monotone clauses single-signed).
     """
-    group_of = {}
-    if groups is not None:
-        for gi, idxs in enumerate(groups):
-            for j in idxs:
-                group_of[j] = gi
+    group_of = {j: gi for gi, idxs in enumerate(groups) for j in idxs}
     for _ in range(_MAX_SWAPS):
         bad = _violations(clauses, distinct, unique)
         if not bad:
             return True
         j = rng.choice(bad)
-        if groups is None:
-            pool = [k for k in range(len(clauses)) if k != j]
-        else:
-            pool = [k for k in groups[group_of[j]] if k != j]
+        pool = [k for k in groups[group_of[j]] if k != j]
         if not pool:
             return False
         k = rng.choice(pool)
@@ -103,68 +96,57 @@ def _configuration(
             chunk = _chunk3(work)
             groups.append(list(range(len(clauses), len(clauses) + len(chunk))))
             clauses.extend(chunk)
-        swap_groups = groups if len(slot_groups) > 1 else None
-        if _repair(clauses, rng, distinct, unique, swap_groups):
+        if _repair(clauses, rng, distinct, unique, groups):
             return clauses
     raise GenerationError("repair failed; infeasible or unlucky configuration")
+
+
+def _random_instance(cls: InstanceClass, n_vars: int, rng: random.Random) -> CnfFormula:
+    """One seeded instance of ``cls``, checked by :func:`validate_class`.
+
+    Monotone classes shuffle unnegated and negated slots apart; the
+    distinct, unique and duplicate-literal settings follow ``cls``.
+    """
+    if n_vars % 3:
+        raise GenerationError("n_vars must be divisible by 3")
+    pos = [v for v in range(1, n_vars + 1) for _ in range(2)]
+    neg = [-v for v in pos]
+    if cls is InstanceClass.MONO_NAE_E2:
+        slot_groups = [pos]
+    elif cls is InstanceClass.THREE_SAT_22:
+        slot_groups = [pos + neg]
+    else:
+        slot_groups = [pos, neg]
+    star = cls is InstanceClass.MONO_3SAT_STAR_22
+    nae = cls is InstanceClass.MONO_NAE_E2
+    clauses = _configuration(slot_groups, rng, distinct=not star, unique=not nae)
+    f = cnf(clauses, n_vars=n_vars, allows_duplicate_literals=star)
+    rep = validate_class(f, cls)
+    if not rep.verdict:
+        raise GenerationError(f"generator produced an invalid instance: {rep.violations[:3]}")
+    return f
 
 
 def random_3sat22(n_vars: int, seed: int) -> CnfFormula:
     """A (2,2)-balanced 3-SAT instance: mixed clauses allowed, unique, distinct."""
     if n_vars % 3:
         raise GenerationError("n_vars must be divisible by 3 for a (2,2) profile")
-    rng = random.Random(seed)
-    slots = [v for v in range(1, n_vars + 1) for _ in range(2)]
-    slots += [-v for v in range(1, n_vars + 1) for _ in range(2)]
-    clauses = _configuration([slots], rng, distinct=True, unique=True)
-    f = cnf(clauses, n_vars=n_vars)
-    rep = validate_class(f, InstanceClass.THREE_SAT_22)
-    if not rep.verdict:
-        raise GenerationError(f"generator produced an invalid instance: {rep.violations[:3]}")
-    return f
+    return _random_instance(InstanceClass.THREE_SAT_22, n_vars, random.Random(seed))
 
 
 def random_mono_3sat_star22(n_vars: int, seed: int) -> CnfFormula:
     """A monotone (2,2) instance in the duplicate-literal dialect."""
-    if n_vars % 3:
-        raise GenerationError("n_vars must be divisible by 3")
-    rng = random.Random(seed)
-    pos = [v for v in range(1, n_vars + 1) for _ in range(2)]
-    neg = [-v for v in range(1, n_vars + 1) for _ in range(2)]
-    clauses = _configuration([pos, neg], rng, distinct=False, unique=True)
-    f = cnf(clauses, n_vars=n_vars, allows_duplicate_literals=True)
-    rep = validate_class(f, InstanceClass.MONO_3SAT_STAR_22)
-    if not rep.verdict:
-        raise GenerationError(f"generator produced an invalid instance: {rep.violations[:3]}")
-    return f
+    return _random_instance(InstanceClass.MONO_3SAT_STAR_22, n_vars, random.Random(seed))
 
 
 def random_mono_nae_e2(n_vars: int, seed: int) -> CnfFormula:
     """All-positive clauses, every variable in exactly two; duplicates allowed."""
-    if n_vars % 3:
-        raise GenerationError("n_vars must be divisible by 3")
-    rng = random.Random(seed)
-    slots = [v for v in range(1, n_vars + 1) for _ in range(2)]
-    clauses = _configuration([slots], rng, distinct=True, unique=False)
-    f = cnf(clauses, n_vars=n_vars)
-    rep = validate_class(f, InstanceClass.MONO_NAE_E2)
-    if not rep.verdict:
-        raise GenerationError(f"generator produced an invalid instance: {rep.violations[:3]}")
-    return f
+    return _random_instance(InstanceClass.MONO_NAE_E2, n_vars, random.Random(seed))
 
 
 def random_mono_22(n_vars: int, rng: random.Random) -> CnfFormula:
     """A strict monotone (2,2) candidate (used as miner seed material)."""
-    if n_vars % 3:
-        raise GenerationError("n_vars must be divisible by 3")
-    pos = [v for v in range(1, n_vars + 1) for _ in range(2)]
-    neg = [-v for v in range(1, n_vars + 1) for _ in range(2)]
-    clauses = _configuration([pos, neg], rng, distinct=True, unique=True)
-    f = cnf(clauses, n_vars=n_vars)
-    rep = validate_class(f, InstanceClass.MONO_3SAT_22)
-    if not rep.verdict:
-        raise GenerationError(f"generator produced an invalid instance: {rep.violations[:3]}")
-    return f
+    return _random_instance(InstanceClass.MONO_3SAT_22, n_vars, rng)
 
 
 def random_balanced_qbf(p: int, s1: int, s2: int, seed: int):

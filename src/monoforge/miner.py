@@ -21,7 +21,6 @@ from .formula import (
     canonical_clause,
     clause_has_distinct_vars,
     clause_is_monotone,
-    cnf,
     occurrence_profile,
 )
 from .generate import GenerationError, random_mono_22
@@ -179,27 +178,20 @@ def mine(cfg: MinerConfig) -> SearchTrace:
     trace = SearchTrace()
 
     if cfg.initial is not None:
-        start = cnf(
-            cfg.initial.clauses,
-            n_vars=cfg.initial.n_vars,
-            allows_duplicate_literals=cfg.initial.allows_duplicate_literals,
-        )
-        profile = occurrence_profile(start)
-        if not candidate_ok(start, profile):
+        current = cfg.initial
+        profile = occurrence_profile(current)
+        if not candidate_ok(current, profile):
             raise MinerConfigError("initial candidate violates the class constraint")
-        current = start
+        current_count = _count(current, None)
     else:
-        profile = None
         best_seed = None
         for _ in range(max(1, cfg.population_size)):
             cand = random_candidate(cfg, rng)
-            prof = occurrence_profile(cand)
             cnt = _count(cand, None)
             if best_seed is None or cnt < best_seed[1]:
-                best_seed = (cand, cnt, prof)
-        current, current_count, profile = best_seed
-    if cfg.initial is not None:
-        current_count = _count(current, None)
+                best_seed = (cand, cnt)
+        current, current_count = best_seed
+        profile = occurrence_profile(current)
 
     trace.best_formula = current
     trace.best_count = current_count

@@ -10,7 +10,7 @@ adjacent variables then sees at least two colors, hence both truth values.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .formula import (
@@ -19,6 +19,7 @@ from .formula import (
     CnfFormula,
     InstanceClass,
     InvalidInstanceError,
+    canonical_clause,
     is_total,
     satisfies,
     validate_class,
@@ -94,9 +95,7 @@ def strip_trivial_pairs(f: CnfFormula) -> tuple[CnfFormula, list[Clause]]:
     rep = validate_class(f, InstanceClass.MONO_NAE_E2)
     if not rep.verdict:
         raise InvalidInstanceError(rep, "two-appearance all-positive instance")
-    counts: dict[Clause, int] = {}
-    for c in f.clauses:
-        counts[c] = counts.get(c, 0) + 1
+    counts = Counter(f.clauses)
     removed = [c for c in counts if counts[c] == 2]
     kept = tuple(c for c in f.clauses if counts[c] != 2)
     return CnfFormula(f.n_vars, kept, f.allows_duplicate_literals, f.symbol_table), removed
@@ -296,16 +295,14 @@ def solve_complement_closed_22(f: CnfFormula) -> Assignment:
         f, [("occurrence", range(1, f.n_vars + 1), (2, 2))],
         distinct=True, monotone=True, all_positive=False, unique=False,
     )
-    counts: dict[Clause, int] = {}
-    for c in f.clauses:
-        counts[c] = counts.get(c, 0) + 1
+    counts = Counter(f.clauses)
     for c, k in counts.items():
-        comp = tuple(sorted((-l for l in c), key=lambda l: (abs(l), l > 0)))
-        if counts.get(comp, 0) != k:
+        comp = canonical_clause(-l for l in c)
+        if counts[comp] != k:
             violations.append(Violation(
                 "complement-closure", None,
                 f"clause {c} occurs {k} times but its complement {comp} "
-                f"occurs {counts.get(comp, 0)} times"))
+                f"occurs {counts[comp]} times"))
     if violations:
         raise InvalidInstanceError(ValidationReport(False, tuple(violations)),
                                    "complement-closed (2,2) instance")

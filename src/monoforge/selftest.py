@@ -182,8 +182,9 @@ def _checks() -> list[tuple[str, Callable[[], bool]]]:
 
 
 def run_selftest(out: TextIO) -> int:
+    checks = _checks()
     failures = 0
-    for name, check in _checks():
+    for name, check in checks:
         try:
             ok = check()
         except Exception as e:  # a crash is a failure, not an abort
@@ -192,5 +193,5 @@ def run_selftest(out: TextIO) -> int:
         print(("PASS  " if ok else "FAIL  ") + name, file=out)
         if not ok:
             failures += 1
-    print(f"{len(_checks()) - failures}/{len(_checks())} checks passed", file=out)
+    print(f"{len(checks) - failures}/{len(checks)} checks passed", file=out)
     return 0 if failures == 0 else 1

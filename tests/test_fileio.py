@@ -106,6 +106,10 @@ def test_json_mirror_errors():
     ('{"n_vars": 2, "clauses": [[1, 1]], "allows_duplicate_literals": false}', "repeats a variable"),
     ('{"n_vars": 2, "clauses": [[1]], "symbols": [1]}', "symbols must be an object"),
     ('{"n_vars": 2, "clauses": 5}', "clauses must be a list"),
+    ('{"n_vars": 2, "clauses": [[1], 2]}', "clause 1 is not a list"),
+    ('{"n_vars": 2, "clauses": [[1, "2"]]}', "clause 0: non-integer token '2'"),
+    ('{"n_vars": 2, "clauses": [[1, true]]}', "clause 0: non-integer token True"),
+    ('{"n_vars": 2, "clauses": [[1], [0]]}', "clause 1: zero literal"),
     ('{"n_vars": 2, "clauses": [[1]], "symbols": {"x": "a"}}', "symbol key 'x'"),
     ('{"n_vars": 2, "clauses": [[1]], "symbols": {"3": "a"}}', "symbol key '3'"),
     ('{"n_vars": true, "clauses": [[1]]}', "n_vars"),

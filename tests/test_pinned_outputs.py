@@ -1,18 +1,30 @@
-"""Byte-level pins of the transformation outputs and of the CLI's
-validation messages.
+"""Byte-level pins of the transformation outputs, the builders' outputs and
+the CLI's validation messages.
 
 Each digest covers everything a transformation returns: the clauses and
 ``n_vars`` of the formula, the quantifier blocks, and, for the reductions,
-the per-clause provenance and the stats.  Any change to clause order,
-fresh-variable numbering or provenance changes a digest.
+the per-clause provenance and the stats; for the port gadgets, the symbol
+table, ports, fresh-variable names and allocator state.  Any change to
+clause order, fresh-variable numbering or provenance changes a digest.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
 import corpus
-from monoforge.cli import main
+from monoforge import gadgets
+from monoforge.cli import _PLAIN_GADGETS, _PORT_GADGETS, main
+from monoforge.generate import (
+    random_3sat22,
+    random_balanced_qbf,
+    random_mono_22,
+    random_mono_3sat_star22,
+    random_mono_nae_e2,
+)
+from monoforge.miner import MinerConfig, mine, swap_move
 from monoforge.qbf import monotonize, transform_1122, transform_2222, triple_copy
 from monoforge.reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
 
@@ -182,3 +194,127 @@ def test_nae_solve_stderr_lines(capsys, tmp_path):
         "occurrence: variable 2 appears (2,1), expected (2,0)",
         "occurrence: variable 4 appears (1,0), expected (2,0)",
     ]
+
+
+# -- builders: gadgets, the CLI gadget listing, the generators, the miner ------
+
+# name -> (builder, port tuples); for each tag in PORT_GADGET_TAGS every
+# port tuple is built on one shared allocator, so fresh ranges and
+# reservation labels are pinned too
+PORT_GADGET_CASES = {
+    "M_enforcer": (gadgets.build_M_enforcer, [(1, 2, 3), (4, 2, 2), (3, 1, 5)]),
+    "Mbar_enforcer": (gadgets.build_Mbar_enforcer, [(1, 2, 3), (4, 2, 2), (3, 1, 5)]),
+    "N": (gadgets.build_N, [(1,), (5,)]),
+    "S": (gadgets.build_S, [(1, 2, 3), (1, 1, 2), (5, 5, 5)]),
+    "Sbar": (gadgets.build_Sbar, [(1, 2, 3), (2, 1, 1)]),
+    "frakM": (gadgets.build_frakM, [[(1, -2, -3), (4, -5, -6), (7, -8, -9)],
+                                    [(2, -1, -3), (2, -4, -5), (1, -4, -5)]]),
+    "frakMbar": (gadgets.build_frakMbar, [[(-1, 2, 3), (-4, 5, 6), (-7, 8, 9)],
+                                          [(-3, 1, 2), (-3, 4, 5), (-1, 2, 4)]]),
+}
+PORT_GADGET_TAGS = (0, 7, "t")
+
+
+def _gadget_rows(name):
+    build, port_sets = PORT_GADGET_CASES[name]
+    rows = []
+    for tag in PORT_GADGET_TAGS:
+        alloc = gadgets.FreshVarAllocator(10)
+        for ports in port_sets:
+            if name.startswith("frak"):
+                inst = build(alloc, ports, tag=tag)
+            else:
+                inst = build(alloc, *ports, tag=tag)
+            f = inst.formula
+            rows.append((
+                _formula_rows(f),
+                list(f.symbol_table.items()),
+                list(inst.port_literals.items()),
+                list(inst.fresh_vars.items()),
+                inst.tag,
+                alloc.next_id,
+                alloc.reservations,
+            ))
+    return rows
+
+
+def _cli_gadget_rows(capsys):
+    rows = []
+    names = sorted(_PLAIN_GADGETS) + sorted(_PORT_GADGETS) + ["Q1mon", "Q3"]
+    for name in names:
+        arity = _PORT_GADGETS[name][1] if name in _PORT_GADGETS else 0
+        ports = ["--ports", *map(str, range(1, arity + 1))] if arity else []
+        code = main(["gadget", name, "--format", "json", *ports])
+        rows.append((name, code, capsys.readouterr().out))
+    return rows
+
+
+GENERATOR_SPECS = {
+    "random_3sat22": [(n, seed) for n in (6, 9, 15, 30) for seed in range(8)],
+    "random_mono_3sat_star22": [(n, seed) for n in (6, 9, 15, 30) for seed in range(8)],
+    "random_mono_nae_e2": [(n, seed) for n in (6, 9, 15, 30, 60) for seed in range(8)],
+    "random_mono_22": [(n, seed) for n in (6, 9, 15, 30) for seed in range(8)],
+    "random_balanced_qbf": [(p, s, seed) for p, s in ((2, 1), (3, 1), (4, 1), (3, 2), (6, 2))
+                            for seed in range(6)],
+}
+
+
+def _generator_rows(name):
+    rows = []
+    for spec in GENERATOR_SPECS[name]:
+        if name == "random_balanced_qbf":
+            p, s, seed = spec
+            rows.append(_qbf_rows(random_balanced_qbf(p, s, s, seed)))
+        elif name == "random_mono_22":
+            n, seed = spec
+            rng = random.Random(seed)
+            rows.append((_formula_rows(random_mono_22(n, rng)), rng.random()))
+        else:
+            build = {"random_3sat22": random_3sat22,
+                     "random_mono_3sat_star22": random_mono_3sat_star22,
+                     "random_mono_nae_e2": random_mono_nae_e2}[name]
+            rows.append(_formula_rows(build(*spec)))
+    return rows
+
+
+def _miner_rows(name):
+    if name == "mine_generated":
+        cfg = MinerConfig(n_vars=9, n_clauses=12, population_size=4, max_iters=120,
+                          stall_window=15, seed=5)
+    else:
+        start = swap_move(gadgets.build_y_core(), random.Random(2))
+        cfg = MinerConfig(n_vars=9, n_clauses=13, initial=start, max_iters=120,
+                          stall_window=15, seed=0)
+    return [json.dumps(mine(cfg).to_json(), sort_keys=True)]
+
+
+BUILDER_DIGESTS = {
+    "gadget_M_enforcer": "cb14ca26b31d45aa52ef5e307de2cc6f02a2c00705382397e93a4691da0dcdc0",
+    "gadget_Mbar_enforcer": "6f24ce729c546f90b462d26bce82d7165f6253d1724305d64b660f7d28c03053",
+    "gadget_N": "6e8b62af14aa6087d77a734190b7b67d3df01f9a12fc5d71cab1c7f5b10111c0",
+    "gadget_S": "33f392913273c06c2918cb7224cfe627e6da9a1f5d1033b185758ca7e4f8330f",
+    "gadget_Sbar": "c4341699efb88c2e65bcaa2ce165639ac3c678910bc8de58ea0e30381f5c0d34",
+    "gadget_frakM": "4cff13fd31daf2d4d06e72b6fa8ae417b45d16dc92dfa7c55d189db9ad6d97c3",
+    "gadget_frakMbar": "935dd82a1d2216942cbbef6989390949f6cb827d75bad84e2aeae9b4579334b2",
+    "cli_gadget_json": "b63f6662bd7b410e4a961c1a16414da1c22b755f63d5b3d7521ce4456c75d0f2",
+    "random_3sat22": "09abe706b77a946a53cec1592b7881f6f1c595bfd7dd675832a6907a8f2c6211",
+    "random_mono_3sat_star22": "aa36628237e53f4eca1ea9a5076a3ea5a95a8b13c664acb4727e2a0c527d2ce9",
+    "random_mono_nae_e2": "3cd636366b8018c18bf68210613e75d3fd8f3c7e4481128418e6faa3ba9b06d9",
+    "random_mono_22": "5dc32158da32559366da69d30e1a30b69a792b21435ce1de982167082b525974",
+    "random_balanced_qbf": "86748791355e882ce77b0fbe6c7d82b9f78f5c72d693d615bf46e1a82dec1806",
+    "mine_initial": "d95eb24484a10ccd6f64cd36be35993147ace3a9cd7c4fe3d6502fb49e3e88dc",
+    "mine_generated": "ad72d60c95881b1c7802a939155d0603f0f295f6621cc72128184920b64aa2c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_DIGESTS))
+def test_builder_output_digest(capsys, name):
+    if name.startswith("gadget_"):
+        rows = _gadget_rows(name[len("gadget_"):])
+    elif name == "cli_gadget_json":
+        rows = _cli_gadget_rows(capsys)
+    elif name.startswith("mine_"):
+        rows = _miner_rows(name)
+    else:
+        rows = _generator_rows(name)
+    assert _digest(rows) == BUILDER_DIGESTS[name]
