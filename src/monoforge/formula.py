@@ -6,6 +6,13 @@ literals kept in canonical order (ascending variable id, negative before
 positive on ties), so clause equality is syntactic.  Formulas keep the clause
 list in construction order; use :func:`canonicalize` when order-insensitive
 equality is wanted.
+
+A formula checks its clauses when it is built, in one pass per clause: each
+literal must be a nonzero int within range, and its (variable, sign) key must
+not be below the previous literal's.  Once the keys never decrease, a
+repeated variable is two adjacent literals over one variable, which the
+strict dialect rejects.  :func:`canonical_clause` returns a clause that is
+already canonical as it is, and sorts only the others.
 """
 
 from __future__ import annotations
@@ -28,7 +35,19 @@ def _lit_key(lit: int) -> tuple[int, bool]:
 
 def canonical_clause(lits: Iterable[int]) -> Clause:
     """Return the literals sorted by variable id, negative first on ties."""
-    c = tuple(sorted(lits, key=_lit_key))
+    c = tuple(lits)
+    # an already canonical clause of plain nonzero ints is its own sort
+    prev = top = 0
+    for l in c:
+        if type(l) is not int or l == 0:
+            break
+        a = abs(l)
+        if a < top or a == top and l < prev:
+            break
+        top, prev = a, l
+    else:
+        return c
+    c = tuple(sorted(c, key=_lit_key))
     for l in c:
         if not isinstance(l, int) or isinstance(l, bool) or l == 0:
             raise FormulaError(f"invalid literal {l!r}")
@@ -66,17 +85,27 @@ class CnfFormula:
     def __post_init__(self) -> None:
         if self.n_vars < 0:
             raise FormulaError("n_vars must be non-negative")
+        n = self.n_vars
         for j, c in enumerate(self.clauses):
+            # a bad literal anywhere in the clause outranks its order error,
+            # which outranks a repeat (adjacent literals with one abs)
+            prev = top = 0
+            unordered = repeats = False
             for l in c:
-                if not isinstance(l, int) or isinstance(l, bool) or l == 0:
+                if type(l) is not int and (not isinstance(l, int) or isinstance(l, bool)) or l == 0:
                     raise FormulaError(f"clause {j}: invalid literal {l!r}")
-                if abs(l) > self.n_vars:
-                    raise FormulaError(
-                        f"clause {j}: literal {l} out of range 1..{self.n_vars}"
-                    )
-            if list(c) != sorted(c, key=_lit_key):
+                a = abs(l)
+                if a > n:
+                    raise FormulaError(f"clause {j}: literal {l} out of range 1..{n}")
+                if a <= top:
+                    if a < top or l < prev:
+                        unordered = True
+                    else:
+                        repeats = True
+                top, prev = a, l
+            if unordered:
                 raise FormulaError(f"clause {j} is not in canonical order: {c}")
-            if not self.allows_duplicate_literals and not clause_has_distinct_vars(c):
+            if repeats and not self.allows_duplicate_literals:
                 raise FormulaError(
                     f"clause {j} repeats a variable but duplicates are not allowed: {c}"
                 )

@@ -215,11 +215,15 @@ def _block_symbols(fresh: range, tag: int | str) -> dict[int, str]:
     return {fresh.start + t - 1: f"{s}^{tag}" for t, s in TEMPLATE_SYMBOLS.items()}
 
 
-def _check_ports_fresh(ports: Iterable[int], fresh: Iterable[range]) -> None:
+def _check_ports_fresh(ports: Iterable[int], alloc: FreshVarAllocator, count: int) -> None:
+    """Reject a port that is no variable id or lies among the next ``count``
+    fresh ids; runs before the build reserves them, so a rejected build
+    leaves the allocator untouched."""
+    fresh = range(alloc.next_id, alloc.next_id + count)
     for p in ports:
         if p < 1:
             raise ValueError(f"port variable {p} is not a variable id")
-        if any(p in r for r in fresh):
+        if p in fresh:
             raise ValueError(f"port variable {p} collides with fresh range")
 
 
@@ -233,8 +237,8 @@ def _m_enforcer(
     port_literals: dict[str, int],
 ) -> GadgetInstantiation:
     """One 42-clause instance over a fresh block, ``slots`` on its port slots."""
+    _check_ports_fresh(ports, alloc, 32)
     fresh = alloc.reserve(32, f"{label}^{tag}")
-    _check_ports_fresh(ports, [fresh])
     clauses = _m_instance_clauses(fresh, slots, negate=negate)
     n_vars = max(fresh.stop - 1, *ports)
     formula = CnfFormula(n_vars, tuple(clauses), False, _block_symbols(fresh, tag))
@@ -288,11 +292,11 @@ def build_S(
     positive polarity: satisfiable iff at least one port is true;
     ``negative=True`` emits the literal-wise negation (ports -v1, -v2, -v3).
     """
+    ports = (v1, v2, v3)
+    _check_ports_fresh(ports, alloc, 3 * 32 + 3)
     copies = [alloc.reserve(32, f"S{tag}/copy{i}") for i in (1, 2, 3)]
     u_range = alloc.reserve(3, f"S{tag}/u")
     us = list(u_range)
-    ports = (v1, v2, v3)
-    _check_ports_fresh(ports, copies + [u_range])
 
     def cv(i: int, t: int) -> int:  # template var t in copy i (1-based)
         return copies[i - 1].start + t - 1
@@ -361,9 +365,9 @@ def _build_frak(
     # callers hand over one-positive/two-negative clauses; the mirror builder
     # negates its input before delegating here
     ports = [_frak_ports(c, positive_shape=True) for c in triple]
+    port_vars = [v for t in ports for v in t]
+    _check_ports_fresh(port_vars, alloc, 3 * 32)
     copies = [alloc.reserve(32, f"frak{tag}/copy{i}") for i in (1, 2, 3)]
-    for u1, u2, u3 in ports:
-        _check_ports_fresh((u1, u2, u3), copies)
 
     def cv(i: int, t: int) -> int:
         return copies[i - 1].start + t - 1
@@ -382,7 +386,6 @@ def _build_frak(
     for link in links:
         clauses.append(canonical_clause(sign * v for v in link))
 
-    port_vars = [v for t in ports for v in t]
     n_vars = max([copies[2].stop - 1] + port_vars)
     symbols: dict[int, str] = {}
     for i in (1, 2, 3):

@@ -3,11 +3,12 @@ witness reuse, and the monotonization / balancing pipelines.
 
 A formula is a single universal block followed by a single existential block
 over a CNF matrix.  Truth is decided part by part: the matrix splits into
-variable-disjoint parts, structurally identical parts are decided once, and
-each part walks its universal assignments in lexicographic order (declared
-variable order, false before true), checking existential satisfiability with
-the clause-learning solver.  The verdict and the reported counterexample are
-exactly those of plain enumeration over the whole formula.
+variable-disjoint parts (by union-find over a flat parent array, the parts in
+order of their smallest variable), structurally identical parts are decided
+once, and each part walks its universal assignments in lexicographic order
+(declared variable order, false before true), checking existential
+satisfiability with the clause-learning solver.  The verdict and the reported
+counterexample are exactly those of plain enumeration over the whole formula.
 
 Within a part, existential witnesses are reused.  Each SAT answer is kept as
 its universal residue: the universal literals of the clauses that the
@@ -53,7 +54,7 @@ class Qbf2Formula:
             raise ValueError("repeated variable in a quantifier block")
         if u & e:
             raise ValueError(f"variables quantified twice: {sorted(u & e)}")
-        used = {abs(l) for c in self.matrix.clauses for l in c}
+        used = set(map(abs, itertools.chain.from_iterable(self.matrix.clauses)))
         missing = used - u - e
         if missing:
             raise ValueError(f"matrix variables not quantified: {sorted(missing)}")
@@ -112,40 +113,40 @@ MAX_UNIVERSAL_BITS = 24
 
 
 def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
-    """Variable-disjoint parts: (universals, existentials, clause indices)."""
-    parent: dict[int, int] = {}
+    """Variable-disjoint parts: (universals, existentials, clause indices).
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for v in itertools.chain(q.universals, q.existentials):
-        parent[v] = v
+    Parts come in order of their smallest variable.  Within a part the
+    universals and the existentials keep their declared order and the clause
+    indices ascend.  Every clause must be non-empty.
+    """
+    # union-find on a flat parent array with path halving: the root of each
+    # clause's first variable absorbs the roots of the others
+    parent = list(range(q.matrix.n_vars + 1))
     for c in q.matrix.clauses:
-        vs = [abs(l) for l in c]
-        for other in vs[1:]:
-            union(vs[0], other)
-    comp_u: dict[int, list[int]] = {}
-    comp_e: dict[int, list[int]] = {}
-    comp_c: dict[int, list[int]] = {}
+        r = abs(c[0])
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        for l in c:
+            x = abs(l)
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            parent[x] = r
+    # number the parts by smallest variable, pointing each variable at its root
+    index: dict[int, int] = {}
+    for v in sorted(itertools.chain(q.universals, q.existentials)):
+        r = v
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[v] = r
+        index.setdefault(r, len(index))
+    parts: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in index]
     for v in q.universals:
-        comp_u.setdefault(find(v), []).append(v)
+        parts[index[parent[v]]][0].append(v)
     for v in q.existentials:
-        comp_e.setdefault(find(v), []).append(v)
+        parts[index[parent[v]]][1].append(v)
     for j, c in enumerate(q.matrix.clauses):
-        comp_c.setdefault(find(abs(c[0])), []).append(j)
-    roots = sorted(set(comp_u) | set(comp_e) | set(comp_c))
-    return [
-        (comp_u.get(r, []), comp_e.get(r, []), comp_c.get(r, []))
-        for r in roots
-    ]
+        parts[index[parent[abs(c[0])]]][2].append(j)
+    return parts
 
 
 _Residue = tuple[int, int, frozenset[tuple[int, int]]]
@@ -384,7 +385,8 @@ def read_qdimacs(text: str) -> Qbf2Formula:
     """Parse a two-block (a then e) QDIMACS file; both blocks may be empty.
 
     The matrix is read in the strict dialect: a clause that repeats a
-    variable is rejected.
+    variable is rejected.  Every malformed input, quantifier prefix
+    included, raises :class:`ParseError`.
     """
     universals: list[int] = []
     existentials: list[int] = []
@@ -414,7 +416,11 @@ def read_qdimacs(text: str) -> Qbf2Formula:
             existentials.extend(ids)
 
     n_vars, clauses = _parse_dimacs(text, quantifier)
-    return Qbf2Formula(tuple(universals), tuple(existentials), CnfFormula(n_vars, tuple(clauses)))
+    try:
+        return Qbf2Formula(tuple(universals), tuple(existentials),
+                           CnfFormula(n_vars, tuple(clauses)))
+    except ValueError as e:  # the clause checks and the quantifier-prefix checks
+        raise ParseError(str(e)) from None
 
 
 def write_qdimacs(q: Qbf2Formula) -> str:

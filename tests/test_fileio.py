@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoforge import refdata
 from monoforge.fileio import (
@@ -12,6 +15,8 @@ from monoforge.fileio import (
 )
 from monoforge.formula import cnf
 from monoforge.gadgets import build_M, build_U, build_core8
+from monoforge.qbf import read_qdimacs
+from monoforge.rup import RupParseError, parse_rup
 
 
 def test_read_dimacs_basic():
@@ -118,3 +123,87 @@ def test_json_mirror_errors():
 def test_json_mirror_rejects_malformed_fields(text, message):
     with pytest.raises(ParseError, match=message):
         formula_from_json(text)
+
+
+# text shaped like the formats, so that drawn inputs get past the first
+# checks: well-formed clause and quantifier lines over three variables, and
+# lines with any prefix, zeros, bad tokens or no terminator
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(("", "", "a ", "e ")),
+              st.lists(st.sampled_from(("1", "-1", "2", "-2", "3", "-3")), min_size=1, max_size=3))
+    .map(lambda t: t[0] + " ".join(t[1]) + " 0"),
+    st.tuples(st.sampled_from(("", "a ", "e ", "c ", "d ", "p ")),
+              st.lists(st.sampled_from(("1", "-1", "4", "0", "x")), max_size=4),
+              st.sampled_from((" 0", "")))
+    .map(lambda t: t[0] + " ".join(t[1]) + t[2]),
+)
+
+
+def _with_header(n: int, m: int | None, lines: list[str]) -> str:
+    """The lines under a ``p cnf n m`` header; ``m`` None counts the
+    0-terminated lines that are not quantifier lines."""
+    if m is None:
+        m = sum(1 for ln in lines if ln.endswith("0") and not ln.startswith(("a ", "e ")))
+    return "\n".join([f"p cnf {n} {m}", *lines])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                              max_size=3),
+    max_leaves=8,
+)
+# objects shaped like the JSON mirror, each field right or of a wrong kind
+_JSON_MIRROR = st.fixed_dictionaries(
+    {"n_vars": st.sampled_from((1, 2, 2, 3, 3, 3, 3, -1, True, "2")),
+     "clauses": st.lists(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3, 1, 2, 4, 0, True, "1")),
+                                  max_size=3), max_size=3)
+     | st.sampled_from((5, "x", [1], None))},
+    optional={"symbols": st.dictionaries(st.sampled_from(("1", "2", "0", "x", "\uff15")),
+                                         st.sampled_from(("a", 1, None)), max_size=2)
+              | st.sampled_from(([1], "x", None)),
+              "allows_duplicate_literals": st.booleans() | st.sampled_from(("no", 0, None))},
+)
+
+_LINES_TEXT = st.one_of(
+    st.builds(_with_header, st.sampled_from((-1, 0, 2, 3, 3)),
+              st.one_of(st.none(), st.integers(-1, 4)), st.lists(_LINE, max_size=5)),
+    st.lists(_LINE, max_size=5).map("\n".join),  # proofs have no header
+)
+_JSON_TEXT = st.one_of(_JSON, _JSON_MIRROR).map(json.dumps)
+
+# each reader and the one error it may raise on malformed text; any other
+# exception is a traceback for the CLI user
+_READERS = [
+    (read_dimacs, ParseError),
+    (read_clause_list, ParseError),
+    (formula_from_json, ParseError),
+    (read_qdimacs, ParseError),
+    (parse_rup, RupParseError),
+]
+
+
+def _read_all(text):
+    for reader, error in _READERS:
+        try:
+            reader(text)
+        except error:
+            pass
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(text=st.text())
+def test_readers_raise_only_their_parse_error(text):
+    _read_all(text)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(text=_LINES_TEXT)
+def test_readers_raise_only_their_parse_error_on_line_formats(text):
+    _read_all(text)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(text=_JSON_TEXT)
+def test_readers_raise_only_their_parse_error_on_json(text):
+    _read_all(text)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoforge.formula import (
     CnfFormula,
@@ -187,3 +188,75 @@ def test_satisfies():
     f = cnf([[1, 2], [-1, 2]])
     assert satisfies(f, {1: True, 2: True})
     assert not satisfies(f, {1: True, 2: False})
+
+
+# sort-based reference for the one-pass clause checks: the same rules and
+# messages, each clause compared with its sorted copy
+
+
+def _ref_key(lit):
+    return (abs(lit), lit > 0)
+
+
+def ref_canonical_clause(lits):
+    c = tuple(sorted(lits, key=_ref_key))
+    for l in c:
+        if not isinstance(l, int) or isinstance(l, bool) or l == 0:
+            raise FormulaError(f"invalid literal {l!r}")
+    return c
+
+
+def ref_formula_checks(n_vars, clauses, allows_duplicate_literals):
+    if n_vars < 0:
+        raise FormulaError("n_vars must be non-negative")
+    for j, c in enumerate(clauses):
+        for l in c:
+            if not isinstance(l, int) or isinstance(l, bool) or l == 0:
+                raise FormulaError(f"clause {j}: invalid literal {l!r}")
+            if abs(l) > n_vars:
+                raise FormulaError(f"clause {j}: literal {l} out of range 1..{n_vars}")
+        if list(c) != sorted(c, key=_ref_key):
+            raise FormulaError(f"clause {j} is not in canonical order: {c}")
+        if not allows_duplicate_literals and len({abs(l) for l in c}) != len(c):
+            raise FormulaError(
+                f"clause {j} repeats a variable but duplicates are not allowed: {c}"
+            )
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as e:  # the type and message are compared
+        return type(e), str(e)
+    return None
+
+
+def _sorted_if_possible(lits):
+    try:
+        return sorted(lits, key=_ref_key)
+    except TypeError:
+        return lits
+
+
+# mostly few variables, so that a clause often holds x and -x or repeats x;
+# then out-of-range values and literals of the wrong type or zero
+_LITERAL = st.sampled_from(
+    [1, -1, 2, -2, 3, -3] * 3 + [4, -4, 6, -7, 8, 0, True, False, 1.0, "1", None]
+)
+_CLAUSE = st.tuples(st.lists(_LITERAL, max_size=4), st.booleans(), st.booleans()).map(
+    # half the clauses are sorted first, so the order and repeat checks run
+    lambda t: (tuple if t[2] else list)(_sorted_if_possible(t[0]) if t[1] else t[0])
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(-1, 6), clauses=st.lists(_CLAUSE, max_size=4), dup=st.booleans())
+def test_one_pass_checks_match_sorting_reference(n, clauses, dup):
+    want = _outcome(ref_formula_checks, n, clauses, dup)
+    assert _outcome(CnfFormula, n, tuple(clauses), dup) == want
+    for c in clauses:
+        assert _outcome(CnfFormula, n, (c,), dup) == _outcome(ref_formula_checks, n, [c], dup)
+        want = _outcome(ref_canonical_clause, c)
+        assert _outcome(canonical_clause, c) == want
+        if want is None:
+            assert canonical_clause(c) == ref_canonical_clause(c)

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from monoforge.formula import CnfFormula, InvalidInstanceError, canonical_clause
 from monoforge.gadgets import FreshVarAllocator, build_U
 from monoforge.qbf import (
     MAX_UNIVERSAL_BITS,
+    _components,
     BalanceSpec,
     MonotonizeError,
     PadError,
@@ -171,6 +173,65 @@ def test_truth_matches_brute_force(q):
     assert res.counterexample == alpha
 
 
+def bfs_components(q):
+    """The parts of ``q`` by breadth-first search over shared clauses, in the
+    documented order: parts by smallest variable, universals and
+    existentials in declared order, clause indices ascending."""
+    adjacent = {v: set() for v in itertools.chain(q.universals, q.existentials)}
+    for c in q.matrix.clauses:
+        vs = {abs(l) for l in c}
+        for v in vs:
+            adjacent[v] |= vs
+    seen = set()
+    parts = []
+    for start in sorted(adjacent):
+        if start in seen:
+            continue
+        seen.add(start)
+        part, queue = {start}, deque([start])
+        while queue:
+            for w in adjacent[queue.popleft()] - seen:
+                seen.add(w)
+                part.add(w)
+                queue.append(w)
+        parts.append((
+            [u for u in q.universals if u in part],
+            [e for e in q.existentials if e in part],
+            [j for j, c in enumerate(q.matrix.clauses) if abs(c[0]) in part],
+        ))
+    return parts
+
+
+@st.composite
+def matrices_for_components(draw):
+    """Shuffled variables, some in no clause and some unquantified and
+    unused, with random clauses, long chains of binary clauses in shuffled
+    order, one-clause parts and repeated clauses."""
+    n = draw(st.integers(1, 40))
+    ids = draw(st.permutations(range(1, n + 1)))
+    var = st.sampled_from(ids)
+    lit = st.tuples(var, st.booleans()).map(lambda t: t[0] if t[1] else -t[0])
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3), max_size=12))
+    for _ in range(draw(st.integers(0, 2 if n > 1 else 0))):
+        chain = draw(st.lists(var, min_size=2, max_size=n, unique=True))
+        links = [[a, -b] for a, b in zip(chain, chain[1:])]
+        clauses += draw(st.permutations(links))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=3))
+    clauses = draw(st.permutations(clauses))
+    k = draw(st.integers(0, n))
+    extra = draw(st.integers(0, 2))  # unquantified variables past n, in no clause
+    matrix = CnfFormula(n + extra, tuple(canonical_clause(c) for c in clauses),
+                        allows_duplicate_literals=True)
+    return Qbf2Formula(tuple(ids[:k]), tuple(ids[k:]), matrix)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(matrices_for_components())
+def test_components_match_breadth_first_search(q):
+    assert _components(q) == bfs_components(q)
+
+
 def test_witness_reuse_skips_solves(monkeypatch, qbf_1122_corpus):
     # a (1,1) yes-instance with p = 3: its monotonized matrix is one
     # component with 9 universals
@@ -309,5 +370,11 @@ def test_qdimacs_errors():
         read_qdimacs("p cnf 2 -1\n")
     with pytest.raises(ParseError, match="line 2: duplicate header"):
         read_qdimacs("p cnf 2 1\np cnf 3 1\na 1 0\ne 2 3 0\n1 2 3 0\n")
-    with pytest.raises(ValueError, match="repeats a variable"):
+    with pytest.raises(ParseError, match="repeats a variable"):
         read_qdimacs("p cnf 2 1\na 1 0\ne 2 0\n1 -1 2 0\n")
+    with pytest.raises(ParseError, match="not quantified"):
+        read_qdimacs("p cnf 2 1\n1 0")
+    with pytest.raises(ParseError, match="repeated variable"):
+        read_qdimacs("p cnf 1 0\na 1 1 0\n")
+    with pytest.raises(ParseError, match="quantified twice"):
+        read_qdimacs("p cnf 1 0\na 1 0\ne 1 0\n")
