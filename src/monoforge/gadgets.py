@@ -216,12 +216,12 @@ def _block_symbols(fresh: range, tag: int | str) -> dict[int, str]:
 
 
 def _check_ports_fresh(ports: Iterable[int], alloc: FreshVarAllocator, count: int) -> None:
-    """Reject a port that is no variable id or lies among the next ``count``
-    fresh ids; runs before the build reserves them, so a rejected build
-    leaves the allocator untouched."""
+    """Reject a port that is no variable id (not an int, a bool, or below 1)
+    or lies among the next ``count`` fresh ids; runs before the build
+    reserves them, so a rejected build leaves the allocator untouched."""
     fresh = range(alloc.next_id, alloc.next_id + count)
     for p in ports:
-        if p < 1:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"port variable {p} is not a variable id")
         if p in fresh:
             raise ValueError(f"port variable {p} collides with fresh range")

@@ -48,29 +48,30 @@ def _blocks(lits, widths, n_vars: int, nae: bool):
     satisfies every clause: some literal true, and with ``nae`` also some
     literal false, that is, the negated clause satisfied too.
     """
-    # Padding repeats a clause's first literal, which leaves its OR unchanged;
-    # an empty clause reads row 0 of the table, which is all-zero.
-    pad = np.arange(lits.shape[1]) >= widths[:, None]
-    lits = np.where(pad, lits[:, :1], lits)
-    var = np.abs(lits).T
-    flips = [np.where(lits < 0, _ONES, np.uint64(0)).T[:, :, None]]
-    if nae:
-        flips.append(~flips[0])
-    high = np.arange(max(n_vars - 6, 0), dtype=np.uint64)[:, None]
-    n_words = 1 << max(n_vars - 6, 0)
+    # Literal l reads row n_vars + l of a table that holds each variable's
+    # words above row n_vars and their complements, mirrored, below it.
+    # Row n_vars is all-zero: padding reads it, which leaves an OR unchanged,
+    # and an empty clause reads nothing else.  The negated clause of
+    # literals l reads rows n_vars - l.
+    n = n_vars
+    rows = np.where(np.arange(lits.shape[1]) < widths[:, None], lits, 0) + n
+    passes = [rows.T, (2 * n - rows).T] if nae else [rows.T]
+    n_words = 1 << max(n - 6, 0)
+    table = np.zeros((2 * n + 1, min(n_words, _BLOCK_WORDS)), dtype=np.uint64)
+    table[n + 1 : n + 7] = _LANES[:n, None]
+    high = np.arange(max(n - 6, 0), dtype=np.uint64)[:, None]
     for w0 in range(0, n_words, _BLOCK_WORDS):
-        words = np.arange(w0, min(w0 + _BLOCK_WORDS, n_words), dtype=np.uint64)
-        table = np.zeros((n_vars + 1, words.shape[0]), dtype=np.uint64)
-        table[1:7] = _LANES[:n_vars, None]
-        table[7:] = ((words >> high) & 1) * _ONES
-        ok = np.full(words.shape[0], _ONES)
-        for flip in flips:
-            some_true = table[var[0]] ^ flip[0]
-            for k in range(1, var.shape[0]):
-                some_true |= table[var[k]] ^ flip[k]
+        words = np.arange(w0, w0 + table.shape[1], dtype=np.uint64)
+        table[n + 7 :] = ((words >> high) & 1) * _ONES
+        table[:n] = ~table[:n:-1]
+        ok = np.full(table.shape[1], _ONES)
+        for cols in passes:
+            some_true = table[cols[0]]
+            for col in cols[1:]:
+                some_true |= table[col]
             ok &= np.bitwise_and.reduce(some_true, axis=0)
-        if n_vars < 6:
-            ok &= np.uint64((1 << (1 << n_vars)) - 1)
+        if n < 6:
+            ok &= np.uint64((1 << (1 << n)) - 1)
         yield 64 * w0, ok
 
 
@@ -87,6 +88,13 @@ def count_sat(lits, widths, n_vars: int, limit: int) -> int:
         if total >= limit:
             return limit
     return total
+
+
+def sat_words(lits, widths, n_vars: int) -> np.ndarray:
+    """The satisfying set as a bitmap of ``max(2 ** n_vars // 64, 1)`` words:
+    bit ``b`` of word ``w`` is set when assignment ``64 * w + b`` satisfies
+    every clause."""
+    return np.concatenate([ok for _, ok in _blocks(lits, widths, n_vars, nae=False)])
 
 
 def collect_sat(lits, widths, n_vars: int, cap: int) -> np.ndarray:

@@ -10,14 +10,17 @@ once, and each part walks its universal assignments in lexicographic order
 satisfiability with the clause-learning solver.  The verdict and the reported
 counterexample are exactly those of plain enumeration over the whole formula.
 
-Within a part, existential witnesses are reused.  Each SAT answer is kept as
-its universal residue: the universal literals of the clauses that the
-model's existential part leaves unsatisfied.  A later universal assignment
-that satisfies a stored residue is extended by that existential part to a
-model of the whole matrix, so it is skipped without a solver call; an empty
-residue makes the part true outright.  Only assignments that do have an
-extension are skipped and the walk keeps its order, so the first assignment
-the solver refutes is still the lexicographically first counterexample.
+Within a part, existential witnesses are reused.  Each SAT answer leaves
+its universal residue: the universal parts of the clauses that the model's
+existential part leaves unsatisfied.  Every universal assignment that
+satisfies the residue is extended by that existential part to a model of
+the whole matrix.  The truth-table kernel (:mod:`.kernels`) turns each
+residue into its satisfying set, which is ORed into one coverage bitmap of
+2^k bits for a part with k universals, and the walk jumps to the lowest
+uncovered assignment above the current one; an empty residue or a full map
+makes the part true.  Only assignments that do have an extension are
+skipped and the walk keeps its order, so the first assignment the solver
+refutes is still the lexicographically first counterexample.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+from . import kernels
 from .fileio import ParseError, _parse_dimacs
 from .formula import (
     Assignment,
@@ -108,7 +114,8 @@ def validate_balanced(q: Qbf2Formula, spec: BalanceSpec) -> ValidationReport:
 
 # -- truth ------------------------------------------------------------------
 
-# parts with more universals answer BUDGET instead of walking 2^k assignments
+# parts with more universals answer BUDGET instead of walking 2^k
+# assignments; the walk's coverage map has 2^k bits, 2 MiB at 24
 MAX_UNIVERSAL_BITS = 24
 
 
@@ -149,16 +156,6 @@ def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
     return parts
 
 
-_Residue = tuple[int, int, frozenset[tuple[int, int]]]
-
-
-def _covers(residue: _Residue, a: int) -> bool:
-    """Assignment ``a`` satisfies the residue's unit clauses (the cube
-    ``a & mask == want``) and each wider (positive, negative mask) clause."""
-    mask, want, wide = residue
-    return a & mask == want and all(a & pos or ~a & neg for pos, neg in wide)
-
-
 def _component_first_failure(
     local: CnfFormula, k: int, conflict_budget: int
 ) -> tuple[str, tuple[bool, ...] | None]:
@@ -166,59 +163,47 @@ def _component_first_failure(
     the universals 1..k of a renumbered part; 'no' only after the solver
     refutes it).
 
-    Each SAT answer leaves its universal residue: the universal literals of
-    every clause that the model's existential part leaves unsatisfied.  An
-    assignment that satisfies every clause of a stored residue is skipped, as
-    that model's existential part extends it to a model of the whole matrix.
+    The residue of each SAT answer goes through ``kernels.sat_words`` into a
+    2^k-bit coverage map; the next assignment asked is the lowest one above
+    the current that the map leaves uncovered, and a full map means 'yes'.
     """
-    # the walk counter holds universal i in bit k - i, so counting up visits
-    # assignments in lexicographic order; clauses with no universal literal,
-    # or both literals of one, never constrain a residue
-    split: list[tuple[int, int, list[int]]] = []
+    # universal i is kernel variable k - i + 1, so a kernel index is the
+    # walk counter (universal i in bit k - i) and counting up is
+    # lexicographic order.  Clauses with no universal literal, or both
+    # literals of one, never constrain a residue; the universal parts of the
+    # others are packed for the kernel once.
+    universal: list[list[int]] = []
+    existential: list[list[int]] = []
     for c in local.clauses:
-        pos = neg = 0
-        ex: list[int] = []
-        for l in c:
-            if abs(l) > k:
-                ex.append(l)
-            elif l > 0:
-                pos |= 1 << (k - l)
-            else:
-                neg |= 1 << (k + l)
-        if (pos or neg) and not pos & neg:
-            split.append((pos, neg, ex))
-    residues: dict[_Residue, None] = {}
-    last: _Residue | None = None  # covered the previous skipped assignment
+        us = [l for l in c if abs(l) <= k]
+        if us and not any(-l in us for l in us):
+            universal.append([k + 1 - l if l > 0 else -(k + 1 + l) for l in us])
+            existential.append([l for l in c if abs(l) > k])
+    ulits, uwidths = kernels.clause_arrays(universal)
+    covered = np.zeros(max(1 << k >> 6, 1), dtype=np.uint64)
+    full = (1 << min(1 << k, 64)) - 1  # a map word with every assignment covered
     solver = Solver(local, conflict_budget=conflict_budget)
-    for a in range(1 << k):
-        if last and _covers(last, a):
-            continue
-        last = next((r for r in residues if _covers(r, a)), None)
-        if last:
-            continue
+    a = 0
+    while True:
         bits = tuple(bool(a >> (k - i) & 1) for i in range(1, k + 1))
         res = solver.solve([i if b else -i for i, b in enumerate(bits, 1)])
         if res.status is Status.BUDGET:
             return "budget", None
         if res.status is Status.UNSAT:
             return "no", bits
-        # every residue clause holds under ``a``, so the units never clash
         model = res.model
-        mask = want = 0
-        wide = []
-        for pos, neg, ex in split:
-            if any(model[l] if l > 0 else not model[-l] for l in ex):
-                continue
-            lits = pos | neg
-            if lits & (lits - 1):
-                wide.append((pos, neg))
-            else:
-                mask |= lits
-                want |= pos
-        if not mask and not wide:
+        rows = [j for j, ex in enumerate(existential)
+                if not any(model[l] if l > 0 else not model[-l] for l in ex)]
+        covered |= kernels.sat_words(ulits[rows], uwidths[rows], k)
+        # the model satisfies its own residue, so every assignment up to
+        # ``a`` is covered now and the next one lies above it
+        if not int(covered[a >> 6]) >> (a & 63) & 1:
+            raise AssertionError("internal error: a witness misses its own assignment")
+        w = (a >> 6) + int(np.argmax(covered[a >> 6:] != full))
+        free = ~int(covered[w]) & full
+        if not free:
             return "yes", None
-        residues[mask, want, frozenset(wide)] = None
-    return "yes", None
+        a = 64 * w + (free & -free).bit_length() - 1
 
 
 def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:

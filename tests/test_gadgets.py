@@ -226,15 +226,17 @@ def test_allocator_freshness_audit():
 @pytest.mark.parametrize("build, message", [
     (lambda a: build_M_enforcer(a, 25, 1, 2), "port variable 25 collides"),
     (lambda a: build_M_enforcer(a, 0, 1, 2), "port variable 0 is not a variable id"),
+    (lambda a: build_M_enforcer(a, 60, True, 61), "port variable True is not a variable id"),
     (lambda a: build_Mbar_enforcer(a, 1, 51, 2), "port variable 51 collides"),
     (lambda a: build_N(a, 20), "port variable 20 collides"),
+    (lambda a: build_N(a, 2.5), "port variable 2.5 is not a variable id"),
     (lambda a: build_S(a, 1, 2, 118), "port variable 118 collides"),
     (lambda a: build_Sbar(a, -1, 2, 3), "port variable -1 is not a variable id"),
     (lambda a: build_frakM(a, [(1, -2, -3), (4, -5, -6), (7, -8, -115)]),
      "port variable 115 collides"),
     (lambda a: build_frakMbar(a, [(-1, 2, 3), (-4, 5, 30), (-7, 8, 9)]),
      "port variable 30 collides"),
-], ids=["M", "M-zero", "Mbar", "N", "S", "Sbar-negative", "frakM", "frakMbar"])
+], ids=["M", "M-zero", "M-bool", "Mbar", "N", "N-float", "S", "Sbar-negative", "frakM", "frakMbar"])
 def test_rejected_port_leaves_allocator_untouched(build, message):
     alloc = FreshVarAllocator(20)
     alloc.reserve(0, "earlier")

@@ -29,6 +29,9 @@ def assert_matches_oracle(clauses, n_vars, bounds=()):
         got = kernels.collect_sat(lits, widths, n_vars, b)
         assert [int(x) for x in got] == sat[: max(b, 0)]
     assert kernels.first_nae(lits, widths, n_vars) == (nae[0] if nae else -1)
+    words = kernels.sat_words(lits, widths, n_vars).tolist()
+    assert len(words) == max(1 << n_vars >> 6, 1)
+    assert [64 * w + b for w, word in enumerate(words) for b in range(64) if word >> b & 1] == sat
 
 
 @st.composite
@@ -65,10 +68,12 @@ def test_block_boundaries():
     assert kernels.count_sat(*odd, 17, 1 << 20) == 1 << 16
     half = (1 << 15) + 3  # every model of the first block, then 3 more
     assert kernels.collect_sat(*odd, 17, half).tolist() == list(range(1, 2 * half, 2))
+    assert kernels.sat_words(*odd, 17).tolist() == [0xAAAA_AAAA_AAAA_AAAA] * (1 << 11)
     high = kernels.clause_arrays(cnf([[17]], n_vars=17).clauses)  # models: 2**16 .. 2**17 - 1
     assert kernels.count_sat(*high, 17, 1 << 20) == 1 << 16
     assert kernels.count_sat(*high, 17, 1000) == 1000
     assert kernels.collect_sat(*high, 17, 3).tolist() == [1 << 16, (1 << 16) + 1, (1 << 16) + 2]
+    assert kernels.sat_words(*high, 17).tolist() == [0] * (1 << 10) + [(1 << 64) - 1] * (1 << 10)
     # not-all-equal: x17 != x18 and x1 != x2, so the first is x17 = x1 = 1
     nae = kernels.clause_arrays([[17, 18], [1, 2]])
     assert kernels.first_nae(*nae, 18) == (1 << 16) + 1

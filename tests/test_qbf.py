@@ -1,6 +1,7 @@
 import itertools
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,6 +249,59 @@ def test_witness_reuse_skips_solves(monkeypatch, qbf_1122_corpus):
     assert qbf_truth(q).value is QbfValue.YES
     assert len(q.universals) == 9
     assert 0 < len(calls) < 2 ** 9
+
+
+def numpy_truth(q):
+    """``brute_force_truth`` for many universals: every assignment at once
+    as numpy arrays, index ``a`` setting the i-th declared universal to bit
+    ``k - i``, so ascending indices are the lexicographic order."""
+    k = len(q.universals)
+    index = np.arange(1 << k)
+    value = {u: (index >> (k - i) & 1).astype(bool) for i, u in enumerate(q.universals, 1)}
+    extended = np.zeros(1 << k, dtype=bool)
+    for ebits in itertools.product((False, True), repeat=len(q.existentials)):
+        value.update(zip(q.existentials, ebits))
+        ok = np.ones(1 << k, dtype=bool)
+        for c in q.matrix.clauses:
+            some_true = np.zeros(1 << k, dtype=bool)
+            for l in c:
+                some_true |= value[abs(l)] == (l > 0)
+            ok &= some_true
+        extended |= ok
+    if extended.all():
+        return None
+    a = int(np.argmin(extended))
+    return {u: bool(a >> (k - i) & 1) for i, u in enumerate(q.universals, 1)}
+
+
+@pytest.mark.parametrize("failing", [(1, 9, 17), None], ids=["no", "yes"])
+def test_walk_crosses_kernel_block_boundary(monkeypatch, failing):
+    # one part with 17 universals: its 2^17 assignments fill two kernel
+    # blocks, and universal 1 picks the block.  The no-instance fails
+    # exactly when universals 1, 9 and 17 are true (index 2^16 + 2^8 + 1);
+    # in the yes-instance e = -u1, so the first witness covers the first
+    # block and the second the other.  f = true, in every model, ties all
+    # universals into one part.
+    k, e, f = 17, 18, 19
+    clauses = [[u, f] for u in range(1, k + 1)]
+    if failing:
+        clauses += [[-u for u in failing] + [e], [-u for u in failing] + [-e]]
+    else:
+        clauses += [[1, e], [-1, -e], [1, e, -f]]
+    q = Qbf2Formula(tuple(range(1, k + 1)), (e, f), cnf(clauses, n_vars=f))
+    assumed = []
+    solve = solver_module.Solver.solve
+
+    def recording_solve(self, assumptions=(), **kwargs):
+        assumed.append(sum(1 << (k - l) for l in assumptions if l > 0))
+        return solve(self, assumptions, **kwargs)
+
+    monkeypatch.setattr(solver_module.Solver, "solve", recording_solve)
+    res = qbf_truth(q)
+    alpha = numpy_truth(q)
+    assert res.value is (QbfValue.YES if alpha is None else QbfValue.NO)
+    assert res.counterexample == alpha
+    assert assumed == [0, (1 << 16) + (1 << 8) + 1 if failing else 1 << 16]
 
 
 def test_triple_copy(qbf_1122_corpus):
