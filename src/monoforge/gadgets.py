@@ -111,6 +111,8 @@ class FreshVarAllocator:
         return self._next
 
     def reserve(self, count: int, tag: str = "") -> range:
+        if count < 0:
+            raise ValueError(f"cannot reserve {count} variable ids")
         r = range(self._next, self._next + count)
         self._next += count
         self.reservations.append((tag, r))

@@ -6,11 +6,24 @@ The two-appearance all-positive instances are solved constructively: strip
 duplicated clause pairs, 4-color the co-occurrence graph of the rest, send
 two colors to true and two to false.  A clause of three distinct, pairwise
 adjacent variables then sees at least two colors, hence both truth values.
+
+The coloring is Brooks' theorem in the form of Lovász's proof ("Three short
+proofs in graph theory", J. Combin. Theory Ser. B 19, 1975).  A component
+takes the first case that applies:
+
+1. complete: one color per vertex; K5 is reported;
+2. a vertex of degree < 4: greedy in reverse breadth-first order from it,
+   so each other vertex still has its parent uncolored;
+3. a cut vertex v: each part plus v by case 2 from root v, colors swapped
+   so that v gets 0;
+4. a vertex x with non-adjacent neighbours u, w whose removal keeps the
+   rest connected: u, w share color 0, then greedy in reverse breadth-first
+   order toward x.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .formula import (
@@ -43,22 +56,13 @@ class VariableGraph:
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
 
     def components(self) -> list[list[int]]:
-        seen: set[int] = set()
+        unseen = set(self.vertices)
         out = []
         for start in self.vertices:
-            if start in seen:
-                continue
-            comp = []
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for w in sorted(self.adj[u]):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            out.append(sorted(comp))
+            if start in unseen:
+                comp = _bfs_order(self, start, unseen)
+                unseen.difference_update(comp)
+                out.append(sorted(comp))
         return out
 
 
@@ -107,120 +111,70 @@ class ColoringError(RuntimeError):
         super().__init__(message)
 
 
-def _greedy(order: list[int], adj, colors: dict[int, int]) -> None:
-    for v in order:
-        used = {colors[w] for w in adj(v) if w in colors}
-        for color in range(5):
-            if color not in used:
-                colors[v] = color
-                break
-
-
-def _bfs_order(root: int, vertices: set[int], adj) -> list[int]:
+def _bfs_order(g: VariableGraph, root: int, vertices: set[int]) -> list[int]:
+    """Breadth-first order from root within ``vertices``, neighbours ascending."""
     order = [root]
     seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj(u)):
+    for u in order:
+        for w in sorted(g.adj[u]):
             if w in vertices and w not in seen:
                 seen.add(w)
                 order.append(w)
-                queue.append(w)
     return order
 
 
-def _connected_without(vertices: set[int], adj, banned: set[int]) -> bool:
+def _connected_without(g: VariableGraph, vertices: set[int], banned: set[int]) -> bool:
     rest = vertices - banned
-    if not rest:
-        return True
-    start = min(rest)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj(u):
-            if w in rest and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == rest
+    return len(_bfs_order(g, min(rest), rest)) == len(rest)
 
 
-def _color_component(g: VariableGraph, comp: list[int]) -> dict[int, int]:
-    comp_set = set(comp)
+def _greedy(g: VariableGraph, order, colors: dict[int, int]) -> dict[int, int]:
+    """Smallest color free among each vertex's already colored neighbours."""
+    for v in order:
+        colors[v] = min({0, 1, 2, 3, 4} - {colors[w] for w in g.adj[v] if w in colors})
+    return colors
 
-    def adj(v: int):
-        return [w for w in g.adj[v] if w in comp_set]
 
-    n = len(comp)
-    colors: dict[int, int] = {}
-    if all(len(adj(v)) == n - 1 for v in comp):  # complete component
+def _color(g: VariableGraph, vertices: list[int]) -> dict[int, int]:
+    """Color the subgraph induced by a sorted connected vertex list."""
+    vset = set(vertices)
+    degree = {v: len(g.adj[v] & vset) for v in vertices}
+    n = len(vertices)
+    if all(d == n - 1 for d in degree.values()):
         if n > 4:
             raise ColoringError(
-                f"component is a complete graph on {n} > 4 vertices", comp)
-        for i, v in enumerate(comp):
-            colors[v] = i
-        return colors
+                f"component is a complete graph on {n} > 4 vertices", vertices)
+        return {v: i for i, v in enumerate(vertices)}
 
-    low = [v for v in comp if len(adj(v)) < 4]
+    low = [v for v in vertices if degree[v] < 4]
     if low:
-        # color in reverse breadth-first order from a low-degree root: every
-        # non-root still has its parent uncolored when processed
-        order = _bfs_order(low[0], comp_set, adj)
-        _greedy(list(reversed(order)), adj, colors)
+        return _greedy(g, reversed(_bfs_order(g, low[0], vset)), {})
+
+    for v in vertices:
+        if _connected_without(g, vset, {v}):
+            continue
+        colors: dict[int, int] = {}
+        rest = vset - {v}
+        while rest:
+            part = _bfs_order(g, min(rest), rest)
+            rest.difference_update(part)
+            local = _color(g, sorted([v, *part]))
+            swap = {local[v]: 0, 0: local[v]}
+            for x, color in local.items():
+                if x != v:
+                    colors[x] = swap.get(color, color)
+        colors[v] = 0
         return colors
 
-    # 4-regular. A cut vertex splits the component into parts where it has
-    # degree < 4; color the parts separately and align the cut's color.
-    for v in comp:
-        if not _connected_without(comp_set, adj, {v}):
-            parts: list[list[int]] = []
-            seen: set[int] = {v}
-            for w in comp:
-                if w in seen:
-                    continue
-                part = _bfs_order(w, comp_set - {v}, adj)
-                seen.update(part)
-                parts.append(part)
-            for part in parts:
-                sub = set(part) | {v}
-
-                def sub_adj(x: int, _sub=sub):
-                    return [w for w in g.adj[x] if w in _sub]
-
-                local: dict[int, int] = {}
-                order = _bfs_order(v, sub, sub_adj)
-                _greedy(list(reversed(order)), sub_adj, local)
-                if local[v] != 0:
-                    swap = local[v]
-                    for x in local:
-                        if local[x] == 0:
-                            local[x] = swap
-                        elif local[x] == swap:
-                            local[x] = 0
-                for x, color in local.items():
-                    if x != v:
-                        colors[x] = color
-            colors[v] = 0
-            return colors
-
-    # 2-connected, 4-regular, not complete: pick x with two non-adjacent
-    # neighbours u, w whose removal keeps the rest connected, pre-color u and
-    # w alike, then greedy toward x
-    for x in comp:
-        nx = sorted(adj(x))
+    for x in vertices:
+        nx = sorted(g.adj[x] & vset)
         for i, u in enumerate(nx):
             for w in nx[i + 1:]:
-                if w in g.adj[u]:
+                if w in g.adj[u] or not _connected_without(g, vset, {u, w}):
                     continue
-                if not _connected_without(comp_set, adj, {u, w}):
-                    continue
-                colors[u] = 0
-                colors[w] = 0
-                order = _bfs_order(x, comp_set - {u, w}, adj)
-                _greedy(list(reversed(order)), adj, colors)
-                return colors
-    raise ColoringError("no admissible splitting triple found", comp)
+                order = _bfs_order(g, x, vset - {u, w})
+                return _greedy(g, reversed(order), {u: 0, w: 0})
+    raise ColoringError("no admissible splitting triple found", vertices)
 
 
 def four_coloring(g: VariableGraph) -> dict[int, int]:
@@ -234,7 +188,7 @@ def four_coloring(g: VariableGraph) -> dict[int, int]:
             raise ColoringError(f"vertex {v} has degree {g.degree(v)} > 4")
     colors: dict[int, int] = {}
     for comp in g.components():
-        colors.update(_color_component(g, comp))
+        colors.update(_color(g, comp))
     for u in g.vertices:
         if colors[u] > 3:
             raise ColoringError(f"internal error: vertex {u} got color {colors[u]}")
@@ -263,20 +217,13 @@ def nae_solve_e2(f: CnfFormula) -> Assignment:
     values x=T, y=F, z=F.  A coloring failure is surfaced, never patched.
     """
     stripped, removed = strip_trivial_pairs(f)
-    touched = {abs(l) for c in stripped.clauses for l in c}
-    g = variable_graph(stripped)
-    core = VariableGraph(
-        tuple(sorted(touched)), {v: g.adj[v] for v in sorted(touched)}
-    )
-    colors = four_coloring(core)
-    assignment: Assignment = {v: colors[v] < 2 for v in touched}
-    for c in removed:
+    colors = four_coloring(variable_graph(stripped))
+    assignment: Assignment = {v: color < 2 for v, color in colors.items()}
+    for c in removed:  # stripped-pair variables are isolated vertices
         x, y, z = sorted({abs(l) for l in c})
         assignment[x] = True
         assignment[y] = False
         assignment[z] = False
-    for v in range(1, f.n_vars + 1):
-        assignment.setdefault(v, False)
     if not is_nae_satisfied(f, assignment):
         raise ColoringError("internal error: constructed assignment is not nae-satisfying")
     return assignment

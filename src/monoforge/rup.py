@@ -239,18 +239,20 @@ class _Propagator:
 
 
 def verify_rup(f: CnfFormula, proof: RupProof) -> RupCheck:
-    """Replay a proof: every add step must be RUP, and the empty clause derived."""
-    max_var = f.n_vars
-    for s in proof.steps:
-        for l in s.lits:
-            max_var = max(max_var, abs(l))
-    eng = _Propagator(max_var)
+    """Replay a proof: every add step must be RUP, and the empty clause derived.
+
+    A step naming a variable outside the formula's 1..n_vars is rejected.
+    """
+    eng = _Propagator(f.n_vars)
     for c in f.clauses:
         eng.add(c)
     if not eng._propagate():
         eng.root_conflict = True
     empty_derived = False
     for i, step in enumerate(proof.steps):
+        if any(not 1 <= abs(l) <= f.n_vars for l in step.lits):
+            return RupCheck(False, i, f"step {i} names a variable outside 1..{f.n_vars}: "
+                                      f"{step.text()}")
         if step.delete:
             eng.delete(step.lits)
             continue

@@ -113,13 +113,18 @@ class Solver:
         Literals are signed variable ids in 1..n_vars.  With ``trace=True`` the
         clause is a premise of any later proof, not a step of it.
         """
-        clause = tuple(clause)
-        for e in clause:
-            if not isinstance(e, int) or isinstance(e, bool) or not 1 <= abs(e) <= self.n:
-                raise ValueError(f"literal {e!r} out of range 1..{self.n}")
+        clause = self._checked(clause)
         self._backtrack(0)
         self.added.append(clause)
         self._intake(clause)
+
+    def _checked(self, lits: Iterable[int]) -> tuple[int, ...]:
+        """The literals as a tuple, each a signed variable id in 1..n_vars."""
+        lits = tuple(lits)
+        for e in lits:
+            if not isinstance(e, int) or isinstance(e, bool) or not 1 <= abs(e) <= self.n:
+                raise ValueError(f"literal {e!r} out of range 1..{self.n}")
+        return lits
 
     def _intake(self, clause: Iterable[int]) -> None:
         """The one clause path: collapse duplicates, drop tautologies, watch.
@@ -342,6 +347,7 @@ class Solver:
         tracing and no assumptions are involved), or BUDGET once the conflict
         budget is exhausted.  UNSAT under assumptions carries no proof.
         """
+        assume = [_ilit(e) for e in self._checked(assumptions)]
         used = 0
         if self.root_conflict:
             return self._result_unsat(0)
@@ -354,10 +360,6 @@ class Solver:
             elif not self._lit_true(u):
                 self.root_conflict = True
                 return self._result_unsat(0)
-        assume = [_ilit(e) for e in assumptions]
-        for i in assume:
-            if not 1 <= (i >> 1) <= self.n:
-                raise ValueError(f"assumption variable {i >> 1} out of range")
         restart_since = 0
         restart_idx = 1
         threshold = _luby(restart_idx) * _RESTART_BASE

@@ -92,6 +92,16 @@ def test_rup_check_rejects(tmp_path, capsys):
     assert code == 20 and "rejected" in err
 
 
+def test_rup_check_rejects_variable_outside_formula(tmp_path, capsys):
+    f = tmp_path / "f.cnf"
+    f.write_text("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+    proof = tmp_path / "p.rup"
+    proof.write_text("1 3 0\n1 0\n0\n")
+    code, out, err = run(capsys, "rup-check", "--in", str(f), "--proof", str(proof))
+    assert (code, out) == (20, "")
+    assert err == "proof rejected: step 0 names a variable outside 1..2: 1 3 0\n"
+
+
 def test_count(capsys, tmp_path):
     f = tmp_path / "f.cnf"
     f.write_text("p cnf 3 1\n1 2 3 0\n")

@@ -223,6 +223,17 @@ def test_allocator_freshness_audit():
     assert set(b.fresh_vars.values()) & set(c.fresh_vars.values()) == set()
 
 
+def test_allocator_rejects_negative_count():
+    alloc = FreshVarAllocator(10)
+    assert alloc.reserve(5, "a") == range(10, 15)
+    with pytest.raises(ValueError, match="cannot reserve -3"):
+        alloc.reserve(-3, "b")
+    assert alloc.reserve(0, "c") == range(15, 15)
+    assert alloc.reserve(4, "d") == range(15, 19)
+    assert alloc.reservations == [("a", range(10, 15)), ("c", range(15, 15)),
+                                  ("d", range(15, 19))]
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda a: build_M_enforcer(a, 25, 1, 2), "port variable 25 collides"),
     (lambda a: build_M_enforcer(a, 0, 1, 2), "port variable 0 is not a variable id"),

@@ -1,5 +1,6 @@
 import pytest
 
+import corpus
 from monoforge.formula import InvalidInstanceError, cnf, negate_formula, satisfies
 from monoforge.gadgets import build_U_NAE
 from monoforge.kernels import clause_arrays, first_nae
@@ -85,32 +86,14 @@ def test_four_coloring_rejects_k5_and_high_degree():
 
 def test_four_coloring_4regular_two_connected():
     # the 4-regular octahedron is not complete; the splitting-triple branch
-    octahedron = {
-        1: {2, 3, 4, 5}, 2: {1, 3, 5, 6}, 3: {1, 2, 4, 6},
-        4: {1, 3, 5, 6}, 5: {1, 2, 4, 6}, 6: {2, 3, 4, 5},
-    }
-    g = VariableGraph(tuple(range(1, 7)), {v: frozenset(s) for v, s in octahedron.items()})
-    colors = four_coloring(g)
+    colors = four_coloring(corpus.octahedron())
     assert max(colors.values()) <= 3
 
 
 def test_four_coloring_4regular_with_cut_vertex():
     # two complete-minus-an-edge blocks glued through one vertex: 4-regular
-    # with a cut vertex, which the split-and-align branch handles
-    adj = {v: set() for v in range(1, 12)}
-
-    def add(u, w):
-        adj[u].add(w)
-        adj[w].add(u)
-
-    for block, missing in (((1, 2, 3, 4, 5), (4, 5)), ((6, 7, 8, 9, 10), (9, 10))):
-        for i, u in enumerate(block):
-            for w in block[i + 1:]:
-                if {u, w} != set(missing):
-                    add(u, w)
-    for w in (4, 5, 9, 10):
-        add(11, w)
-    g = VariableGraph(tuple(range(1, 12)), {v: frozenset(s) for v, s in adj.items()})
+    # with a cut vertex, which the recursive cut-vertex branch handles
+    g = corpus.cut_vertex_graph()
     assert all(g.degree(v) == 4 for v in g.vertices)
     colors = four_coloring(g)
     assert max(colors.values()) <= 3
@@ -187,3 +170,36 @@ def test_solve_complement_closed_reports_class_rules():
 def test_graph_edge_text():
     text = graph_edge_text(variable_graph(cnf([[1, 2, 3]])))
     assert text == "1 2\n1 3\n2 3\n"
+
+
+def assert_proper(g, colors):
+    assert sorted(colors) == sorted(g.vertices)
+    for u in g.vertices:
+        assert colors[u] in (0, 1, 2, 3)
+        for w in g.adj[u]:
+            assert colors[u] != colors[w], (u, w)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_four_coloring_property(seed):
+    for k in range(25):
+        g = corpus.random_degree4_graph(6 + (seed * 25 + k) % 45, seed * 25 + k)
+        assert_proper(g, four_coloring(g))
+    for blocks in range(2, 7):
+        for size in (5, 6 + (seed + blocks) % 7):
+            g = corpus.glued_chain(blocks, seed * 10 + blocks, size)
+            assert all(g.degree(v) == 4 for v in g.vertices)
+            assert_proper(g, four_coloring(g))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_four_coloring_reports_k5_component(seed):
+    chain = corpus.glued_chain(2 + seed, seed)
+    n = len(chain.vertices)
+    adj = dict(chain.adj)
+    k5 = list(range(n + 1, n + 6))
+    adj.update({v: frozenset(set(k5) - {v}) for v in k5})
+    g = VariableGraph(tuple(range(1, n + 6)), adj)
+    with pytest.raises(ColoringError) as err:
+        four_coloring(g)
+    assert err.value.component == k5

@@ -1,5 +1,5 @@
-"""Byte-level pins of the transformation outputs, the builders' outputs and
-the CLI's validation messages.
+"""Byte-level pins of the transformation outputs, the builders' outputs, the
+NAE solver's colorings and the CLI's validation messages.
 
 Each digest covers everything a transformation returns: the clauses and
 ``n_vars`` of the formula, the quantifier blocks, and, for the reductions,
@@ -25,6 +25,7 @@ from monoforge.generate import (
     random_mono_nae_e2,
 )
 from monoforge.miner import MinerConfig, mine, swap_move
+from monoforge.nae import four_coloring, nae_solve_e2
 from monoforge.qbf import monotonize, transform_1122, transform_2222, triple_copy
 from monoforge.reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
 
@@ -318,3 +319,27 @@ def test_builder_output_digest(capsys, name):
     else:
         rows = _generator_rows(name)
     assert _digest(rows) == BUILDER_DIGESTS[name]
+
+
+# -- the constructive NAE solver and the 4-colouring under it -------------------
+
+def _nae_rows(name):
+    if name == "nae_solve_e2":
+        return [sorted(nae_solve_e2(random_mono_nae_e2(n, seed)).items())
+                for n in range(6, 61, 3) for seed in range(8)]
+    graphs = [corpus.octahedron(), corpus.cut_vertex_graph()]
+    graphs += [corpus.random_degree4_graph(6 + seed, seed) for seed in range(12)]
+    graphs += [corpus.glued_chain(blocks, seed, size) for blocks, seed, size in
+               ((2, 0, 5), (3, 1, 5), (4, 2, 5), (3, 3, 8), (4, 4, 11))]
+    return [sorted(four_coloring(g).items()) for g in graphs]
+
+
+NAE_DIGESTS = {
+    "nae_solve_e2": "58159d472eda34077a1b63762c75c48ac1a064c521289dcb01c603da61767559",
+    "four_coloring": "1d24db32417546fffc5d1506e48aa561e88100b69474543372a24272804106c7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAE_DIGESTS))
+def test_nae_output_digest(name):
+    assert _digest(_nae_rows(name)) == NAE_DIGESTS[name]

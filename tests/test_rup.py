@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from monoforge import refdata
@@ -57,6 +59,29 @@ def test_deleting_absent_clause_is_ignored():
     y = build_y_core()
     lines = ["d 1 2 3 4 5 0"] + list(refdata.Y_CORE_PROOF_LINES)
     assert verify_rup(y, parse_rup(lines))
+
+
+@pytest.mark.parametrize("lines, bad", [
+    (["1 3 0", "1 0", "0"], 0),  # a RUP weakening by a variable the formula lacks
+    (["1 0", "-7 0", "0"], 1),
+    (["d 1 7 0", "1 0", "0"], 0),
+])
+def test_step_outside_formula_variables_rejected(lines, bad):
+    f = cnf([[1, 2], [1, -2], [-1, 2], [-1, -2]])
+    check = verify_rup(f, parse_rup(lines))
+    assert not check.ok and check.failed_step == bad
+    assert "outside 1..2" in check.message
+
+
+def test_proof_literals_do_not_size_the_checker():
+    tracemalloc.start()
+    try:
+        check = verify_rup(cnf([[1]]), parse_rup(["1000000 0", "0"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not check.ok and check.failed_step == 0
+    assert peak < 1_000_000
 
 
 def test_deletions_matter_for_later_steps():

@@ -202,6 +202,15 @@ def test_add_clause_rejects_bad_literals():
     assert s.added == [] and s.solve().status is Status.SAT
 
 
+def test_solve_rejects_bad_assumptions():
+    # the same literal check as add_clause, before any solver state moves
+    s = Solver(cnf([[1, 2]]))
+    for bad in ([True], [1.5], [3], [0], [-3]):
+        with pytest.raises(ValueError, match=r"literal .* out of range 1\.\.2"):
+            s.solve(bad)
+    assert s.solve([-1]).model == {1: False, 2: True}
+
+
 def test_model_check_covers_added_clauses():
     solver = Solver(cnf([[1, 2]], n_vars=2))
     solver.added += [(1,), (-1,)]  # recorded, but never watched
