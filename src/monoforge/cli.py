@@ -7,6 +7,7 @@ UNSAT / no, 20 for a validation failure, 1 for usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -83,33 +84,42 @@ def _write_text(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {path}: {e}") from None
 
 
-def _load_formula(path: str, fmt: str) -> CnfFormula:
-    text = _read_text(path)
+_READERS = {
+    "dimacs": fileio.read_dimacs,
+    "list": fileio.read_clause_list,
+    "json": fileio.formula_from_json,
+}
+_WRITERS = {
+    "dimacs": fileio.write_dimacs,
+    "list": lambda f: fileio.write_clause_list(f) + "\n",
+    "json": lambda f: fileio.formula_to_json(f) + "\n",
+}
+
+# Input that declares more variables is refused before any layer sizes an
+# array by n_vars; the largest instance the tools use has about 12.5k.
+_MAX_VARS = 1 << 20
+
+
+def _check_size(n_vars: int) -> None:
+    if n_vars > _MAX_VARS:
+        raise CliError(f"input declares {n_vars} variables; the limit is {_MAX_VARS}")
+
+
+def _load_formula(args) -> CnfFormula:
+    """The formula named by ``--in``, read as ``--format`` (``auto`` picks by
+    the first non-blank character: '[' list, '{' json, else dimacs)."""
+    text = _read_text(args.input)
+    fmt = args.format
     if fmt == "auto":
-        stripped = text.lstrip()
-        if stripped.startswith("["):
-            fmt = "list"
-        elif stripped.startswith("{"):
-            fmt = "json"
-        else:
-            fmt = "dimacs"
-    if fmt == "dimacs":
-        return fileio.read_dimacs(text)
-    if fmt == "list":
-        return fileio.read_clause_list(text)
-    if fmt == "json":
-        return fileio.formula_from_json(text)
-    raise CliError(f"unknown format {fmt!r}")
+        fmt = {"[": "list", "{": "json"}.get(text.lstrip()[:1], "dimacs")
+    f = _READERS[fmt](text)
+    _check_size(f.n_vars)
+    return f
 
 
-def _dump_formula(f: CnfFormula, fmt: str) -> str:
-    if fmt == "dimacs":
-        return fileio.write_dimacs(f)
-    if fmt == "list":
-        return fileio.write_clause_list(f) + "\n"
-    if fmt == "json":
-        return fileio.formula_to_json(f) + "\n"
-    raise CliError(f"unknown format {fmt!r}")
+def _signed(a, variables) -> str:
+    """``variables`` as signed literals under assignment ``a``, space-separated."""
+    return " ".join(str(v if a.get(v) else -v) for v in variables)
 
 
 _CLASS_NAMES = {c.value: c for c in InstanceClass}
@@ -133,54 +143,44 @@ _PORT_GADGETS = {
     "N": (build_N, 1),
     "S": (build_S, 3),
     "Sbar": (build_Sbar, 3),
-    "frakM": (build_frakM, 9),
-    "frakMbar": (build_frakMbar, 9),
+    # nine ports make three mixed triples: (x, -y, -z) for frakM, negated for frakMbar
+    "frakM": (lambda alloc, *p: build_frakM(alloc, [(p[i], -p[i + 1], -p[i + 2])
+                                                    for i in (0, 3, 6)]), 9),
+    "frakMbar": (lambda alloc, *p: build_frakMbar(alloc, [(-p[i], p[i + 1], p[i + 2])
+                                                          for i in (0, 3, 6)]), 9),
 }
+
+_QBF_GADGETS = {"Q3": build_Q3, "Q1mon": build_Q1mon}
 
 
 def _cmd_gadget(args) -> int:
-    name = args.name
-    if name in ("Q3", "Q1mon"):
-        if args.ports:
-            raise CliError(f"gadget {name} takes no ports")
-        q = (build_Q3 if name == "Q3" else build_Q1mon)(FreshVarAllocator(1))
-        _write_text(args.out, write_qdimacs(q))
-        return EXIT_OK
-    if name in _PLAIN_GADGETS:
-        if args.ports:
-            raise CliError(f"gadget {name} takes no ports")
-        f = _PLAIN_GADGETS[name]()
-        _write_text(args.out, _dump_formula(f, args.format))
-        return EXIT_OK
+    name, ports = args.name, args.ports or []
     if name in _PORT_GADGETS:
         build, arity = _PORT_GADGETS[name]
-        ports = args.ports or []
         if len(ports) != arity:
             raise CliError(f"gadget {name} needs exactly {arity} port variables")
         if any(p < 1 for p in ports):
             raise CliError("port variables are positive integers")
-        alloc = FreshVarAllocator(max(ports) + 1)
         try:
-            if name in ("frakM", "frakMbar"):
-                sign = 1 if name == "frakM" else -1
-                triple = [
-                    (sign * ports[i], -sign * ports[i + 1], -sign * ports[i + 2])
-                    for i in (0, 3, 6)
-                ]
-                inst = build(alloc, triple)
-            else:
-                inst = build(alloc, *ports)
+            f = build(FreshVarAllocator(max(ports) + 1), *ports).formula
         except ValueError as e:
             raise CliError(str(e)) from None
-        _write_text(args.out, _dump_formula(inst.formula, args.format))
+    elif name not in _PLAIN_GADGETS and name not in _QBF_GADGETS:
+        raise CliError(f"unknown gadget {name!r}; choices: " + ", ".join(
+            sorted(_PLAIN_GADGETS) + sorted(_PORT_GADGETS) + list(_QBF_GADGETS)))
+    elif ports:
+        raise CliError(f"gadget {name} takes no ports")
+    elif name in _QBF_GADGETS:
+        _write_text(args.out, write_qdimacs(_QBF_GADGETS[name](FreshVarAllocator(1))))
         return EXIT_OK
-    raise CliError(
-        f"unknown gadget {name!r}; choices: "
-        + ", ".join(sorted(_PLAIN_GADGETS) + sorted(_PORT_GADGETS) + ["Q3", "Q1mon"]))
+    else:
+        f = _PLAIN_GADGETS[name]()
+    _write_text(args.out, _WRITERS[args.format](f))
+    return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    f = _load_formula(args.input, args.format)
+    f = _load_formula(args)
     report = validate_class(f, _CLASS_NAMES[args.cls])
     if not report.verdict:
         raise InvalidInstanceError(report, f"{args.cls} input")
@@ -189,16 +189,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    f = _load_formula(args.input, args.format)
+    f = _load_formula(args)
     res = solve(f, trace=args.trace is not None, conflict_budget=args.budget)
     if res.status is Status.BUDGET:
         print("budget exhausted", file=sys.stderr)
         return EXIT_ERROR
     if res.status is Status.SAT:
-        model = res.model or {}
-        lits = [v if model.get(v) else -v for v in range(1, f.n_vars + 1)]
         print("s SATISFIABLE")
-        print("v " + " ".join(str(l) for l in lits) + " 0")
+        print("v " + _signed(res.model or {}, range(1, f.n_vars + 1)) + " 0")
         return EXIT_OK
     print("s UNSATISFIABLE")
     if args.trace is not None and res.proof is not None:
@@ -207,7 +205,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    f = _load_formula(args.input, args.format)
+    f = _load_formula(args)
     try:
         mc = count_models(f, cap=args.cap)
     except ValueError as e:
@@ -218,12 +216,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_rup_check(args) -> int:
-    f = _load_formula(args.input, args.format)
-    try:
-        proof = parse_rup(_read_text(args.proof))
-    except RupParseError as e:
-        raise CliError(str(e)) from None
-    check = verify_rup(f, proof)
+    f = _load_formula(args)
+    check = verify_rup(f, parse_rup(_read_text(args.proof)))
     if check.ok:
         print("proof verified")
         return EXIT_OK
@@ -232,30 +226,21 @@ def _cmd_rup_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    f = _load_formula(args.input, args.format)
+    f = _load_formula(args)
     if args.source == "star22":
         out = reduce_star22_to_mono22(f)
     else:
         out = reduce_3sat22_to_mono22(f)
-    _write_text(args.out, _dump_formula(out.formula, args.out_format))
+    _write_text(args.out, _WRITERS[args.out_format](out.formula))
     if args.provenance:
-        payload = {
-            "stats": {
-                "vars_added": out.stats.vars_added,
-                "clauses_added": out.stats.clauses_added,
-                "enforcers_used": out.stats.enforcers_used,
-            },
-            "clauses": out.provenance_json(),
-        }
+        payload = {"stats": dataclasses.asdict(out.stats), "clauses": out.provenance_json()}
         _write_text(args.provenance, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_qbf(args) -> int:
-    try:
-        q = read_qdimacs(_read_text(args.input))
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    q = read_qdimacs(_read_text(args.input))
+    _check_size(q.matrix.n_vars)
     if args.action == "check":
         res = qbf_truth(q, conflict_budget=args.budget)
         if res.value is QbfValue.BUDGET:
@@ -264,10 +249,8 @@ def _cmd_qbf(args) -> int:
         if res.value is QbfValue.YES:
             print("yes")
             return EXIT_OK
-        cex = res.counterexample or {}
-        lits = [v if cex.get(v) else -v for v in q.universals]
         print("no")
-        print("counterexample: " + " ".join(str(l) for l in lits))
+        print("counterexample: " + _signed(res.counterexample or {}, q.universals))
         return EXIT_UNSAT
     out = transform_1122(q) if args.action == "transform-1122" else transform_2222(q)
     _write_text(args.out, write_qdimacs(out))
@@ -275,14 +258,12 @@ def _cmd_qbf(args) -> int:
 
 
 def _cmd_nae(args) -> int:
-    f = _load_formula(args.input, args.format)
+    f = _load_formula(args)
     if args.action == "graph":
         _write_text(args.out, graph_edge_text(variable_graph(f)))
         return EXIT_OK
     if args.action == "solve":
-        a = nae_solve_e2(f)
-        lits = [v if a[v] else -v for v in range(1, f.n_vars + 1)]
-        print("v " + " ".join(str(l) for l in lits) + " 0")
+        print("v " + _signed(nae_solve_e2(f), range(1, f.n_vars + 1)) + " 0")
         return EXIT_OK
     # check: read an assignment (one line of signed literals) and test it
     if not args.assignment:
@@ -331,46 +312,40 @@ def _cmd_mine(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="monoforge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    formula_in = argparse.ArgumentParser(add_help=False)
+    formula_in.add_argument("--in", dest="input", default="-")
+    formula_in.add_argument("--format", choices=("auto", *_READERS), default="auto")
 
     g = sub.add_parser("gadget", help="emit a named gadget or instance")
     g.add_argument("name")
     g.add_argument("--ports", type=int, nargs="*", default=None,
                    help="port variable ids for enforcer gadgets")
-    g.add_argument("--format", choices=("dimacs", "list", "json"), default="dimacs")
+    g.add_argument("--format", choices=tuple(_WRITERS), default="dimacs")
     g.add_argument("--out", default=None)
     g.set_defaults(fn=_cmd_gadget)
 
-    v = sub.add_parser("validate", help="check membership in an instance class")
+    v = sub.add_parser("validate", parents=[formula_in],
+                       help="check membership in an instance class")
     v.add_argument("--class", dest="cls", required=True, choices=sorted(_CLASS_NAMES))
-    v.add_argument("--in", dest="input", default="-")
-    v.add_argument("--format", choices=("auto", "dimacs", "list", "json"), default="auto")
     v.set_defaults(fn=_cmd_validate)
 
-    s = sub.add_parser("solve", help="decide satisfiability")
-    s.add_argument("--in", dest="input", default="-")
-    s.add_argument("--format", choices=("auto", "dimacs", "list", "json"), default="auto")
+    s = sub.add_parser("solve", parents=[formula_in], help="decide satisfiability")
     s.add_argument("--budget", type=int, default=1_000_000)
     s.add_argument("--trace", default=None, help="write a clause-addition proof here on UNSAT")
     s.set_defaults(fn=_cmd_solve)
 
-    c = sub.add_parser("count", help="count satisfying assignments")
-    c.add_argument("--in", dest="input", default="-")
-    c.add_argument("--format", choices=("auto", "dimacs", "list", "json"), default="auto")
+    c = sub.add_parser("count", parents=[formula_in], help="count satisfying assignments")
     c.add_argument("--cap", type=int, default=None)
     c.set_defaults(fn=_cmd_count)
 
-    r = sub.add_parser("rup-check", help="replay a clause-addition proof")
-    r.add_argument("--in", dest="input", default="-")
-    r.add_argument("--format", choices=("auto", "dimacs", "list", "json"), default="auto")
+    r = sub.add_parser("rup-check", parents=[formula_in], help="replay a clause-addition proof")
     r.add_argument("--proof", required=True)
     r.set_defaults(fn=_cmd_rup_check)
 
-    d = sub.add_parser("reduce", help="run a hardness reduction")
+    d = sub.add_parser("reduce", parents=[formula_in], help="run a hardness reduction")
     d.add_argument("--from", dest="source", required=True, choices=("star22", "3sat22"))
-    d.add_argument("--in", dest="input", default="-")
-    d.add_argument("--format", choices=("auto", "dimacs", "list", "json"), default="auto")
     d.add_argument("--out", default=None)
-    d.add_argument("--out-format", choices=("dimacs", "list", "json"), default="dimacs")
+    d.add_argument("--out-format", choices=tuple(_WRITERS), default="dimacs")
     d.add_argument("--provenance", default=None)
     d.set_defaults(fn=_cmd_reduce)
 
@@ -381,10 +356,8 @@ def build_parser() -> _Parser:
     q.add_argument("--budget", type=int, default=1_000_000)
     q.set_defaults(fn=_cmd_qbf)
 
-    n = sub.add_parser("nae", help="not-all-equal tools")
+    n = sub.add_parser("nae", parents=[formula_in], help="not-all-equal tools")
     n.add_argument("action", choices=("solve", "graph", "check"))
-    n.add_argument("--in", dest="input", default="-")
-    n.add_argument("--format", choices=("auto", "dimacs", "list", "json"), default="auto")
     n.add_argument("--out", default=None)
     n.add_argument("--assignment", default=None, help="file of signed literals for 'check'")
     n.set_defaults(fn=_cmd_nae)
@@ -412,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, fileio.ParseError) as e:
+    except (CliError, fileio.ParseError, RupParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except InvalidInstanceError as e:

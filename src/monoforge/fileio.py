@@ -164,7 +164,9 @@ def formula_from_json(text: str) -> CnfFormula:
         for v, name in obj["symbols"].items():
             if not v.isdecimal() or not 1 <= int(v) <= n_vars:
                 raise ParseError(f"symbol key {v!r} is not a variable in 1..{n_vars}")
-            symbols[int(v)] = str(name)
+            if not isinstance(name, str):
+                raise ParseError(f"symbol name for variable {v} is not a string: {name!r}")
+            symbols[int(v)] = name
     dup = obj.get("allows_duplicate_literals", _needs_dup_flag(clauses))
     if not isinstance(dup, bool):
         raise ParseError("allows_duplicate_literals must be true or false")

@@ -24,7 +24,7 @@ from .formula import (
     occurrence_profile,
 )
 from .generate import GenerationError, random_mono_22
-from .models import count_models
+from .models import DENSE_VAR_LIMIT, count_models
 
 
 class MinerConfigError(ValueError):
@@ -43,6 +43,9 @@ class MinerConfig:
     initial: CnfFormula | None = None  # optional explicit starting candidate
 
     def __post_init__(self) -> None:
+        if self.n_vars > DENSE_VAR_LIMIT:
+            raise MinerConfigError(
+                f"the miner counts models exactly: n_vars must be at most {DENSE_VAR_LIMIT}")
         if self.initial is not None:
             if self.initial.n_vars != self.n_vars or self.initial.m != self.n_clauses:
                 raise MinerConfigError("initial candidate does not match n_vars/n_clauses")

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .fileio import ParseError, _parse_dimacs
+from .fileio import ParseError, _parse_dimacs, write_dimacs
 from .formula import (
     Assignment,
     CnfFormula,
@@ -409,11 +409,8 @@ def read_qdimacs(text: str) -> Qbf2Formula:
 
 
 def write_qdimacs(q: Qbf2Formula) -> str:
-    lines = [f"p cnf {q.matrix.n_vars} {q.matrix.m}"]
-    if q.universals:
-        lines.append("a " + " ".join(str(v) for v in q.universals) + " 0")
-    if q.existentials:
-        lines.append("e " + " ".join(str(v) for v in q.existentials) + " 0")
-    for c in q.matrix.clauses:
-        lines.append(" ".join(str(l) for l in c) + " 0")
-    return "\n".join(lines) + "\n"
+    """The matrix as DIMACS with the nonempty quantifier blocks after the header."""
+    header, body = write_dimacs(q.matrix).split("\n", 1)
+    prefix = "".join(f"{kind} {' '.join(map(str, block))} 0\n"
+                     for kind, block in (("a", q.universals), ("e", q.existentials)) if block)
+    return f"{header}\n{prefix}{body}"

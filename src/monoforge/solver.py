@@ -101,7 +101,6 @@ class Solver:
         self.seen = bytearray(n + 1)
         self.root_conflict = False
         self.pending_units: list[int] = []
-        self.total_conflicts = 0
         self.added: list[tuple[int, ...]] = []
 
         for c in formula.clauses:
@@ -368,7 +367,6 @@ class Solver:
             confl = self._propagate()
             if confl >= 0:
                 used += 1
-                self.total_conflicts += 1
                 if not self.trail_lim:
                     self.root_conflict = True
                     return self._result_unsat(used)

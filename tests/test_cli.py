@@ -258,6 +258,15 @@ def test_mine_command(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_mine_refuses_more_variables_than_exact_counting_takes(capsys):
+    for n in (24, 300):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mine", "--vars", str(n), "--clauses", str(4 * n // 3))
+        assert (code, out) == (1, "")
+        assert err == "error: the miner counts models exactly: n_vars must be at most 22\n"
+        assert time.perf_counter() - start < 1.0
+
+
 def test_selftest_command(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -317,3 +326,34 @@ def test_nae_check_accepts_v_line_and_rejects_junk(tmp_path, capsys):
     assignment.write_text("v x\n")
     code, _, err = run(capsys, "nae", "check", "--in", str(f), "--assignment", str(assignment))
     assert code == 1 and "invalid literal" in err
+
+
+OVERSIZED = {
+    "dimacs": "p cnf 30000000 0\n",
+    "list": "[[30000000]]",
+    "json": '{"n_vars": 30000000, "clauses": []}',
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--class", "3sat22"],
+    ["solve"],
+    ["count"],
+    ["rup-check", "--proof", "p.rup"],
+    ["reduce", "--from", "3sat22"],
+    ["nae", "solve"],
+    ["nae", "graph"],
+    ["nae", "check", "--assignment", "p.rup"],
+    ["qbf", "check"],
+    ["qbf", "transform-1122"],
+    ["qbf", "transform-2222"],
+], ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("--")))
+def test_oversized_input_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.rup").write_text("0\n")
+    formats = ["dimacs"] if argv[0] == "qbf" else list(OVERSIZED)
+    for fmt in formats:
+        (tmp_path / "big").write_text(OVERSIZED[fmt])
+        code, out, err = run(capsys, *argv, "--in", "big")
+        assert (code, out) == (1, ""), fmt
+        assert err == "error: input declares 30000000 variables; the limit is 1048576\n", fmt

@@ -117,6 +117,10 @@ def test_json_mirror_errors():
     ('{"n_vars": 2, "clauses": [[1], [0]]}', "clause 1: zero literal"),
     ('{"n_vars": 2, "clauses": [[1]], "symbols": {"x": "a"}}', "symbol key 'x'"),
     ('{"n_vars": 2, "clauses": [[1]], "symbols": {"3": "a"}}', "symbol key '3'"),
+    ('{"n_vars": 2, "clauses": [[1, 2]], "symbols": {"1": null}}',
+     "symbol name for variable 1 is not a string: None"),
+    ('{"n_vars": 2, "clauses": [[1, 2]], "symbols": {"2": ["b"]}}',
+     r"symbol name for variable 2 is not a string: \['b'\]"),
     ('{"n_vars": true, "clauses": [[1]]}', "n_vars"),
     ('{"n_vars": 2, "clauses": [[1]], "allows_duplicate_literals": "no"}', "true or false"),
 ])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monoforge.formula import InstanceClass, occurrence_profile, validate_class
+from monoforge.formula import InstanceClass, cnf, occurrence_profile, validate_class
 from monoforge.gadgets import build_y_core
 from monoforge.miner import (
     MinerConfig,
@@ -24,6 +24,14 @@ def test_config_budget_validation():
         MinerConfig(n_vars=9, n_clauses=13)
     with pytest.raises(MinerConfigError):
         MinerConfig(n_vars=9, n_clauses=12, initial=build_y_core())
+
+
+def test_config_refuses_more_variables_than_exact_counting_takes():
+    MinerConfig(n_vars=21, n_clauses=28)
+    with pytest.raises(MinerConfigError, match="at most 22"):
+        MinerConfig(n_vars=24, n_clauses=32)
+    with pytest.raises(MinerConfigError, match="at most 22"):
+        MinerConfig(n_vars=24, n_clauses=1, initial=cnf([[1, 2, 3]], n_vars=24))
 
 
 def test_random_candidate_validity_and_determinism():

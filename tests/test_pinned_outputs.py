@@ -1,5 +1,6 @@
 """Byte-level pins of the transformation outputs, the builders' outputs, the
-NAE solver's colorings and the CLI's validation messages.
+NAE solver's colorings, the CLI's validation messages and, for every
+subcommand, the CLI's stdout, stderr, exit code and written files.
 
 Each digest covers everything a transformation returns: the clauses and
 ``n_vars`` of the formula, the quantifier blocks, and, for the reductions,
@@ -17,6 +18,7 @@ import pytest
 import corpus
 from monoforge import gadgets
 from monoforge.cli import _PLAIN_GADGETS, _PORT_GADGETS, main
+from monoforge.fileio import formula_to_json, write_clause_list, write_dimacs
 from monoforge.generate import (
     random_3sat22,
     random_balanced_qbf,
@@ -26,7 +28,7 @@ from monoforge.generate import (
 )
 from monoforge.miner import MinerConfig, mine, swap_move
 from monoforge.nae import four_coloring, nae_solve_e2
-from monoforge.qbf import monotonize, transform_1122, transform_2222, triple_copy
+from monoforge.qbf import monotonize, transform_1122, transform_2222, triple_copy, write_qdimacs
 from monoforge.reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
 
 
@@ -343,3 +345,81 @@ NAE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(NAE_DIGESTS))
 def test_nae_output_digest(name):
     assert _digest(_nae_rows(name)) == NAE_DIGESTS[name]
+
+
+# -- the CLI front end: every subcommand's bytes, exit code and written files ---
+
+def _cli_inputs():
+    """File name -> text of the fixed inputs the pinned CLI runs read."""
+    sat = random_3sat22(6, 1)
+    return {
+        "sat.cnf": "p cnf 3 2\n1 2 0\n-1 3 0\n",
+        "y.cnf": write_dimacs(gadgets.build_y_core()),
+        "bad.rup": "1 0\n0\n",
+        "three.cnf": "p cnf 3 1\n1 2 3 0\n",
+        "mixed.cnf": "p cnf 3 1\n1 -2 3 0\n",
+        "u.cnf": write_dimacs(gadgets.build_U()),
+        "star.cnf": write_dimacs(random_mono_3sat_star22(6, 1)),
+        "sat22.cnf": write_dimacs(sat),
+        "sat22.list": write_clause_list(sat),
+        "sat22.json": formula_to_json(sat),
+        "yes.qdimacs": write_qdimacs(corpus.qbf_1122_corpus()[0]),
+        "no.qdimacs": write_qdimacs(corpus.qbf_2222_corpus()[3]),
+        "nae.cnf": write_dimacs(random_mono_nae_e2(9, 2)),
+    }
+
+
+# (argv, files the run writes)
+CLI_RUNS = [
+    (["solve", "--in", "sat.cnf"], []),
+    (["solve", "--in", "y.cnf", "--trace", "y.rup"], ["y.rup"]),
+    (["count", "--in", "three.cnf"], []),
+    (["count", "--in", "three.cnf", "--cap", "3"], []),
+    (["validate", "--class", "mono3sat22", "--in", "u.cnf"], []),
+    (["validate", "--class", "mono3sat22", "--in", "mixed.cnf"], []),
+    (["rup-check", "--in", "y.cnf", "--proof", "y.rup"], []),
+    (["rup-check", "--in", "y.cnf", "--proof", "bad.rup"], []),
+    *[(["reduce", "--from", source, "--in", path, "--out", "red.out", "--out-format", fmt,
+        "--provenance", "prov.json"], ["red.out", "prov.json"])
+      for source, path in (("star22", "star.cnf"), ("3sat22", "sat22.cnf"))
+      for fmt in ("dimacs", "list", "json")],
+    (["qbf", "check", "--in", "yes.qdimacs"], []),
+    (["qbf", "check", "--in", "no.qdimacs"], []),
+    (["qbf", "transform-1122", "--in", "yes.qdimacs", "--out", "t.qdimacs"], ["t.qdimacs"]),
+    (["qbf", "transform-2222", "--in", "no.qdimacs"], []),
+    (["nae", "solve", "--in", "nae.cnf"], []),
+    (["nae", "graph", "--in", "nae.cnf"], []),
+    (["nae", "check", "--in", "nae.cnf", "--assignment", "nae.v"], []),
+    (["mine", "--vars", "9", "--clauses", "12", "--seed", "1", "--iters", "40",
+      "--out", "best.cnf", "--trace", "trace.json"], ["best.cnf", "trace.json"]),
+    *[(["gadget", "S", "--ports", "1", "2", "3", "--format", fmt], [])
+      for fmt in ("dimacs", "list", "json")],
+    (["gadget", "frakMbar", "--ports", *map(str, range(1, 10))], []),
+    (["gadget", "S", "--ports", "1", "2"], []),
+    (["gadget", "Q3", "--ports", "1"], []),
+    (["gadget", "Menf", "--ports", "1", "1", "2"], []),
+    (["gadget", "nosuch"], []),
+    *[(["solve", "--format", "auto", "--in", path], [])
+      for path in ("sat22.list", "sat22.json", "sat22.cnf")],
+    (["rup-check", "--in", "y.cnf", "--proof", "three.cnf"], []),
+    (["qbf", "check", "--in", "three.cnf"], []),
+    (["nae", "check", "--in", "nae.cnf"], []),
+    (["mine", "--vars", "9", "--clauses", "13"], []),
+]
+
+CLI_DIGEST = "82fa331234ccca9064b01a12a99404acb3c9ea5b414339bc93053b19cf8e05e3"
+
+
+def test_cli_output_digest(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _cli_inputs().items():
+        (tmp_path / name).write_text(text)
+    rows = []
+    for argv, written in CLI_RUNS:
+        code = main(argv)
+        captured = capsys.readouterr()
+        if argv[:2] == ["nae", "solve"]:  # the assignment that nae check reads
+            (tmp_path / "nae.v").write_text(captured.out)
+        rows.append((argv, code, captured.out, captured.err,
+                     [(tmp_path / path).read_bytes() for path in written]))
+    assert _digest(rows) == CLI_DIGEST
