@@ -161,6 +161,8 @@ def _cmd_gadget(args) -> int:
             raise CliError(f"gadget {name} needs exactly {arity} port variables")
         if any(p < 1 for p in ports):
             raise CliError("port variables are positive integers")
+        if max(ports) > _MAX_VARS:
+            raise CliError(f"port variable {max(ports)} is out of range; the limit is {_MAX_VARS}")
         try:
             f = build(FreshVarAllocator(max(ports) + 1), *ports).formula
         except ValueError as e:

@@ -43,6 +43,14 @@ class MinerConfig:
     initial: CnfFormula | None = None  # optional explicit starting candidate
 
     def __post_init__(self) -> None:
+        if self.max_iters < 0:
+            raise MinerConfigError(f"max_iters must be at least 0, not {self.max_iters}")
+        if self.population_size < 1:
+            raise MinerConfigError(f"population_size must be at least 1, not {self.population_size}")
+        if not 0 <= self.sideways_prob <= 1:
+            raise MinerConfigError(f"sideways_prob must be between 0 and 1, not {self.sideways_prob}")
+        if self.stall_window < 1:
+            raise MinerConfigError(f"stall_window must be at least 1, not {self.stall_window}")
         if self.n_vars > DENSE_VAR_LIMIT:
             raise MinerConfigError(
                 f"the miner counts models exactly: n_vars must be at most {DENSE_VAR_LIMIT}")
@@ -188,7 +196,7 @@ def mine(cfg: MinerConfig) -> SearchTrace:
         current_count = _count(current, None)
     else:
         best_seed = None
-        for _ in range(max(1, cfg.population_size)):
+        for _ in range(cfg.population_size):
             cand = random_candidate(cfg, rng)
             cnt = _count(cand, None)
             if best_seed is None or cnt < best_seed[1]:

@@ -1,5 +1,6 @@
-"""Two-level quantified CNF: data model, truth by a per-component walk with
-witness reuse, and the monotonization / balancing pipelines.
+"""Two-level quantified CNF: data model, truth by existential elimination and
+a per-component walk with witness reuse, and the monotonization / balancing
+pipelines.
 
 A formula is a single universal block followed by a single existential block
 over a CNF matrix.  Truth is decided part by part: the matrix splits into
@@ -9,6 +10,26 @@ once, and each part walks its universal assignments in lexicographic order
 (declared variable order, false before true), checking existential
 satisfiability with the clause-learning solver.  The verdict and the reported
 counterexample are exactly those of plain enumeration over the whole formula.
+
+Before the walk, each distinct part loses its existentials to DP resolution
+(the "resolve" half of Quantor: Biere, "Resolve and Expand", SAT 2004),
+highest local id first.  That is reverse declared order, so the gadget and
+padding existentials the pipelines append go first.  Fixing the universals
+commutes with resolution on an existential, so under every universal
+assignment the matrix stays satisfiable exactly when it was, and neither the
+verdict nor the first counterexample can move.  The elimination is bounded
+as in Eén & Biere, "Effective preprocessing in SAT through variable and
+clause elimination" (SAT 2005): a variable stays when a resolvent that no
+other one subsumes would have more than ``MAX_RESOLVENT_WIDTH`` (9)
+literals, or when eliminating it would add more than ``MAX_ADDED_CLAUSES``
+(64) clauses.  Tautologies are dropped, a pure existential takes its clauses
+with it, and a new resolvent is skipped when a live clause subsumes it and
+removes the live clauses it subsumes.  An empty resolvent makes the part
+false under every assignment, so its first counterexample is all-false;
+otherwise the clauses left split into parts again, decided through the same
+cache and walk.  On the pipelines' outputs every existential goes, the
+96-variable enforcers that join the three copies of a formula included, and
+the walk is left with clauses over the universals alone.
 
 Within a part, existential witnesses are reused.  Each SAT answer leaves
 its universal residue: the universal parts of the clauses that the model's
@@ -26,6 +47,7 @@ refutes is still the lexicographically first counterexample.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,6 +140,17 @@ def validate_balanced(q: Qbf2Formula, spec: BalanceSpec) -> ValidationReport:
 # assignments; the walk's coverage map has 2^k bits, 2 MiB at 24
 MAX_UNIVERSAL_BITS = 24
 
+# existential elimination keeps a variable whose resolvents would include
+# one wider than MAX_RESOLVENT_WIDTH literals that no other one subsumes, or
+# whose elimination would add more than MAX_ADDED_CLAUSES clauses to those
+# it removes
+MAX_RESOLVENT_WIDTH = 9
+MAX_ADDED_CLAUSES = 64
+
+# a part's answer: 'yes', 'no' with the lexicographically first failing
+# assignment of its universals, or 'budget'
+PartVerdict = tuple[str, tuple[bool, ...] | None]
+
 
 def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
     """Variable-disjoint parts: (universals, existentials, clause indices).
@@ -156,9 +189,7 @@ def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
     return parts
 
 
-def _component_first_failure(
-    local: CnfFormula, k: int, conflict_budget: int
-) -> tuple[str, tuple[bool, ...] | None]:
+def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) -> PartVerdict:
     """('yes'|'no'|'budget', lexicographically first failing assignment of
     the universals 1..k of a renumbered part; 'no' only after the solver
     refutes it).
@@ -206,20 +237,101 @@ def _component_first_failure(
         a = 64 * w + (free & -free).bit_length() - 1
 
 
-def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
-    """Decide the formula; a 'no' carries the lexicographically first failing
-    universal assignment (declared order, false < true).
+def _resolvents(
+    v: int, pos: set[frozenset[int]], neg: set[frozenset[int]]
+) -> set[frozenset[int]] | None:
+    """The distinct non-tautological resolvents on ``v``, or None when they
+    outnumber the clauses they replace by more than ``MAX_ADDED_CLAUSES``
+    (counted before subsumption, which bounds the work) or when one that no
+    other resolvent subsumes is wider than ``MAX_RESOLVENT_WIDTH``."""
+    limit = len(pos) + len(neg) + MAX_ADDED_CLAUSES
+    rests = [b - {-v} for b in neg]
+    out: set[frozenset[int]] = set()
+    for a in pos:
+        rest = a - {v}
+        flipped = {-l for l in rest}
+        for b in rests:
+            if flipped.isdisjoint(b):
+                out.add(rest | b)
+        if len(out) > limit:
+            return None
+    # a wide resolvent that a narrower one subsumes would not be added
+    for r in out:
+        if len(r) > MAX_RESOLVENT_WIDTH and not any(s < r for s in out):
+            return None
+    return out
 
-    A part with more than ``MAX_UNIVERSAL_BITS`` universals, or a solver call
-    that runs out of ``conflict_budget``, makes the answer BUDGET.
+
+def _eliminate_existentials(
+    clauses: Iterable[tuple[int, ...]], k: int, n: int
+) -> list[tuple[int, ...]] | None:
+    """DP resolution on the existentials k+1..n of a renumbered part, highest
+    first, skipping each variable that ``_resolvents`` refuses; None when an
+    empty resolvent makes the matrix false under every universal assignment,
+    else the canonical clauses left."""
+    # occ[l] holds the live clauses with literal l, and anchored[l] those
+    # whose highest variable has literal l, so a live clause that subsumes a
+    # resolvent is anchored at one of its literals; both lists have 2n + 1
+    # entries, so occ[-l] is entry 2n + 1 - l.  anchor maps each live clause
+    # to its anchor literal.
+    occ: list[set[frozenset[int]]] = [set() for _ in range(2 * n + 1)]
+    anchored: list[set[frozenset[int]]] = [set() for _ in range(2 * n + 1)]
+    anchor: dict[frozenset[int], int] = {}
+
+    def add(c: frozenset[int], a: int) -> None:
+        anchor[c] = a
+        anchored[a].add(c)
+        for l in c:
+            occ[l].add(c)
+
+    def remove(c: frozenset[int]) -> None:
+        anchored[anchor.pop(c)].discard(c)
+        for l in c:
+            occ[l].discard(c)
+
+    for t in clauses:  # canonical: the last literal has the highest variable
+        c = frozenset(t)
+        if c not in anchor and not any(-l in c for l in c):
+            add(c, t[-1])
+    for v in range(n, k, -1):
+        pos, neg = occ[v], occ[-v]
+        resolvents = _resolvents(v, pos, neg) if pos and neg else set()
+        if resolvents is None:
+            continue
+        for c in [*pos, *neg]:
+            remove(c)
+        # shortest first, so a resolvent subsumed by another is skipped
+        # rather than added and removed
+        for r in sorted(resolvents, key=len):
+            if not r:
+                return None
+            if any(c <= r for l in r for c in anchored[l]):
+                continue
+            a = max(r, key=abs)
+            for c in [c for c in occ[a] if r < c]:
+                remove(c)
+            add(r, a)
+    return [tuple(sorted(c, key=abs)) for c in anchor]
+
+
+def _first_failure(
+    q: Qbf2Formula,
+    decide: Callable[[CnfFormula, int], PartVerdict],
+    cache: dict[tuple, PartVerdict],
+) -> PartVerdict:
+    """('yes'|'no'|'budget', first failing assignment of ``q.universals``).
+
+    Each part with clauses is renumbered and decided once per distinct
+    renumbered part by ``decide(local, k)``; the first failing assignment of
+    the whole formula is the least of the parts' first failing assignments,
+    each extended by false.
     """
-    if any(len(c) == 0 for c in q.matrix.clauses):
-        return QbfResult(QbfValue.NO, {v: False for v in q.universals})
-    cache: dict[tuple, tuple[str, tuple[bool, ...] | None]] = {}
-    candidates: list[tuple[tuple[bool, ...], dict[int, bool]]] = []
+    candidates: list[tuple[bool, ...]] = []
     for us, es, clause_idx in _components(q):
         if len(us) > MAX_UNIVERSAL_BITS:
-            return QbfResult(QbfValue.BUDGET)
+            return "budget", None
+        if not clause_idx:  # no constraint: true under every assignment
+            continue
         # renumber the part: universals 1..k, then existentials, both in
         # declared order.  A matrix clause is canonical, so a stable sort by
         # variable keeps a negative literal before its positive twin and the
@@ -233,18 +345,52 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
         key = (len(us), len(es), tuple(sorted(clauses)))
         if key not in cache:
             local = CnfFormula(len(us) + len(es), clauses, q.matrix.allows_duplicate_literals)
-            cache[key] = _component_first_failure(local, len(us), conflict_budget)
+            cache[key] = decide(local, len(us))
         verdict, bits = cache[key]
         if verdict == "budget":
-            return QbfResult(QbfValue.BUDGET)
+            return "budget", None
         if verdict == "no":
             assert bits is not None
-            alpha = {v: False for v in q.universals}
+            alpha = dict.fromkeys(q.universals, False)
             alpha.update(zip(us, bits))
-            candidates.append((tuple(alpha[v] for v in q.universals), alpha))
+            candidates.append(tuple(alpha.values()))
     if not candidates:
+        return "yes", None
+    return "no", min(candidates)
+
+
+def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
+    """Decide the formula; a 'no' carries the lexicographically first failing
+    universal assignment (declared order, false < true).
+
+    A part with more than ``MAX_UNIVERSAL_BITS`` universals, or a solver call
+    that runs out of ``conflict_budget``, makes the answer BUDGET.
+    """
+    if any(len(c) == 0 for c in q.matrix.clauses):
+        return QbfResult(QbfValue.NO, {v: False for v in q.universals})
+    # one cache serves the input's parts and the parts left by elimination:
+    # a key fixes the answer, however the part was decided
+    cache: dict[tuple, PartVerdict] = {}
+
+    def walk(local: CnfFormula, k: int) -> PartVerdict:
+        return _component_first_failure(local, k, conflict_budget)
+
+    def eliminate_and_walk(local: CnfFormula, k: int) -> PartVerdict:
+        clauses = _eliminate_existentials(local.clauses, k, local.n_vars)
+        if clauses is None:
+            return "no", (False,) * k
+        n = local.n_vars
+        reduced = Qbf2Formula(tuple(range(1, k + 1)), tuple(range(k + 1, n + 1)),
+                              CnfFormula(n, tuple(clauses)))
+        return _first_failure(reduced, walk, cache)
+
+    verdict, bits = _first_failure(q, eliminate_and_walk, cache)
+    if verdict == "budget":
+        return QbfResult(QbfValue.BUDGET)
+    if verdict == "yes":
         return QbfResult(QbfValue.YES)
-    return QbfResult(QbfValue.NO, min(candidates, key=lambda t: t[0])[1])
+    assert bits is not None
+    return QbfResult(QbfValue.NO, dict(zip(q.universals, bits)))
 
 
 # -- pipeline stages ---------------------------------------------------------

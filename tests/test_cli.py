@@ -267,6 +267,28 @@ def test_mine_refuses_more_variables_than_exact_counting_takes(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--iters", "-1", "max_iters must be at least 0, not -1"),
+    ("--population", "0", "population_size must be at least 1, not 0"),
+    ("--sideways", "7", "sideways_prob must be between 0 and 1, not 7.0"),
+    ("--stall", "0", "stall_window must be at least 1, not 0"),
+])
+def test_mine_refuses_out_of_range_search_settings(capsys, flag, value, message):
+    code, out, err = run(capsys, "mine", "--vars", "9", "--clauses", "12", flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_gadget_refuses_ports_above_the_variable_limit(capsys):
+    code, out, err = run(capsys, "gadget", "N", "--ports", "99999999999")
+    assert (code, out) == (1, "")
+    assert err == "error: port variable 99999999999 is out of range; the limit is 1048576\n"
+    code, out, err = run(capsys, "gadget", "frakM", "--ports", *map(str, range(1, 9)), "1048577")
+    assert (code, out, err) == (1, "", "error: port variable 1048577 is out of range; the limit is 1048576\n")
+    code, out, _ = run(capsys, "gadget", "N", "--ports", "1048576")
+    assert code == 0 and out
+
+
 def test_selftest_command(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

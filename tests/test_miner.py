@@ -34,6 +34,24 @@ def test_config_refuses_more_variables_than_exact_counting_takes():
         MinerConfig(n_vars=24, n_clauses=1, initial=cnf([[1, 2, 3]], n_vars=24))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_iters", -1, "max_iters must be at least 0, not -1"),
+    ("population_size", 0, "population_size must be at least 1, not 0"),
+    ("sideways_prob", 7.0, "sideways_prob must be between 0 and 1, not 7.0"),
+    ("sideways_prob", -0.5, "sideways_prob must be between 0 and 1, not -0.5"),
+    ("sideways_prob", float("nan"), "sideways_prob must be between 0 and 1, not nan"),
+    ("stall_window", 0, "stall_window must be at least 1, not 0"),
+])
+def test_config_refuses_out_of_range_search_settings(field, value, message):
+    with pytest.raises(MinerConfigError) as e:
+        MinerConfig(n_vars=9, n_clauses=12, **{field: value})
+    assert str(e.value) == message
+    with pytest.raises(MinerConfigError):
+        MinerConfig(n_vars=6, n_clauses=1, initial=cnf([[1, 2, 3]], n_vars=6), **{field: value})
+    MinerConfig(n_vars=9, n_clauses=12, max_iters=0, population_size=1,
+                sideways_prob=1.0, stall_window=1)
+
+
 def test_random_candidate_validity_and_determinism():
     cfg = MinerConfig(n_vars=9, n_clauses=12, seed=4)
     a = random_candidate(cfg, random.Random(4))

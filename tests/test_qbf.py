@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
+from monoforge import qbf as qbf_module
 from monoforge import solver as solver_module
 from monoforge.formula import CnfFormula, InvalidInstanceError, canonical_clause, cnf
 from monoforge.gadgets import FreshVarAllocator, build_U
+from monoforge.generate import random_balanced_qbf
 from monoforge.qbf import (
     MAX_UNIVERSAL_BITS,
+    _component_first_failure,
     _components,
+    _eliminate_existentials,
     BalanceSpec,
     MonotonizeError,
     PadError,
@@ -116,6 +120,18 @@ def brute_force_truth(q):
     return None
 
 
+def count_solves(monkeypatch):
+    calls = []
+    solve = solver_module.Solver.solve
+
+    def counting_solve(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module.Solver, "solve", counting_solve)
+    return calls
+
+
 def test_budget_on_too_many_universals(monkeypatch):
     # one part with 25 universals, chained through a shared existential
     q = Qbf2Formula(tuple(range(1, 26)), (26,),
@@ -127,9 +143,21 @@ def test_budget_on_too_many_universals(monkeypatch):
     assert calls == []
 
 
-def test_budget_on_conflict_budget():
-    q = Qbf2Formula((), tuple(range(1, 199)), build_U())
+def test_budget_on_conflict_budget(monkeypatch):
+    # 11 pigeons in 10 holes: every resolvent has 10 literals, so
+    # elimination keeps each variable and the solver meets the budget
+    def var(pigeon, hole):
+        return 10 * pigeon + hole + 1
+
+    clauses = [[var(i, j) for j in range(10)] for i in range(11)]
+    clauses += [[-var(i, j), -var(h, j)] for j in range(10) for i in range(11) for h in range(i)]
+    q = Qbf2Formula((), tuple(range(1, 111)), cnf(clauses, n_vars=110))
+    calls = count_solves(monkeypatch)
     assert qbf_truth(q, conflict_budget=5).value is QbfValue.BUDGET
+    assert calls == [1]
+    # elimination alone refutes U, so no budget applies there
+    res = qbf_truth(Qbf2Formula((), tuple(range(1, 199)), build_U()), conflict_budget=5)
+    assert (res.value, res.counterexample, calls) == (QbfValue.NO, {}, [1])
 
 
 @st.composite
@@ -235,20 +263,19 @@ def test_components_match_breadth_first_search(q):
 
 def test_witness_reuse_skips_solves(monkeypatch, qbf_1122_corpus):
     # a (1,1) yes-instance with p = 3: its monotonized matrix is one
-    # component with 9 universals
+    # component with 9 universals.  Elimination decides it without the
+    # solver, so the walk gets the part itself, renumbered: universals
+    # 1..9, then the existentials in declared order.
     assert corpus.QBF_1122_SPECS[3][0] == 3
     q = monotonize(triple_copy(qbf_1122_corpus[3]))
-    calls = []
-    solve = solver_module.Solver.solve
-
-    def counting_solve(self, *args, **kwargs):
-        calls.append(1)
-        return solve(self, *args, **kwargs)
-
-    monkeypatch.setattr(solver_module.Solver, "solve", counting_solve)
-    assert qbf_truth(q).value is QbfValue.YES
-    assert len(q.universals) == 9
+    assert len(q.universals) == 9 and len(_components(q)) == 1
+    local = {v: i for i, v in enumerate(q.universals + q.existentials, 1)}
+    part = cnf([[local[abs(l)] if l > 0 else -local[abs(l)] for l in c] for c in q.matrix.clauses],
+               n_vars=len(local))
+    calls = count_solves(monkeypatch)
+    assert _component_first_failure(part, 9, 1_000_000) == ("yes", None)
     assert 0 < len(calls) < 2 ** 9
+    assert qbf_truth(q).value is QbfValue.YES
 
 
 def numpy_truth(q):
@@ -281,7 +308,8 @@ def test_walk_crosses_kernel_block_boundary(monkeypatch, failing):
     # exactly when universals 1, 9 and 17 are true (index 2^16 + 2^8 + 1);
     # in the yes-instance e = -u1, so the first witness covers the first
     # block and the second the other.  f = true, in every model, ties all
-    # universals into one part.
+    # universals into one part.  Elimination would drop the pure f and
+    # split the part, so the walk is called on the formula directly.
     k, e, f = 17, 18, 19
     clauses = [[u, f] for u in range(1, k + 1)]
     if failing:
@@ -297,11 +325,94 @@ def test_walk_crosses_kernel_block_boundary(monkeypatch, failing):
         return solve(self, assumptions, **kwargs)
 
     monkeypatch.setattr(solver_module.Solver, "solve", recording_solve)
-    res = qbf_truth(q)
+    verdict, bits = _component_first_failure(q.matrix, k, 1_000_000)
     alpha = numpy_truth(q)
-    assert res.value is (QbfValue.YES if alpha is None else QbfValue.NO)
-    assert res.counterexample == alpha
+    assert verdict == ("yes" if alpha is None else "no")
+    assert (None if bits is None else dict(zip(q.universals, bits))) == alpha
     assert assumed == [0, (1 << 16) + (1 << 8) + 1 if failing else 1 << 16]
+    assert qbf_truth(q).counterexample == alpha
+
+
+def extendable(clauses, k, n):
+    """The assignments of universals 1..k (as bit tuples) that some
+    assignment of the existentials k+1..n extends to a model of ``clauses``."""
+    out = set()
+    for bits in itertools.product((False, True), repeat=n):
+        value = (None, *bits)
+        if all(any(value[abs(l)] == (l > 0) for l in c) for c in clauses):
+            out.add(bits[:k])
+    return out
+
+
+@st.composite
+def renumbered_parts(draw):
+    """Clauses over universals 1..k and existentials k+1..n, in canonical
+    order, possibly with repeated variables and tautologies, and elimination
+    caps low enough that some variables stay."""
+    k = draw(st.integers(0, 3))
+    n = k + draw(st.integers(1, 4))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3).map(canonical_clause),
+                            max_size=14))
+    width = draw(st.sampled_from((1, 2, 3, 9)))
+    growth = draw(st.sampled_from((0, 1, 64)))
+    return k, n, clauses, width, growth
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(renumbered_parts())
+def test_elimination_keeps_satisfiability_under_every_universal_assignment(part):
+    k, n, clauses, width, growth = part
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qbf_module, "MAX_RESOLVENT_WIDTH", width)
+        mp.setattr(qbf_module, "MAX_ADDED_CLAUSES", growth)
+        left = _eliminate_existentials(clauses, k, n)
+    assert (set() if left is None else extendable(left, k, n)) == extendable(clauses, k, n)
+    if left is not None:
+        assert all(c == canonical_clause(c) and len(c) == len({abs(l) for l in c})
+                   and 0 < len(c) <= max(width, max(map(len, clauses))) for c in left)
+
+
+def test_empty_resolvent_is_no_with_all_false(monkeypatch):
+    # e4 gives -e3 and then e3 resolves with the unit e3 to the empty clause
+    clauses = [[3], [-3, 4], [-4], [1, 2, 3]]
+    assert _eliminate_existentials([tuple(c) for c in clauses], 2, 4) is None
+    q = Qbf2Formula((2, 1), (3, 4), cnf(clauses, n_vars=4))
+    calls = count_solves(monkeypatch)
+    res = qbf_truth(q)
+    assert res.value is QbfValue.NO
+    assert res.counterexample == brute_force_truth(q) == {2: False, 1: False}
+    assert calls == []
+
+
+def test_pure_existential_takes_its_clauses(monkeypatch):
+    # e3 occurs only positively: its clauses go, and the universals left
+    # in no clause make the part true without a solver call
+    assert _eliminate_existentials([(1, 3), (-2, 3), (-1, 2, 3)], 2, 3) == []
+    assert _eliminate_existentials([(1, 3), (-1, 2)], 2, 3) == [(-1, 2)]
+    q = Qbf2Formula((1, 2), (3,), cnf([[1, 3], [-2, 3], [-1, 2, 3]], n_vars=3))
+    calls = count_solves(monkeypatch)
+    assert qbf_truth(q).value is QbfValue.YES
+    assert calls == []
+
+
+def test_resolvents_are_checked_for_subsumption_both_ways():
+    # e4 gives (u1 e3), which removes (u1 u2 e3); e3 then gives (u1 u2),
+    # which the live (u2) subsumes
+    assert _eliminate_existentials([(2,), (1, 2, 3), (1, 4), (3, -4), (2, -3)], 2, 4) == [(2,)]
+    # e5 gives (u1 u2), which removes (u1 u2 u3)
+    assert _eliminate_existentials([(1, 5), (2, -5), (1, 2, 3)], 3, 5) == [(1, 2)]
+
+
+def test_monotonized_p5_instance_needs_few_solver_calls(monkeypatch):
+    # the monotonized (1,1) p = 5 instance is one part with 15 universals,
+    # which the walk alone decides in 704 steps; elimination undoes the
+    # enforcers that join the three copies
+    q = monotonize(triple_copy(random_balanced_qbf(5, 1, 1, 3)))
+    assert len(q.universals) == 15 and len(_components(q)) == 1
+    calls = count_solves(monkeypatch)
+    assert qbf_truth(q).value is QbfValue.YES
+    assert len(calls) < 100
 
 
 def test_triple_copy(qbf_1122_corpus):
