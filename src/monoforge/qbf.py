@@ -31,6 +31,21 @@ cache and walk.  On the pipelines' outputs every existential goes, the
 96-variable enforcers that join the three copies of a formula included, and
 the walk is left with clauses over the universals alone.
 
+Elimination goes block by block, because a monotonized part is many copies
+of one 96-variable enforcer, equal up to their ports and a global sign flip.
+Let ``need(x)`` be the highest variable up to x of any clause that also has
+one above x.  For a base bound L, every x >= L with ``need(x) <= L`` is a
+cut; the cuts split the existentials above L into blocks, and no clause
+touches two blocks.  L is the one in k..n with the least (L - k) + the size
+of the largest block, the smallest on ties: on the pipelines' parts the
+tripled source's variables, with one block per enforcer.  Each block is
+eliminated, top down, from the clauses that touch it, once per
+``qbf_truth`` call for all blocks that are equal to it with the ports
+numbered by first occurrence and the block's own variables by offset,
+taking the smaller of the block and its sign flip.  The results, mapped
+back, join the other clauses with the subsumption checks of a resolvent,
+and the base existentials go last.
+
 Within a part, existential witnesses are reused.  Each SAT answer leaves
 its universal residue: the universal parts of the clauses that the model's
 existential part leaves unsatisfied.  Every universal assignment that
@@ -47,7 +62,8 @@ refutes is still the lexicographically first counterexample.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -136,8 +152,9 @@ def validate_balanced(q: Qbf2Formula, spec: BalanceSpec) -> ValidationReport:
 
 # -- truth ------------------------------------------------------------------
 
-# parts with more universals answer BUDGET instead of walking 2^k
-# assignments; the walk's coverage map has 2^k bits, 2 MiB at 24
+# a part left by elimination with more universals answers BUDGET instead
+# of walking 2^k assignments; the walk's coverage map has 2^k bits, 2 MiB
+# at 24.  Elimination runs first, so an input part may have more.
 MAX_UNIVERSAL_BITS = 24
 
 # existential elimination keeps a variable whose resolvents would include
@@ -192,12 +209,14 @@ def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
 def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) -> PartVerdict:
     """('yes'|'no'|'budget', lexicographically first failing assignment of
     the universals 1..k of a renumbered part; 'no' only after the solver
-    refutes it).
+    refutes it, 'budget' when k exceeds ``MAX_UNIVERSAL_BITS``).
 
     The residue of each SAT answer goes through ``kernels.sat_words`` into a
     2^k-bit coverage map; the next assignment asked is the lowest one above
     the current that the map leaves uncovered, and a full map means 'yes'.
     """
+    if k > MAX_UNIVERSAL_BITS:
+        return "budget", None
     # universal i is kernel variable k - i + 1, so a kernel index is the
     # walk counter (universal i in bit k - i) and counting up is
     # lexicographic order.  Clauses with no universal literal, or both
@@ -263,12 +282,15 @@ def _resolvents(
 
 
 def _eliminate_existentials(
-    clauses: Iterable[tuple[int, ...]], k: int, n: int
+    clauses: Iterable[tuple[int, ...]], k: int, n: int,
+    resolved: Iterable[tuple[int, ...]] = (), top: int | None = None,
 ) -> list[tuple[int, ...]] | None:
-    """DP resolution on the existentials k+1..n of a renumbered part, highest
-    first, skipping each variable that ``_resolvents`` refuses; None when an
-    empty resolvent makes the matrix false under every universal assignment,
-    else the canonical clauses left."""
+    """DP resolution on the existentials k+1..``top`` (default n) of a
+    renumbered part, highest first, skipping each variable that
+    ``_resolvents`` refuses; None when an empty resolvent makes the matrix
+    false under every universal assignment, else the canonical clauses left.
+    The ``resolved`` clauses, canonical and non-empty, join before the first
+    step with the subsumption checks of a resolvent."""
     # occ[l] holds the live clauses with literal l, and anchored[l] those
     # whose highest variable has literal l, so a live clause that subsumes a
     # resolvent is anchored at one of its literals; both lists have 2n + 1
@@ -289,11 +311,23 @@ def _eliminate_existentials(
         for l in c:
             occ[l].discard(c)
 
+    def admit(r: frozenset[int]) -> None:
+        # skip a clause that a live one subsumes, else add it and remove the
+        # live clauses it subsumes
+        if any(c <= r for l in r for c in anchored[l]):
+            return
+        a = max(r, key=abs)
+        for c in [c for c in occ[a] if r < c]:
+            remove(c)
+        add(r, a)
+
     for t in clauses:  # canonical: the last literal has the highest variable
         c = frozenset(t)
         if c not in anchor and not any(-l in c for l in c):
             add(c, t[-1])
-    for v in range(n, k, -1):
+    for t in resolved:
+        admit(frozenset(t))
+    for v in range(n if top is None else top, k, -1):
         pos, neg = occ[v], occ[-v]
         resolvents = _resolvents(v, pos, neg) if pos and neg else set()
         if resolvents is None:
@@ -305,13 +339,103 @@ def _eliminate_existentials(
         for r in sorted(resolvents, key=len):
             if not r:
                 return None
-            if any(c <= r for l in r for c in anchored[l]):
-                continue
-            a = max(r, key=abs)
-            for c in [c for c in occ[a] if r < c]:
-                remove(c)
-            add(r, a)
+            admit(r)
     return [tuple(sorted(c, key=abs)) for c in anchor]
+
+
+def _block_cuts(clauses: Iterable[tuple[int, ...]], k: int, n: int) -> list[int]:
+    """The base bound L of a renumbered part and its cuts above: [L, ..., n].
+
+    ``need(x)`` is the highest variable up to x of a clause that also has one
+    above x, so a clause spans x only through variables up to ``need(x)``.
+    For a base bound L, every x >= L with ``need(x) <= L`` is a cut, and no
+    clause has variables in two of the blocks (c, c'] between cuts.  L is
+    the one in k..n with the least (L - k) + the largest block's size, the
+    smallest on ties.
+    """
+    # reach[a]: the highest variable that follows a in some canonical clause;
+    # index 0 is a sentinel that is never popped
+    reach = list(range(n + 1))
+    reach[0] = n + 1
+    for c in clauses:
+        a = abs(c[0])
+        for l in c[1:]:
+            b = abs(l)
+            if b > reach[a]:
+                reach[a] = b
+            a = b
+    # need[x] is the highest a <= x with reach[a] > x: a stack of candidates
+    # that pops those that end at or before x
+    need = [0] * (n + 1)
+    stack = [0]
+    for x in range(1, n + 1):
+        if reach[x] > x:
+            stack.append(x)
+        while reach[stack[-1]] <= x:
+            stack.pop()
+        need[x] = stack[-1]
+    # descending L: cut L joins at the bottom and the cuts x with
+    # need(x) = L + 1 leave.  Leaving merges two blocks, so the largest block
+    # only grows and one doubly linked list of cuts tracks it.
+    leaving: list[list[int]] = [[] for _ in range(n + 1)]
+    for x in range(k + 1, n + 1):
+        leaving[need[x]].append(x)
+    below, above = [0] * (n + 1), [0] * (n + 1)
+    low, largest, best, base = n, 0, n - k, n
+    for L in range(n - 1, k - 1, -1):
+        above[L], below[low] = low, L
+        largest = max(largest, low - L)
+        low = L
+        for x in leaving[L + 1]:
+            b, a = below[x], above[x]
+            above[b], below[a] = a, b
+            largest = max(largest, a - b)
+        if L - k + largest <= best:
+            best, base = L - k + largest, L
+    return [x for x in range(base, n + 1) if need[x] <= base]
+
+
+def _eliminate_blocks(
+    clauses: Sequence[tuple[int, ...]], k: int, n: int,
+    cache: dict[tuple, list[tuple[int, ...]] | None],
+) -> list[tuple[int, ...]] | None:
+    """``_eliminate_existentials`` on a renumbered part, block by block.
+
+    Each block of ``_block_cuts`` above the base bound is eliminated, top
+    down, from the clauses that touch it, through ``cache``: the key is
+    those clauses with the ports (variables up to the bound) numbered by
+    first occurrence and the block's own variables by offset, or their sign
+    flip if that is smaller.  The results, mapped back, join the other
+    clauses with the subsumption checks of a resolvent, and the base
+    existentials go last.
+    """
+    cuts = _block_cuts(clauses, k, n)
+    base = cuts[0]
+    # a clause belongs to the block of its highest variable, if any
+    touching: list[list[tuple[int, ...]]] = [[] for _ in cuts[1:]]
+    rest = []
+    for c in clauses:
+        top = abs(c[-1])
+        (touching[bisect_left(cuts, top) - 1] if top > base else rest).append(c)
+    resolved: list[tuple[int, ...]] = []
+    for lo, hi, cs in reversed(list(zip(cuts, cuts[1:], touching))):
+        ports = dict.fromkeys(abs(l) for c in cs for l in c if abs(l) <= base)
+        glob = [0, *ports, *range(lo + 1, hi + 1)]
+        local = {v: i for i, v in enumerate(glob) if v}
+        named = sorted(tuple(sorted((local[l] if l > 0 else -local[-l] for l in c), key=abs))
+                       for c in cs)
+        flipped = sorted(tuple(-l for l in c) for c in named)
+        sign = -1 if flipped < named else 1
+        key = (len(ports), hi - lo, tuple(flipped if sign < 0 else named))
+        if key not in cache:
+            cache[key] = _eliminate_existentials(key[2], len(ports), len(glob) - 1)
+        out = cache[key]
+        if out is None:
+            return None
+        resolved.extend(
+            tuple(sorted((sign * glob[l] if l > 0 else -sign * glob[-l] for l in c), key=abs))
+            for c in out)
+    return _eliminate_existentials(rest, k, n, resolved=resolved, top=base)
 
 
 def _first_failure(
@@ -328,8 +452,6 @@ def _first_failure(
     """
     candidates: list[tuple[bool, ...]] = []
     for us, es, clause_idx in _components(q):
-        if len(us) > MAX_UNIVERSAL_BITS:
-            return "budget", None
         if not clause_idx:  # no constraint: true under every assignment
             continue
         # renumber the part: universals 1..k, then existentials, both in
@@ -363,20 +485,23 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     """Decide the formula; a 'no' carries the lexicographically first failing
     universal assignment (declared order, false < true).
 
-    A part with more than ``MAX_UNIVERSAL_BITS`` universals, or a solver call
-    that runs out of ``conflict_budget``, makes the answer BUDGET.
+    A part that reaches the walk with more than ``MAX_UNIVERSAL_BITS``
+    universals after elimination, or a solver call that runs out of
+    ``conflict_budget``, makes the answer BUDGET.
     """
     if any(len(c) == 0 for c in q.matrix.clauses):
         return QbfResult(QbfValue.NO, {v: False for v in q.universals})
     # one cache serves the input's parts and the parts left by elimination:
-    # a key fixes the answer, however the part was decided
+    # a key fixes the answer, however the part was decided.  Beside it, the
+    # eliminated blocks, keyed as in ``_eliminate_blocks``.
     cache: dict[tuple, PartVerdict] = {}
+    blocks: dict[tuple, list[tuple[int, ...]] | None] = {}
 
     def walk(local: CnfFormula, k: int) -> PartVerdict:
         return _component_first_failure(local, k, conflict_budget)
 
     def eliminate_and_walk(local: CnfFormula, k: int) -> PartVerdict:
-        clauses = _eliminate_existentials(local.clauses, k, local.n_vars)
+        clauses = _eliminate_blocks(local.clauses, k, local.n_vars, blocks)
         if clauses is None:
             return "no", (False,) * k
         n = local.n_vars

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 from collections import deque
 
@@ -13,8 +14,10 @@ from monoforge.gadgets import FreshVarAllocator, build_U
 from monoforge.generate import random_balanced_qbf
 from monoforge.qbf import (
     MAX_UNIVERSAL_BITS,
+    _block_cuts,
     _component_first_failure,
     _components,
+    _eliminate_blocks,
     _eliminate_existentials,
     BalanceSpec,
     MonotonizeError,
@@ -133,14 +136,33 @@ def count_solves(monkeypatch):
 
 
 def test_budget_on_too_many_universals(monkeypatch):
-    # one part with 25 universals, chained through a shared existential
-    q = Qbf2Formula(tuple(range(1, 26)), (26,),
-                    cnf([[i, i + 1, 26] for i in range(1, 25)], n_vars=26))
+    # one part with 25 universals, chained by clauses over universals alone,
+    # so elimination leaves it whole and the walk refuses it
+    q = Qbf2Formula(tuple(range(1, 26)), (),
+                    cnf([[i, i + 1] for i in range(1, 25)], n_vars=25))
     assert MAX_UNIVERSAL_BITS == 24
     calls = []
     monkeypatch.setattr(solver_module.Solver, "solve", lambda *a, **k: calls.append(1))
     assert qbf_truth(q).value is QbfValue.BUDGET
     assert calls == []
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_universal_budget_applies_after_elimination(s):
+    # the monotonized and padded p = 9 stages are one part with 27
+    # universals, over the walk's budget; elimination splits it into parts
+    # the walk decides, with the tripled stage's verdict and counterexample
+    q = random_balanced_qbf(9, s, s, 1)
+    tripled = triple_copy(q)
+    want = qbf_truth(tripled)
+    assert want.value is QbfValue.NO
+    mono = monotonize(tripled)
+    assert len(mono.universals) == 27 and len(_components(mono)) == 1
+    for stage in (mono, (transform_1122 if s == 1 else transform_2222)(q)):
+        res = qbf_truth(stage)
+        assert res.value is QbfValue.NO
+        assert {u: res.counterexample[u] for u in tripled.universals} == want.counterexample
+        assert not any(res.counterexample[u] for u in stage.universals[27:])
 
 
 def test_budget_on_conflict_budget(monkeypatch):
@@ -402,6 +424,166 @@ def test_resolvents_are_checked_for_subsumption_both_ways():
     assert _eliminate_existentials([(2,), (1, 2, 3), (1, 4), (3, -4), (2, -3)], 2, 4) == [(2,)]
     # e5 gives (u1 u2), which removes (u1 u2 u3)
     assert _eliminate_existentials([(1, 5), (2, -5), (1, 2, 3)], 3, 5) == [(1, 2)]
+
+
+def test_block_results_join_with_subsumption_both_ways():
+    # universals 1..3 and the block {e4}: its resolvent (u1 u2) removes
+    # the clause (u1 u2 u3), and in the second part (u1 u2 u3) is skipped
+    # because (u1 u2) subsumes it, as in the plain elimination
+    for clauses in ([(1, 2, 3), (1, 4), (2, -4)], [(1, 2), (1, 4), (2, 3, -4)]):
+        assert _block_cuts(clauses, 3, 4) == [3, 4]
+        assert _eliminate_blocks(clauses, 3, 4, {}) == _eliminate_existentials(clauses, 3, 4) \
+            == [(1, 2)]
+
+
+def cuts_by_definition(clauses, k, n):
+    """``_block_cuts`` by its definition: every base bound L in k..n tried
+    in turn, ``need`` computed per variable from the clauses."""
+    def need(x):
+        return max((max(abs(l) for l in c if abs(l) <= x) for c in clauses
+                    if min(map(abs, c)) <= x < max(map(abs, c))), default=0)
+
+    best = None
+    for L in range(k, n + 1):
+        cuts = [x for x in range(L, n + 1) if need(x) <= L]
+        score = L - k + max((b - a for a, b in zip(cuts, cuts[1:])), default=0)
+        if best is None or score < best[0]:
+            best = score, cuts
+    return best[1]
+
+
+@st.composite
+def planted_blocks(draw):
+    """A renumbered part: random clauses over a base of universals 1..k and
+    existentials up to ``base``, then 2-4 copies of one random block on
+    fresh contiguous variables, each copy on its own ports in the base and
+    some of them sign-flipped; with the low caps of ``renumbered_parts``."""
+    k = draw(st.integers(0, 2))
+    base = k + draw(st.integers(0 if k else 1, 1))
+    size = draw(st.integers(1, 2))
+    n_ports = draw(st.integers(1, base))
+    slot = st.integers(1, n_ports + size).flatmap(lambda v: st.sampled_from((v, -v)))
+    block = draw(st.lists(st.lists(slot, min_size=1, max_size=3), min_size=1, max_size=5))
+    lit = st.integers(1, base).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3), max_size=4))
+    copies = draw(st.integers(2, 4 if size == 1 else 3))
+    for j in range(copies):
+        ports = draw(st.permutations(range(1, base + 1)))[:n_ports]
+        sign = draw(st.sampled_from((1, -1)))
+        var = [0, *ports, *range(base + j * size + 1, base + (j + 1) * size + 1)]
+        clauses += [[sign * var[l] if l > 0 else -sign * var[-l] for l in c] for c in block]
+    width = draw(st.sampled_from((1, 2, 3, 9)))
+    growth = draw(st.sampled_from((0, 1, 64)))
+    return k, base + copies * size, [canonical_clause(c) for c in clauses], width, growth
+
+
+def folded_blocks(clauses, cuts):
+    """The blocks between ``cuts``, top first, each as the arguments of its
+    elimination: the sorted clauses that touch it with the ports (variables
+    up to ``cuts[0]``) numbered 1..P by first occurrence and the block's
+    variables by offset, or their sign flip when that is smaller; P; and P
+    plus the block's size."""
+    out = []
+    for lo, hi in reversed(list(zip(cuts, cuts[1:]))):
+        touching = [c for c in clauses if lo < abs(c[-1]) <= hi]
+        ports = []
+        for c in touching:
+            for l in c:
+                if abs(l) <= cuts[0] and abs(l) not in ports:
+                    ports.append(abs(l))
+
+        def name(l, lo=lo, ports=ports):
+            i = ports.index(abs(l)) + 1 if abs(l) <= cuts[0] else len(ports) + abs(l) - lo
+            return i if l > 0 else -i
+
+        plain = sorted(tuple(sorted(map(name, c), key=abs)) for c in touching)
+        flipped = sorted(tuple(-l for l in c) for c in plain)
+        out.append((tuple(min(plain, flipped)), len(ports), len(ports) + hi - lo))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(planted_blocks())
+def test_blocks_are_eliminated_once_per_folded_shape(part):
+    k, n, clauses, width, growth = part
+    plain = qbf_module._eliminate_existentials
+    runs = []  # the arguments of each block elimination; the base pass names its top
+
+    def recording(clauses, k, n, *, resolved=(), top=None):
+        if top is None:
+            runs.append((tuple(clauses), k, n))
+        return plain(clauses, k, n, resolved=resolved, top=top)
+
+    q = Qbf2Formula(tuple(range(1, k + 1)), tuple(range(k + 1, n + 1)),
+                    CnfFormula(n, tuple(clauses), allows_duplicate_literals=True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qbf_module, "MAX_RESOLVENT_WIDTH", width)
+        mp.setattr(qbf_module, "MAX_ADDED_CLAUSES", growth)
+        mp.setattr(qbf_module, "_eliminate_existentials", recording)
+        left = _eliminate_blocks(clauses, k, n, {})
+        cuts = _block_cuts(clauses, k, n)
+        blocks = folded_blocks(clauses, cuts)
+        part_runs = list(runs)
+        per_call = []
+        for _ in range(2):
+            runs.clear()
+            qbf_truth(q)
+            per_call.append(len(runs))
+    assert cuts == cuts_by_definition(clauses, k, n)
+    assert all(len({bisect.bisect_left(cuts, abs(l)) for l in c if abs(l) > cuts[0]}) <= 1
+               for c in clauses)
+    assert (set() if left is None else extendable(left, k, n)) == extendable(clauses, k, n)
+    # each distinct folded block once; an empty resolvent stops the blocks
+    assert len(part_runs) == len(set(part_runs))
+    if left is None:
+        assert set(part_runs) <= set(blocks)
+    else:
+        assert sorted(part_runs) == sorted(set(blocks))
+    assert per_call[0] == per_call[1]
+
+
+def local_parts(q):
+    """The parts of ``q`` that have clauses, renumbered as ``qbf_truth``
+    does: (clauses, k, n), universals 1..k and existentials k+1..n."""
+    for us, es, idx in _components(q):
+        if idx:
+            lit = {}
+            for i, v in enumerate(us + es, 1):
+                lit[v], lit[-v] = i, -i
+            yield ([canonical_clause(map(lit.__getitem__, q.matrix.clauses[j])) for j in idx],
+                   len(us), len(us) + len(es))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_blocks_on_pipeline_stages(s):
+    # the joined part of the monotonized and padded stages has the tripled
+    # source's variables as its base, one block per enforcer, and all of
+    # its blocks fold into one; every part loses every existential, with
+    # the clauses of the plain descending elimination
+    specs = corpus.QBF_1122_SPECS if s == 1 else corpus.QBF_2222_SPECS
+    transform = transform_1122 if s == 1 else transform_2222
+    seen = set()
+    for p, seed in specs:
+        q = random_balanced_qbf(p, s, s, seed)
+        joined = 0
+        for stage in (monotonize(triple_copy(q)), transform(q)):
+            for clauses, k, n in local_parts(stage):
+                key = (k, n, tuple(sorted(clauses)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                blocks = {}
+                left = _eliminate_blocks(clauses, k, n, blocks)
+                assert left is not None and all(abs(l) <= k for c in left for l in c)
+                assert sorted(left) == sorted(_eliminate_existentials(clauses, k, n))
+                if k == 3 * p:
+                    joined += 1
+                    cuts = _block_cuts(clauses, k, n)
+                    assert cuts[0] == 3 * q.matrix.n_vars
+                    assert len(cuts) - 1 == sum(1 for c in q.matrix.clauses
+                                                 if 0 < sum(l > 0 for l in c) < len(c))
+                    assert len(blocks) == 1
+        assert joined == 1
 
 
 def test_monotonized_p5_instance_needs_few_solver_calls(monkeypatch):
