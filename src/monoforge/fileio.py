@@ -26,7 +26,7 @@ def _needs_dup_flag(clauses) -> bool:
 def _parse_dimacs(text: str, quantifier=None) -> tuple[int, list[tuple[int, ...]]]:
     """Header and 0-terminated clauses of DIMACS text: (n_vars, clauses).
 
-    With ``quantifier``, a line starting with 'a ' or 'e ' is passed to
+    With ``quantifier``, a line whose first token is 'a' or 'e' is passed to
     ``quantifier(line, lineno, n_vars, after_clauses)`` instead of being read
     as clauses; ``n_vars`` is None before the header.
     """
@@ -38,25 +38,25 @@ def _parse_dimacs(text: str, quantifier=None) -> tuple[int, list[tuple[int, ...]
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        toks = line.split()
         if line.startswith("p"):
             if n_vars is not None:
                 raise ParseError("duplicate header", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            if len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf":
                 raise ParseError(f"malformed header {line!r}", lineno)
             try:
-                n_vars, n_clauses = int(parts[2]), int(parts[3])
+                n_vars, n_clauses = int(toks[2]), int(toks[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             if n_vars < 0 or n_clauses < 0:
                 raise ParseError(f"malformed header {line!r}", lineno)
             continue
-        if quantifier is not None and line.startswith(("a ", "e ")):
+        if quantifier is not None and toks[0] in ("a", "e"):
             quantifier(line, lineno, n_vars, bool(clauses or pending))
             continue
         if n_vars is None:
             raise ParseError(f"clause before header: {line!r}", lineno)
-        for tok in line.split():
+        for tok in toks:
             try:
                 lit = int(tok)
             except ValueError:

@@ -3,15 +3,16 @@ a per-component walk with witness reuse, and the monotonization / balancing
 pipelines.
 
 A formula is a single universal block followed by a single existential block
-over a CNF matrix.  Truth is decided part by part: the matrix splits into
-variable-disjoint parts (by union-find over a flat parent array, the parts in
-order of their smallest variable), structurally identical parts are decided
-once, and each part walks its universal assignments in lexicographic order
-(declared variable order, false before true), checking existential
+over a CNF matrix.  Truth takes two passes over variable-disjoint parts (by
+union-find over a flat parent array, the parts in order of their smallest
+variable), each handling structurally identical parts once: the first
+eliminates the existentials of the input's parts, the second splits the
+clauses left and walks each part's universal assignments in lexicographic
+order (declared variable order, false before true), checking existential
 satisfiability with the clause-learning solver.  The verdict and the reported
 counterexample are exactly those of plain enumeration over the whole formula.
 
-Before the walk, each distinct part loses its existentials to DP resolution
+In the first pass each distinct part loses its existentials to DP resolution
 (the "resolve" half of Quantor: Biere, "Resolve and Expand", SAT 2004),
 highest local id first.  That is reverse declared order, so the gadget and
 padding existentials the pipelines append go first.  Fixing the universals
@@ -25,11 +26,11 @@ literals, or when eliminating it would add more than ``MAX_ADDED_CLAUSES``
 (64) clauses.  Tautologies are dropped, a pure existential takes its clauses
 with it, and a new resolvent is skipped when a live clause subsumes it and
 removes the live clauses it subsumes.  An empty resolvent makes the part
-false under every assignment, so its first counterexample is all-false;
-otherwise the clauses left split into parts again, decided through the same
-cache and walk.  On the pipelines' outputs every existential goes, the
-96-variable enforcers that join the three copies of a formula included, and
-the walk is left with clauses over the universals alone.
+false under every assignment, so its first counterexample is all-false.  The
+clauses left, over the input's variables, are what the second pass splits.
+On the pipelines' outputs every existential goes, the 96-variable enforcers
+that join the three copies of a formula included, and the walk is left with
+clauses over the universals alone.
 
 Elimination goes block by block, because a monotonized part is many copies
 of one 96-variable enforcer, equal up to their ports and a global sign flip.
@@ -41,29 +42,29 @@ of the largest block, the smallest on ties: on the pipelines' parts the
 tripled source's variables, with one block per enforcer.  Each block is
 eliminated, top down, from the clauses that touch it, once per
 ``qbf_truth`` call for all blocks that are equal to it with the ports
-numbered by first occurrence and the block's own variables by offset,
-taking the smaller of the block and its sign flip.  The results, mapped
-back, join the other clauses with the subsumption checks of a resolvent,
-and the base existentials go last.
+numbered by first occurrence in matrix order and the block's own variables
+by offset, taking the smaller of the block and its sign flip.  The results,
+mapped back, join the other clauses with the subsumption checks of a
+resolvent, and the base existentials go last.
 
-Within a part, existential witnesses are reused.  Each SAT answer leaves
-its universal residue: the universal parts of the clauses that the model's
-existential part leaves unsatisfied.  Every universal assignment that
-satisfies the residue is extended by that existential part to a model of
-the whole matrix.  The truth-table kernel (:mod:`.kernels`) turns each
+Within a part of the walk, existential witnesses are reused.  Each SAT
+answer leaves its universal residue: the universal parts of the clauses that
+the model's existential part leaves unsatisfied.  Every universal assignment
+that satisfies the residue is extended by that existential part to a model
+of the whole matrix.  The truth-table kernel (:mod:`.kernels`) turns each
 residue into its satisfying set, which is ORed into one coverage bitmap of
 2^k bits for a part with k universals, and the walk jumps to the lowest
 uncovered assignment above the current one; an empty residue or a full map
-makes the part true.  Only assignments that do have an extension are
-skipped and the walk keeps its order, so the first assignment the solver
-refutes is still the lexicographically first counterexample.
+makes the part true.  Only assignments that do have an extension are skipped
+and the walk keeps its order, so the first assignment the solver refutes is
+still the lexicographically first counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -164,22 +165,26 @@ MAX_UNIVERSAL_BITS = 24
 MAX_RESOLVENT_WIDTH = 9
 MAX_ADDED_CLAUSES = 64
 
-# a part's answer: 'yes', 'no' with the lexicographically first failing
-# assignment of its universals, or 'budget'
-PartVerdict = tuple[str, tuple[bool, ...] | None]
+# a part's answer: YES, NO with the lexicographically first failing
+# assignment of its universals, or BUDGET
+PartVerdict = tuple[QbfValue, tuple[bool, ...] | None]
 
 
-def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
+def _components(
+    universals: Sequence[int], existentials: Sequence[int], clauses: Sequence[tuple[int, ...]]
+) -> list[tuple[list[int], list[int], list[int]]]:
     """Variable-disjoint parts: (universals, existentials, clause indices).
 
     Parts come in order of their smallest variable.  Within a part the
-    universals and the existentials keep their declared order and the clause
-    indices ascend.  Every clause must be non-empty.
+    universals and the existentials keep their given order and the clause
+    indices ascend.  Every clause must be non-empty, over the given
+    variables.
     """
+    variables = sorted(itertools.chain(universals, existentials))
     # union-find on a flat parent array with path halving: the root of each
     # clause's first variable absorbs the roots of the others
-    parent = list(range(q.matrix.n_vars + 1))
-    for c in q.matrix.clauses:
+    parent = list(range(variables[-1] + 1 if variables else 1))
+    for c in clauses:
         r = abs(c[0])
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
@@ -190,33 +195,33 @@ def _components(q: Qbf2Formula) -> list[tuple[list[int], list[int], list[int]]]:
             parent[x] = r
     # number the parts by smallest variable, pointing each variable at its root
     index: dict[int, int] = {}
-    for v in sorted(itertools.chain(q.universals, q.existentials)):
+    for v in variables:
         r = v
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
         parent[v] = r
         index.setdefault(r, len(index))
     parts: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in index]
-    for v in q.universals:
+    for v in universals:
         parts[index[parent[v]]][0].append(v)
-    for v in q.existentials:
+    for v in existentials:
         parts[index[parent[v]]][1].append(v)
-    for j, c in enumerate(q.matrix.clauses):
+    for j, c in enumerate(clauses):
         parts[index[parent[abs(c[0])]]][2].append(j)
     return parts
 
 
 def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) -> PartVerdict:
-    """('yes'|'no'|'budget', lexicographically first failing assignment of
-    the universals 1..k of a renumbered part; 'no' only after the solver
-    refutes it, 'budget' when k exceeds ``MAX_UNIVERSAL_BITS``).
+    """(YES|NO|BUDGET, lexicographically first failing assignment of the
+    universals 1..k of a renumbered part; NO only after the solver refutes
+    it, BUDGET when k exceeds ``MAX_UNIVERSAL_BITS``).
 
     The residue of each SAT answer goes through ``kernels.sat_words`` into a
     2^k-bit coverage map; the next assignment asked is the lowest one above
-    the current that the map leaves uncovered, and a full map means 'yes'.
+    the current that the map leaves uncovered, and a full map means YES.
     """
     if k > MAX_UNIVERSAL_BITS:
-        return "budget", None
+        return QbfValue.BUDGET, None
     # universal i is kernel variable k - i + 1, so a kernel index is the
     # walk counter (universal i in bit k - i) and counting up is
     # lexicographic order.  Clauses with no universal literal, or both
@@ -238,9 +243,9 @@ def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) ->
         bits = tuple(bool(a >> (k - i) & 1) for i in range(1, k + 1))
         res = solver.solve([i if b else -i for i, b in enumerate(bits, 1)])
         if res.status is Status.BUDGET:
-            return "budget", None
+            return QbfValue.BUDGET, None
         if res.status is Status.UNSAT:
-            return "no", bits
+            return QbfValue.NO, bits
         model = res.model
         rows = [j for j, ex in enumerate(existential)
                 if not any(model[l] if l > 0 else not model[-l] for l in ex)]
@@ -252,7 +257,7 @@ def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) ->
         w = (a >> 6) + int(np.argmax(covered[a >> 6:] != full))
         free = ~int(covered[w]) & full
         if not free:
-            return "yes", None
+            return QbfValue.YES, None
         a = 64 * w + (free & -free).bit_length() - 1
 
 
@@ -438,84 +443,78 @@ def _eliminate_blocks(
     return _eliminate_existentials(rest, k, n, resolved=resolved, top=base)
 
 
-def _first_failure(
-    q: Qbf2Formula,
-    decide: Callable[[CnfFormula, int], PartVerdict],
-    cache: dict[tuple, PartVerdict],
-) -> PartVerdict:
-    """('yes'|'no'|'budget', first failing assignment of ``q.universals``).
-
-    Each part with clauses is renumbered and decided once per distinct
-    renumbered part by ``decide(local, k)``; the first failing assignment of
-    the whole formula is the least of the parts' first failing assignments,
-    each extended by false.
-    """
-    candidates: list[tuple[bool, ...]] = []
-    for us, es, clause_idx in _components(q):
-        if not clause_idx:  # no constraint: true under every assignment
-            continue
-        # renumber the part: universals 1..k, then existentials, both in
-        # declared order.  A matrix clause is canonical, so a stable sort by
-        # variable keeps a negative literal before its positive twin and the
-        # renumbered clause is canonical too.  The sorted clauses make the
-        # cache key: equal keys are equal formulas up to clause order.
-        lit: dict[int, int] = {}
-        for i, v in enumerate(itertools.chain(us, es), 1):
-            lit[v], lit[-v] = i, -i
-        clauses = tuple(tuple(sorted(map(lit.__getitem__, q.matrix.clauses[j]), key=abs))
-                        for j in clause_idx)
-        key = (len(us), len(es), tuple(sorted(clauses)))
-        if key not in cache:
-            local = CnfFormula(len(us) + len(es), clauses, q.matrix.allows_duplicate_literals)
-            cache[key] = decide(local, len(us))
-        verdict, bits = cache[key]
-        if verdict == "budget":
-            return "budget", None
-        if verdict == "no":
-            assert bits is not None
-            alpha = dict.fromkeys(q.universals, False)
-            alpha.update(zip(us, bits))
-            candidates.append(tuple(alpha.values()))
-    if not candidates:
-        return "yes", None
-    return "no", min(candidates)
+def _renumbered(
+    us: Sequence[int], es: Sequence[int], clauses: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """A part's clauses, in their order, with ``us`` numbered 1..k and then
+    ``es``, both in their order.  A stable sort by variable keeps a negative
+    literal before its positive twin, so a canonical clause stays canonical."""
+    lit: dict[int, int] = {}
+    for i, v in enumerate(itertools.chain(us, es), 1):
+        lit[v], lit[-v] = i, -i
+    return tuple(tuple(sorted(map(lit.__getitem__, c), key=abs)) for c in clauses)
 
 
 def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     """Decide the formula; a 'no' carries the lexicographically first failing
     universal assignment (declared order, false < true).
 
-    A part that reaches the walk with more than ``MAX_UNIVERSAL_BITS``
-    universals after elimination, or a solver call that runs out of
-    ``conflict_budget``, makes the answer BUDGET.
+    Two passes, each over the parts of a clause list, renumbered by
+    ``_renumbered`` and handled once per distinct renumbered part (equal
+    clauses up to order).  The first eliminates each part of the input with
+    ``_eliminate_blocks``, in matrix order, and maps the clauses left back
+    to the input's variables; an empty resolvent makes the all-false
+    assignment fail.  The second splits what is left, over the variables it
+    still mentions, and walks each part with ``_component_first_failure``.
+    The first failing assignment is the least of the parts' first failing
+    assignments, each extended by false.  A part that reaches the walk with
+    more than ``MAX_UNIVERSAL_BITS`` universals, or a solver call that runs
+    out of ``conflict_budget``, makes the answer BUDGET whatever the other
+    parts give.
     """
+    all_false = (False,) * q.p
     if any(len(c) == 0 for c in q.matrix.clauses):
-        return QbfResult(QbfValue.NO, {v: False for v in q.universals})
-    # one cache serves the input's parts and the parts left by elimination:
-    # a key fixes the answer, however the part was decided.  Beside it, the
-    # eliminated blocks, keyed as in ``_eliminate_blocks``.
-    cache: dict[tuple, PartVerdict] = {}
+        return QbfResult(QbfValue.NO, dict(zip(q.universals, all_false)))
+    # eliminate: each distinct part's clauses left, None after an empty
+    # resolvent, and the eliminated blocks, keyed as in ``_eliminate_blocks``
+    eliminated: dict[tuple, list[tuple[int, ...]] | None] = {}
     blocks: dict[tuple, list[tuple[int, ...]] | None] = {}
-
-    def walk(local: CnfFormula, k: int) -> PartVerdict:
-        return _component_first_failure(local, k, conflict_budget)
-
-    def eliminate_and_walk(local: CnfFormula, k: int) -> PartVerdict:
-        clauses = _eliminate_blocks(local.clauses, k, local.n_vars, blocks)
-        if clauses is None:
-            return "no", (False,) * k
-        n = local.n_vars
-        reduced = Qbf2Formula(tuple(range(1, k + 1)), tuple(range(k + 1, n + 1)),
-                              CnfFormula(n, tuple(clauses)))
-        return _first_failure(reduced, walk, cache)
-
-    verdict, bits = _first_failure(q, eliminate_and_walk, cache)
-    if verdict == "budget":
-        return QbfResult(QbfValue.BUDGET)
-    if verdict == "yes":
+    candidates: list[tuple[bool, ...]] = []
+    left: list[tuple[int, ...]] = []
+    for us, es, idx in _components(q.universals, q.existentials, q.matrix.clauses):
+        if not idx:  # no constraint: true under every assignment
+            continue
+        # not sorted: the block keys number the ports by first occurrence
+        clauses = _renumbered(us, es, (q.matrix.clauses[j] for j in idx))
+        key = (len(us), len(es), tuple(sorted(clauses)))
+        if key not in eliminated:
+            eliminated[key] = _eliminate_blocks(clauses, len(us), len(us) + len(es), blocks)
+        out = eliminated[key]
+        if out is None:
+            candidates.append(all_false)
+            continue
+        glob = (0, *us, *es)
+        left.extend(tuple(glob[l] if l > 0 else -glob[-l] for l in c) for c in out)
+    # walk: each distinct part's answer
+    walked: dict[tuple, PartVerdict] = {}
+    mentioned = {abs(l) for c in left for l in c}
+    for us, es, idx in _components([u for u in q.universals if u in mentioned],
+                                   [e for e in q.existentials if e in mentioned], left):
+        clauses = _renumbered(us, es, (left[j] for j in idx))
+        key = (len(us), len(es), tuple(sorted(clauses)))
+        if key not in walked:
+            local = CnfFormula(len(us) + len(es), clauses)
+            walked[key] = _component_first_failure(local, len(us), conflict_budget)
+        value, bits = walked[key]
+        if value is QbfValue.BUDGET:
+            return QbfResult(QbfValue.BUDGET)
+        if value is QbfValue.NO:
+            alpha = dict.fromkeys(q.universals, False)
+            alpha.update(zip(us, bits))
+            candidates.append(tuple(alpha.values()))
+    if not candidates:
         return QbfResult(QbfValue.YES)
-    assert bits is not None
-    return QbfResult(QbfValue.NO, dict(zip(q.universals, bits)))
+    return QbfResult(QbfValue.NO, dict(zip(q.universals, min(candidates))))
 
 
 # -- pipeline stages ---------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Byte-level pins of the transformation outputs, the builders' outputs, the
-NAE solver's colorings, the CLI's validation messages and, for every
-subcommand, the CLI's stdout, stderr, exit code and written files.
+"""Byte-level pins of the transformation outputs, the verdicts and first
+counterexamples of ``qbf_truth`` on every pipeline stage, the builders'
+outputs, the NAE solver's colorings, the CLI's validation messages and, for
+every subcommand, the CLI's stdout, stderr, exit code and written files.
 
 Each digest covers everything a transformation returns: the clauses and
 ``n_vars`` of the formula, the quantifier blocks, and, for the reductions,
@@ -28,7 +29,16 @@ from monoforge.generate import (
 )
 from monoforge.miner import MinerConfig, mine, swap_move
 from monoforge.nae import four_coloring, nae_solve_e2
-from monoforge.qbf import monotonize, transform_1122, transform_2222, triple_copy, write_qdimacs
+from monoforge.qbf import (
+    PadVariant,
+    monotonize,
+    pad_to_balance,
+    qbf_truth,
+    transform_1122,
+    transform_2222,
+    triple_copy,
+    write_qdimacs,
+)
 from monoforge.reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
 
 
@@ -82,6 +92,33 @@ def _pinned_rows(name):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_transformation_output_digest(name):
     assert _digest(_pinned_rows(name)) == DIGESTS[name]
+
+
+def _truth_rows(kind):
+    """``qbf_truth`` on the source, tripled, monotonized and padded stage of
+    each corpus formula: the value and the counterexample in declared order."""
+    qs = corpus.qbf_1122_corpus() if kind == "1122" else corpus.qbf_2222_corpus()
+    variant = PadVariant.USE_Q3 if kind == "1122" else PadVariant.USE_Q1MON
+    rows = []
+    for q in qs:
+        tripled = triple_copy(q)
+        mono = monotonize(tripled)
+        for stage in (q, tripled, mono, pad_to_balance(mono, variant)):
+            res = qbf_truth(stage)
+            rows.append((res.value.value,
+                         None if res.counterexample is None else list(res.counterexample.items())))
+    return rows
+
+
+TRUTH_DIGESTS = {
+    "qbf_truth_1122": "401e62bb8b23b93bdead53c462f15159d17bccebea36f563d5cae8fbaa1644bd",
+    "qbf_truth_2222": "bf0a440815f435e6606672b846cc3c1e22130bd6f019cedef0bd80ba70737662",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUTH_DIGESTS))
+def test_qbf_truth_digest(name):
+    assert _digest(_truth_rows(name.rsplit("_", 1)[1])) == TRUTH_DIGESTS[name]
 
 
 def _stderr_lines(capsys, tmp_path, text, *argv):

@@ -24,6 +24,7 @@ from monoforge.qbf import (
     PadError,
     PadVariant,
     Qbf2Formula,
+    QbfResult,
     QbfValue,
     build_Q1mon,
     build_Q3,
@@ -123,6 +124,10 @@ def brute_force_truth(q):
     return None
 
 
+def parts_of(q):
+    return _components(q.universals, q.existentials, q.matrix.clauses)
+
+
 def count_solves(monkeypatch):
     calls = []
     solve = solver_module.Solver.solve
@@ -147,6 +152,28 @@ def test_budget_on_too_many_universals(monkeypatch):
     assert calls == []
 
 
+REFUTED_PARTS = {
+    "eliminated": lambda u, e: [[e], [-e]],  # an empty resolvent
+    "walked": lambda u, e: [[u]],  # no existential to eliminate
+}
+
+
+@pytest.mark.parametrize("refuted", sorted(REFUTED_PARTS))
+@pytest.mark.parametrize("chain_first", [True, False], ids=["chain-first", "chain-last"])
+def test_budget_wins_over_a_refuted_part(refuted, chain_first):
+    # a chain of 25 universals, over the walk's budget, beside a part on
+    # universal u and existential e that is false at u = false; the parts
+    # come in order of their smallest variable
+    chain = list(range(1, 26)) if chain_first else list(range(3, 28))
+    u, e = (26, 27) if chain_first else (1, 2)
+    other = REFUTED_PARTS[refuted](u, e)
+    alone = Qbf2Formula((u,), (e,), cnf(other, n_vars=27))
+    assert qbf_truth(alone) == QbfResult(QbfValue.NO, {u: False})
+    clauses = [[a, b] for a, b in zip(chain, chain[1:])] + other
+    q = Qbf2Formula((*chain, u), (e,), cnf(clauses, n_vars=27))
+    assert qbf_truth(q) == QbfResult(QbfValue.BUDGET)
+
+
 @pytest.mark.parametrize("s", [1, 2])
 def test_universal_budget_applies_after_elimination(s):
     # the monotonized and padded p = 9 stages are one part with 27
@@ -157,7 +184,7 @@ def test_universal_budget_applies_after_elimination(s):
     want = qbf_truth(tripled)
     assert want.value is QbfValue.NO
     mono = monotonize(tripled)
-    assert len(mono.universals) == 27 and len(_components(mono)) == 1
+    assert len(mono.universals) == 27 and len(parts_of(mono)) == 1
     for stage in (mono, (transform_1122 if s == 1 else transform_2222)(q)):
         res = qbf_truth(stage)
         assert res.value is QbfValue.NO
@@ -280,7 +307,7 @@ def matrices_for_components(draw):
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(matrices_for_components())
 def test_components_match_breadth_first_search(q):
-    assert _components(q) == bfs_components(q)
+    assert parts_of(q) == bfs_components(q)
 
 
 def test_witness_reuse_skips_solves(monkeypatch, qbf_1122_corpus):
@@ -290,12 +317,12 @@ def test_witness_reuse_skips_solves(monkeypatch, qbf_1122_corpus):
     # 1..9, then the existentials in declared order.
     assert corpus.QBF_1122_SPECS[3][0] == 3
     q = monotonize(triple_copy(qbf_1122_corpus[3]))
-    assert len(q.universals) == 9 and len(_components(q)) == 1
+    assert len(q.universals) == 9 and len(parts_of(q)) == 1
     local = {v: i for i, v in enumerate(q.universals + q.existentials, 1)}
     part = cnf([[local[abs(l)] if l > 0 else -local[abs(l)] for l in c] for c in q.matrix.clauses],
                n_vars=len(local))
     calls = count_solves(monkeypatch)
-    assert _component_first_failure(part, 9, 1_000_000) == ("yes", None)
+    assert _component_first_failure(part, 9, 1_000_000) == (QbfValue.YES, None)
     assert 0 < len(calls) < 2 ** 9
     assert qbf_truth(q).value is QbfValue.YES
 
@@ -349,7 +376,7 @@ def test_walk_crosses_kernel_block_boundary(monkeypatch, failing):
     monkeypatch.setattr(solver_module.Solver, "solve", recording_solve)
     verdict, bits = _component_first_failure(q.matrix, k, 1_000_000)
     alpha = numpy_truth(q)
-    assert verdict == ("yes" if alpha is None else "no")
+    assert verdict is (QbfValue.YES if alpha is None else QbfValue.NO)
     assert (None if bits is None else dict(zip(q.universals, bits))) == alpha
     assert assumed == [0, (1 << 16) + (1 << 8) + 1 if failing else 1 << 16]
     assert qbf_truth(q).counterexample == alpha
@@ -545,7 +572,7 @@ def test_blocks_are_eliminated_once_per_folded_shape(part):
 def local_parts(q):
     """The parts of ``q`` that have clauses, renumbered as ``qbf_truth``
     does: (clauses, k, n), universals 1..k and existentials k+1..n."""
-    for us, es, idx in _components(q):
+    for us, es, idx in parts_of(q):
         if idx:
             lit = {}
             for i, v in enumerate(us + es, 1):
@@ -586,12 +613,44 @@ def test_blocks_on_pipeline_stages(s):
         assert joined == 1
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_truth_eliminates_each_folded_block_once(s):
+    # qbf_truth on a monotonized or padded stage runs one block elimination
+    # per distinct folded block of its distinct parts, each part's clauses
+    # in matrix order: the block keys number the ports by first occurrence,
+    # and with the clauses sorted equal enforcers no longer fold into one
+    specs = corpus.QBF_1122_SPECS if s == 1 else corpus.QBF_2222_SPECS
+    transform = transform_1122 if s == 1 else transform_2222
+    plain = qbf_module._eliminate_existentials
+    runs = []
+
+    def recording(clauses, k, n, *, resolved=(), top=None):
+        if top is None:
+            runs.append((tuple(clauses), k, n))
+        return plain(clauses, k, n, resolved=resolved, top=top)
+
+    for p, seed in specs:
+        q = random_balanced_qbf(p, s, s, seed)
+        for stage in (monotonize(triple_copy(q)), transform(q)):
+            blocks, keys = set(), set()
+            for clauses, k, n in local_parts(stage):
+                key = (k, n, tuple(sorted(clauses)))
+                if key not in keys:
+                    keys.add(key)
+                    blocks.update(folded_blocks(clauses, _block_cuts(clauses, k, n)))
+            runs.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qbf_module, "_eliminate_existentials", recording)
+                qbf_truth(stage)
+            assert sorted(runs) == sorted(blocks)
+
+
 def test_monotonized_p5_instance_needs_few_solver_calls(monkeypatch):
     # the monotonized (1,1) p = 5 instance is one part with 15 universals,
     # which the walk alone decides in 704 steps; elimination undoes the
     # enforcers that join the three copies
     q = monotonize(triple_copy(random_balanced_qbf(5, 1, 1, 3)))
-    assert len(q.universals) == 15 and len(_components(q)) == 1
+    assert len(q.universals) == 15 and len(parts_of(q)) == 1
     calls = count_solves(monkeypatch)
     assert qbf_truth(q).value is QbfValue.YES
     assert len(calls) < 100
@@ -696,6 +755,13 @@ def test_qdimacs_roundtrip(qbf_1122_corpus):
     assert back.existentials == q.existentials
     assert back.matrix.clauses == q.matrix.clauses
     assert write_qdimacs(back) == text
+
+
+def test_qdimacs_quantifier_line_is_found_by_its_first_token():
+    q = read_qdimacs("p cnf 3 1\na\t1 0\ne\t2\t3 0\n1 2 3 0\n")
+    assert (q.universals, q.existentials) == ((1,), (2, 3))
+    with pytest.raises(ParseError, match="line 2: quantifier line missing 0 terminator"):
+        read_qdimacs("p cnf 2 1\na\ne 2 0\n1 2 0\n")
 
 
 def test_qdimacs_errors():
