@@ -105,6 +105,13 @@ def _check_size(n_vars: int) -> None:
         raise CliError(f"input declares {n_vars} variables; the limit is {_MAX_VARS}")
 
 
+def _budget(text: str) -> int:
+    """The argparse type of ``--budget``: a conflict budget, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def _load_formula(args) -> CnfFormula:
     """The formula named by ``--in``, read as ``--format`` (``auto`` picks by
     the first non-blank character: '[' list, '{' json, else dimacs)."""
@@ -332,7 +339,7 @@ def build_parser() -> _Parser:
     v.set_defaults(fn=_cmd_validate)
 
     s = sub.add_parser("solve", parents=[formula_in], help="decide satisfiability")
-    s.add_argument("--budget", type=int, default=1_000_000)
+    s.add_argument("--budget", type=_budget, default=1_000_000)
     s.add_argument("--trace", default=None, help="write a clause-addition proof here on UNSAT")
     s.set_defaults(fn=_cmd_solve)
 
@@ -355,7 +362,7 @@ def build_parser() -> _Parser:
     q.add_argument("action", choices=("check", "transform-1122", "transform-2222"))
     q.add_argument("--in", dest="input", default="-")
     q.add_argument("--out", default=None)
-    q.add_argument("--budget", type=int, default=1_000_000)
+    q.add_argument("--budget", type=_budget, default=1_000_000)
     q.set_defaults(fn=_cmd_qbf)
 
     n = sub.add_parser("nae", parents=[formula_in], help="not-all-equal tools")

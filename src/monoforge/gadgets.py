@@ -10,6 +10,7 @@ here match the reference lists clause-for-clause, in order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -297,8 +298,7 @@ def build_S(
     ports = (v1, v2, v3)
     _check_ports_fresh(ports, alloc, 3 * 32 + 3)
     copies = [alloc.reserve(32, f"S{tag}/copy{i}") for i in (1, 2, 3)]
-    u_range = alloc.reserve(3, f"S{tag}/u")
-    us = list(u_range)
+    us = alloc.reserve(3, f"S{tag}/u")
 
     def cv(i: int, t: int) -> int:  # template var t in copy i (1-based)
         return copies[i - 1].start + t - 1
@@ -315,20 +315,17 @@ def build_S(
     for i in (1, 2, 3):
         clauses.append(canonical_clause((cv(i, 14), cv(i, 32), us[i - 1])))
 
-    n_vars = max(u_range.stop - 1, *ports)
+    n_vars = max(us.stop - 1, *ports)
     symbols: dict[int, str] = {}
     for i in (1, 2, 3):
         symbols |= _block_symbols(copies[i - 1], f"{tag}.{i}")
     for i, uv in enumerate(us, 1):
         symbols[uv] = f"u{i}^{tag}"
     formula = CnfFormula(n_vars, tuple(clauses), False, symbols)
-    port_sign = 1
+    sign = -1 if negative else 1
     if negative:
         formula = negate_formula(formula)
-        port_sign = -1
-    return GadgetInstantiation(
-        formula, {f"v{i}": port_sign * ports[i - 1] for i in (1, 2, 3)}, tag
-    )
+    return GadgetInstantiation(formula, {f"v{i}": sign * p for i, p in enumerate(ports, 1)}, tag)
 
 
 def build_Sbar(
@@ -337,23 +334,22 @@ def build_Sbar(
     return build_S(alloc, v1, v2, v3, negative=True, tag=tag)
 
 
-def _frak_ports(clause: tuple[int, ...], positive_shape: bool) -> tuple[int, int, int]:
-    """Split a mixed clause into enforcer ports (u1, u2, u3).
-
-    positive_shape: one positive and two negative literals, simulated as
-    {u1, -u2, -u3}; otherwise the mirrored one-negative shape.
+def _frak_ports(clause: tuple[int, ...], negate: bool) -> tuple[int, int, int]:
+    """Split a mixed clause into enforcer ports (u1, u2, u3), simulated as
+    {u1, -u2, -u3}, or as {-u1, u2, u3} when ``negate``: u1 is the variable
+    of its lone positive (negative when ``negate``) literal.  u2 and u3 keep
+    their order, or ascend when ``negate``, as in the negated canonical clause.
     """
     if len(clause) != 3 or not clause_has_distinct_vars(clause):
         raise ValueError(f"not a 3-clause over distinct variables: {clause}")
-    pos = [l for l in clause if l > 0]
-    neg = [-l for l in clause if l < 0]
-    if positive_shape:
-        if len(pos) != 1:
-            raise ValueError(f"expected one positive and two negative literals: {clause}")
-        return pos[0], neg[0], neg[1]
-    if len(neg) != 1:
-        raise ValueError(f"expected one negative and two positive literals: {clause}")
-    return neg[0], pos[0], pos[1]
+    sign = -1 if negate else 1
+    lone = [l for l in clause if sign * l > 0]
+    if len(lone) != 1:
+        one, two = ("negative", "positive") if negate else ("positive", "negative")
+        raise ValueError(f"expected one {one} and two {two} literals: {clause}")
+    rest = [abs(l) for l in clause if l != lone[0]]
+    u2, u3 = sorted(rest) if negate else rest
+    return abs(lone[0]), u2, u3
 
 
 def _build_frak(
@@ -364,41 +360,26 @@ def _build_frak(
 ) -> GadgetInstantiation:
     if len(triple) != 3:
         raise ValueError("exactly three clauses are combined per instance")
-    # callers hand over one-positive/two-negative clauses; the mirror builder
-    # negates its input before delegating here
-    ports = [_frak_ports(c, positive_shape=True) for c in triple]
+    ports = [_frak_ports(c, negate) for c in triple]
     port_vars = [v for t in ports for v in t]
     _check_ports_fresh(port_vars, alloc, 3 * 32)
     copies = [alloc.reserve(32, f"frak{tag}/copy{i}") for i in (1, 2, 3)]
-
-    def cv(i: int, t: int) -> int:
-        return copies[i - 1].start + t - 1
-
+    slots = [(u1, -u2, -u3) for u1, u2, u3 in ports]
     clauses: list[tuple[int, ...]] = []
-    for i, (u1, u2, u3) in enumerate(ports, 1):
-        clauses.extend(_m_instance_clauses(copies[i - 1], (u1, -u2, -u3), negate=negate))
-    links = (
-        (cv(1, 1), cv(1, 5), cv(1, 6)),
-        (cv(1, 14), cv(1, 32), cv(2, 1)),
-        (cv(2, 5), cv(2, 6), cv(2, 14)),
-        (cv(2, 32), cv(3, 1), cv(3, 5)),
-        (cv(3, 6), cv(3, 14), cv(3, 32)),
-    )
+    for fresh, s in zip(copies, slots):
+        clauses.extend(_m_instance_clauses(fresh, s, negate=negate))
+    # five links: the copies' once-positive variables, in order, three at a time
+    once = [fresh.start + t - 1 for fresh in copies for t in ONCE_POSITIVE_VARS]
     sign = -1 if negate else 1
-    for link in links:
-        clauses.append(canonical_clause(sign * v for v in link))
+    for j in range(0, len(once), 3):
+        clauses.append(canonical_clause(sign * v for v in once[j:j + 3]))
 
     n_vars = max([copies[2].stop - 1] + port_vars)
     symbols: dict[int, str] = {}
     for i in (1, 2, 3):
         symbols |= _block_symbols(copies[i - 1], f"{tag}.{i}")
     formula = CnfFormula(n_vars, tuple(clauses), False, symbols)
-    port_literals = {}
-    for i, (u1, u2, u3) in enumerate(ports):
-        base = 3 * i
-        port_literals[f"u{base + 1}"] = sign * u1
-        port_literals[f"u{base + 2}"] = sign * -u2
-        port_literals[f"u{base + 3}"] = sign * -u3
+    port_literals = {f"u{j}": sign * l for j, l in enumerate(itertools.chain(*slots), 1)}
     return GadgetInstantiation(formula, port_literals, tag)
 
 
@@ -418,10 +399,7 @@ def build_frakMbar(
     alloc: FreshVarAllocator, triple: Sequence[tuple[int, ...]], tag: int | str = 0
 ) -> GadgetInstantiation:
     """Mirror image of :func:`build_frakM` for one-negative/two-positive triples."""
-    for c in triple:
-        _frak_ports(c, positive_shape=False)  # shape check against the originals
-    negated = [canonical_clause(-l for l in c) for c in triple]
-    return _build_frak(alloc, negated, negate=True, tag=tag)
+    return _build_frak(alloc, triple, negate=True, tag=tag)
 
 
 CORE8_SYMBOLS = {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f"}

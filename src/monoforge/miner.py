@@ -51,6 +51,8 @@ class MinerConfig:
             raise MinerConfigError(f"sideways_prob must be between 0 and 1, not {self.sideways_prob}")
         if self.stall_window < 1:
             raise MinerConfigError(f"stall_window must be at least 1, not {self.stall_window}")
+        if self.n_vars < 1:
+            raise MinerConfigError(f"n_vars must be at least 1, not {self.n_vars}")
         if self.n_vars > DENSE_VAR_LIMIT:
             raise MinerConfigError(
                 f"the miner counts models exactly: n_vars must be at most {DENSE_VAR_LIMIT}")

@@ -78,11 +78,10 @@ from .formula import (
     InvalidInstanceError,
     ValidationReport,
     Violation,
-    cnf,
     validate_instance,
 )
 from .gadgets import FreshVarAllocator
-from .reductions import MonotonizeError, build_enforcer, mixed_triples, splice, triple
+from .reductions import MonotonizeError, build_enforcer, copies, mixed_triples, splice
 from .solver import Solver, Status
 
 
@@ -296,40 +295,35 @@ def _eliminate_existentials(
     false under every universal assignment, else the canonical clauses left.
     The ``resolved`` clauses, canonical and non-empty, join before the first
     step with the subsumption checks of a resolvent."""
-    # occ[l] holds the live clauses with literal l, and anchored[l] those
-    # whose highest variable has literal l, so a live clause that subsumes a
-    # resolvent is anchored at one of its literals; both lists have 2n + 1
-    # entries, so occ[-l] is entry 2n + 1 - l.  anchor maps each live clause
-    # to its anchor literal.
+    # occ[l] holds the live clauses with literal l; it has 2n + 1 entries,
+    # so occ[-l] is entry 2n + 1 - l.  live keeps the live clauses in the
+    # order they joined.
     occ: list[set[frozenset[int]]] = [set() for _ in range(2 * n + 1)]
-    anchored: list[set[frozenset[int]]] = [set() for _ in range(2 * n + 1)]
-    anchor: dict[frozenset[int], int] = {}
+    live: dict[frozenset[int], None] = {}
 
-    def add(c: frozenset[int], a: int) -> None:
-        anchor[c] = a
-        anchored[a].add(c)
+    def add(c: frozenset[int]) -> None:
+        live[c] = None
         for l in c:
             occ[l].add(c)
 
     def remove(c: frozenset[int]) -> None:
-        anchored[anchor.pop(c)].discard(c)
+        del live[c]
         for l in c:
             occ[l].discard(c)
 
     def admit(r: frozenset[int]) -> None:
         # skip a clause that a live one subsumes, else add it and remove the
-        # live clauses it subsumes
-        if any(c <= r for l in r for c in anchored[l]):
+        # live clauses it subsumes, which all hold each literal of r
+        if any(c <= r for l in r for c in occ[l]):
             return
-        a = max(r, key=abs)
-        for c in [c for c in occ[a] if r < c]:
+        for c in [c for c in occ[max(r, key=abs)] if r < c]:
             remove(c)
-        add(r, a)
+        add(r)
 
-    for t in clauses:  # canonical: the last literal has the highest variable
+    for t in clauses:
         c = frozenset(t)
-        if c not in anchor and not any(-l in c for l in c):
-            add(c, t[-1])
+        if c not in live and not any(-l in c for l in c):
+            add(c)
     for t in resolved:
         admit(frozenset(t))
     for v in range(n if top is None else top, k, -1):
@@ -345,7 +339,7 @@ def _eliminate_existentials(
             if not r:
                 return None
             admit(r)
-    return [tuple(sorted(c, key=abs)) for c in anchor]
+    return [tuple(sorted(c, key=abs)) for c in live]
 
 
 def _block_cuts(clauses: Iterable[tuple[int, ...]], k: int, n: int) -> list[int]:
@@ -425,10 +419,9 @@ def _eliminate_blocks(
     resolved: list[tuple[int, ...]] = []
     for lo, hi, cs in reversed(list(zip(cuts, cuts[1:], touching))):
         ports = dict.fromkeys(abs(l) for c in cs for l in c if abs(l) <= base)
-        glob = [0, *ports, *range(lo + 1, hi + 1)]
-        local = {v: i for i, v in enumerate(glob) if v}
-        named = sorted(tuple(sorted((local[l] if l > 0 else -local[-l] for l in c), key=abs))
-                       for c in cs)
+        own = range(lo + 1, hi + 1)
+        glob = [0, *ports, *own]
+        named = sorted(_renumbered(ports, own, cs))
         flipped = sorted(tuple(-l for l in c) for c in named)
         sign = -1 if flipped < named else 1
         key = (len(ports), hi - lo, tuple(flipped if sign < 0 else named))
@@ -519,13 +512,22 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
 
 # -- pipeline stages ---------------------------------------------------------
 
+def _qbf_copies(q: Qbf2Formula, width: int, count: int) -> tuple[tuple, tuple, tuple]:
+    """The blocks and clauses of ``count`` copies of q, copy-major, copy k
+    shifted by k * width; one :func:`copies` call, so one table per copy."""
+    rows = copies([q.universals, q.existentials, *q.matrix.clauses], width, count)
+    stride = 2 + q.matrix.m
+    return (tuple(itertools.chain.from_iterable(rows[0::stride])),
+            tuple(itertools.chain.from_iterable(rows[1::stride])),
+            tuple(c for j in range(0, len(rows), stride) for c in rows[j + 2:j + stride]))
+
+
 def triple_copy(q: Qbf2Formula) -> Qbf2Formula:
     """Three variable-disjoint copies under one prefix; truth is preserved."""
     n = q.matrix.n_vars
-    matrix = CnfFormula(3 * n, tuple(triple(q.matrix.clauses, n)),
-                        q.matrix.allows_duplicate_literals)
-    return Qbf2Formula(sum(triple([q.universals], n), ()),
-                       sum(triple([q.existentials], n), ()), matrix)
+    universals, existentials, clauses = _qbf_copies(q, n, 3)
+    return Qbf2Formula(universals, existentials,
+                       CnfFormula(3 * n, clauses, q.matrix.allows_duplicate_literals))
 
 
 class PadVariant(Enum):
@@ -543,35 +545,33 @@ def monotonize(q: Qbf2Formula) -> Qbf2Formula:
     """
     clauses, fresh, _ = splice(
         q.matrix.clauses, q.matrix.n_vars, mixed_triples(q.matrix.clauses), build_enforcer)
-    matrix = cnf(
-        clauses,
-        n_vars=q.matrix.n_vars + len(fresh),
-        allows_duplicate_literals=q.matrix.allows_duplicate_literals,
-    )
+    matrix = CnfFormula(q.matrix.n_vars + len(fresh), tuple(clauses),
+                        q.matrix.allows_duplicate_literals)
     return Qbf2Formula(q.universals, q.existentials + tuple(fresh), matrix)
+
+
+def _build_Q(alloc: FreshVarAllocator, label: str, n_existentials: int) -> Qbf2Formula:
+    """Five universals u, v, w, q, r and the six-clause template on each
+    consecutive pair (a, b) of ``n_existentials`` existentials."""
+    u, v, w, qv, r = alloc.reserve(5, f"{label}/universal")
+    es = alloc.reserve(n_existentials, f"{label}/existential")
+    # each clause in canonical order, as u < v < w < q < r < a < b
+    clauses = tuple(
+        c for a, b in zip(es[0::2], es[1::2])
+        for c in ((u, r, a), (-u, -a, -b), (v, qv, b), (-v, -r, -a), (w, a, b), (-w, -qv, -b))
+    )
+    return Qbf2Formula((u, v, w, qv, r), tuple(es), CnfFormula(alloc.next_id - 1, clauses))
 
 
 def build_Q3(alloc: FreshVarAllocator) -> Qbf2Formula:
     """Quantified yes-enforcer: 5 universals (1,1), 2 existentials (2,2)."""
-    u, v, w, qv, r = alloc.reserve(5, "Q3/universal")
-    a, b = alloc.reserve(2, "Q3/existential")
-    clauses = [
-        (u, r, a), (-u, -b, -a), (v, qv, b), (-v, -r, -a), (w, a, b), (-w, -qv, -b),
-    ]
-    matrix = cnf(clauses, n_vars=alloc.next_id - 1)
-    return Qbf2Formula((u, v, w, qv, r), (a, b), matrix)
+    return _build_Q(alloc, "Q3", 2)
 
 
 def build_Q1mon(alloc: FreshVarAllocator) -> Qbf2Formula:
-    """Monotone quantified yes-enforcer: 5 universals and 4 existentials, all (2,2)."""
-    u, v, w, qv, r = alloc.reserve(5, "Q1mon/universal")
-    a, b, c, d = alloc.reserve(4, "Q1mon/existential")
-    clauses = [
-        (u, r, a), (-u, -b, -a), (v, qv, b), (-v, -r, -a), (w, a, b), (-w, -qv, -b),
-        (u, r, c), (-u, -d, -c), (v, qv, d), (-v, -r, -c), (w, c, d), (-w, -qv, -d),
-    ]
-    matrix = cnf(clauses, n_vars=alloc.next_id - 1)
-    return Qbf2Formula((u, v, w, qv, r), (a, b, c, d), matrix)
+    """Monotone quantified yes-enforcer: 5 universals and 4 existentials, all
+    (2,2); the Q3 template on (a, b), then on (c, d)."""
+    return _build_Q(alloc, "Q1mon", 4)
 
 
 class PadError(ValueError):
@@ -583,55 +583,45 @@ def pad_to_balance(q: Qbf2Formula, variant: PadVariant) -> Qbf2Formula:
 
     Each five-universal enforcer nets +3 universals (two existentials) for
     USE_Q3 or +1 (four existentials) for USE_Q1MON, so the existential surplus
-    must be divisible by 3 for USE_Q3.
+    must be divisible by 3 for USE_Q3.  One enforcer is built above the
+    input's variables; :func:`copies`, which also triples, shifts it into
+    the others, keeping every clause canonical.
     """
     surplus = len(q.existentials) - len(q.universals)
     if surplus < 0:
         raise PadError(f"more universals than existentials by {-surplus}; cannot pad")
     if surplus == 0:
         return q
-    if variant is PadVariant.USE_Q3:
-        if surplus % 3:
-            raise PadError(f"existential surplus {surplus} is not divisible by 3")
-        blocks = surplus // 3
-        builder = build_Q3
-    else:
-        blocks = surplus
-        builder = build_Q1mon
-    # one block, copied at offsets b * width: a uniform shift keeps every
-    # clause in canonical order; each copy maps its literals through one
-    # table, so a literal is one int object however often it occurs
+    builder = build_Q3 if variant is PadVariant.USE_Q3 else build_Q1mon
     base = q.matrix.n_vars
     block = builder(FreshVarAllocator(base + 1))
+    net = len(block.universals) - len(block.existentials)
+    if surplus % net:
+        raise PadError(f"existential surplus {surplus} is not divisible by {net}")
+    blocks = surplus // net
     width = block.matrix.n_vars - base
-    universals = list(q.universals)
-    existentials = list(q.existentials)
-    clauses = list(q.matrix.clauses)
-    for off in range(0, blocks * width, width):
-        shift = {v: v + off for v in range(base + 1, base + width + 1)}
-        shift.update({-v: -w for v, w in shift.items()})
-        universals.extend(map(shift.__getitem__, block.universals))
-        existentials.extend(map(shift.__getitem__, block.existentials))
-        clauses.extend(tuple(map(shift.__getitem__, c)) for c in block.matrix.clauses)
-    matrix = CnfFormula(base + blocks * width, tuple(clauses),
+    universals, existentials, clauses = _qbf_copies(block, width, blocks)
+    matrix = CnfFormula(base + blocks * width, q.matrix.clauses + clauses,
                         q.matrix.allows_duplicate_literals)
-    return Qbf2Formula(tuple(universals), tuple(existentials), matrix)
+    return Qbf2Formula(q.universals + universals, q.existentials + existentials, matrix)
+
+
+def _transform(q: Qbf2Formula, s: int, variant: PadVariant) -> Qbf2Formula:
+    """Validate a balanced (s,s,2,2) instance, then triple, monotonize and pad."""
+    rep = validate_balanced(q, BalanceSpec(s, s, 2, 2, require_equal_counts=True))
+    if not rep.verdict:
+        raise InvalidInstanceError(rep, f"balanced ({s},{s},2,2) input")
+    return pad_to_balance(monotonize(triple_copy(q)), variant)
 
 
 def transform_1122(q: Qbf2Formula) -> Qbf2Formula:
     """Balanced (1,1,2,2) instance to a monotone one of the same truth value."""
-    rep = validate_balanced(q, BalanceSpec(1, 1, 2, 2, require_equal_counts=True))
-    if not rep.verdict:
-        raise InvalidInstanceError(rep, "balanced (1,1,2,2) input")
-    return pad_to_balance(monotonize(triple_copy(q)), PadVariant.USE_Q3)
+    return _transform(q, 1, PadVariant.USE_Q3)
 
 
 def transform_2222(q: Qbf2Formula) -> Qbf2Formula:
     """Balanced (2,2,2,2) instance to a monotone one of the same truth value."""
-    rep = validate_balanced(q, BalanceSpec(2, 2, 2, 2, require_equal_counts=True))
-    if not rep.verdict:
-        raise InvalidInstanceError(rep, "balanced (2,2,2,2) input")
-    return pad_to_balance(monotonize(triple_copy(q)), PadVariant.USE_Q1MON)
+    return _transform(q, 2, PadVariant.USE_Q1MON)
 
 
 # -- QDIMACS -----------------------------------------------------------------

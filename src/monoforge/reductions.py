@@ -1,11 +1,12 @@
 """The two hardness reductions into the balanced monotone class, as executable
-and provenance-tracked transformations, and the tripling-and-monotonize core
-they share with :mod:`monoforge.qbf`: :func:`triple`, :func:`mixed_triples`,
-:func:`build_enforcer` and :func:`splice`.
+and provenance-tracked transformations, and the copy / splice core they share
+with the pipelines of :mod:`monoforge.qbf`: :func:`copies` (tripling and
+padding), :func:`mixed_triples`, :func:`build_enforcer` and :func:`splice`.
 
 Outputs keep pass-through clauses first (in copy order after tripling) and
 append gadget blocks in the order of their groups, so they are deterministic
-functions of their inputs.
+functions of their inputs.  Every step keeps clauses canonical, so outputs go
+to :class:`CnfFormula`, whose constructor checks them, without a re-sort.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .formula import (
     InstanceClass,
     InvalidInstanceError,
     clause_has_distinct_vars,
-    cnf,
     validate_class,
 )
 from .gadgets import (
@@ -62,17 +62,17 @@ class MonotonizeError(ValueError):
     pass
 
 
-def triple(rows: Sequence[Sequence[int]], n_vars: int) -> list[tuple[int, ...]]:
-    """Three variable-disjoint copies of rows of literals, copy-major.
+def copies(rows: Sequence[Sequence[int]], width: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` variable-disjoint copies of rows of literals, copy-major.
 
-    Copy k adds k * n_vars to every variable and keeps signs and order, so
+    Copy k adds k * width to every variable and keeps signs and order, so
     canonical clauses stay canonical and quantifier blocks keep their order.
+    Each copy maps its literals through one table, so a literal is one int
+    object however often it occurs.
     """
-    return [
-        tuple(l + off if l > 0 else l - off for l in row)
-        for off in (0, n_vars, 2 * n_vars)
-        for row in rows
-    ]
+    lits = {l for row in rows for l in row}
+    shifts = ({l: l + k * width if l > 0 else l - k * width for l in lits} for k in range(count))
+    return [tuple(map(shift.__getitem__, row)) for shift in shifts for row in rows]
 
 
 def _mixed_shape(c: Clause) -> int:
@@ -85,8 +85,9 @@ def mixed_triples(clauses: Sequence[Clause]) -> list[tuple[int, int, int]]:
     """Group the mixed clauses into triples of one shape, shape-major.
 
     With 3k clauses of a shape, the t-th triple holds its t-th, (t + k)-th
-    and (t + 2k)-th clause.  After :func:`triple` these are the three copies
-    of one source clause, and the first index is that source clause.
+    and (t + 2k)-th clause.  After tripling by :func:`copies` these are the
+    three copies of one source clause, and the first index is that source
+    clause.
     """
     a_idx, b_idx = ([j for j, c in enumerate(clauses) if _mixed_shape(c) == s] for s in (1, 2))
     if len(a_idx) % 3 or len(b_idx) % 3:
@@ -141,7 +142,7 @@ def _reduction_output(f, clauses, n_vars, groups, build) -> ReductionOutput:
         ProvenanceEntry("original" if tag is None else "gadget", j % f.m, tag)
         for j, tag in source
     )
-    formula = cnf(out, n_vars=n_vars + len(fresh))
+    formula = CnfFormula(n_vars + len(fresh), tuple(out))
     stats = ReductionStats(
         vars_added=formula.n_vars - f.n_vars,
         clauses_added=sum(1 for _, tag in source if tag is not None),
@@ -182,7 +183,7 @@ def reduce_3sat22_to_mono22(f: CnfFormula) -> ReductionOutput:
     rep = validate_class(f, InstanceClass.THREE_SAT_22)
     if not rep.verdict:
         raise InvalidInstanceError(rep, "(2,2)-balanced 3-SAT input")
-    tripled = triple(f.clauses, f.n_vars)
+    tripled = copies(f.clauses, f.n_vars, 3)
     # source-clause order; shape-major order slows the solver on the output
     groups = sorted(mixed_triples(tripled))
     return _reduction_output(f, tripled, 3 * f.n_vars, groups, build_enforcer)

@@ -279,6 +279,29 @@ def test_mine_refuses_out_of_range_search_settings(capsys, flag, value, message)
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n_vars, n_clauses", [("0", "0"), ("-3", "-4")])
+def test_mine_refuses_fewer_than_one_variable(capsys, n_vars, n_clauses):
+    code, out, err = run(capsys, "mine", "--vars", n_vars, "--clauses", n_clauses, "--iters", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: n_vars must be at least 1, not {n_vars}\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["solve"], "p cnf 2 2\n1 2 0\n-1 0\n"),
+    (["qbf", "check"], "p cnf 2 1\na 1 0\ne 2 0\n1 2 0\n"),
+], ids=["solve", "qbf-check"])
+def test_budget_must_be_a_non_negative_integer(capsys, tmp_path, argv, text):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    for budget in ("-1", "-5", "abc"):
+        code, out, err = run(capsys, *argv, "--budget", budget, "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: argument --budget: must be a non-negative integer, "
+                       f"not '{budget}'\n")
+    code, out, err = run(capsys, *argv, "--budget", "0", "--in", str(path))
+    assert code == 0 and out.splitlines()[0] in ("s SATISFIABLE", "yes") and err == ""
+
+
 def test_gadget_refuses_ports_above_the_variable_limit(capsys):
     code, out, err = run(capsys, "gadget", "N", "--ports", "99999999999")
     assert (code, out) == (1, "")

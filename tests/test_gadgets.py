@@ -196,6 +196,45 @@ def test_frakm_rejects_bad_shapes():
         build_frakMbar(alloc, [(1, -2, -3), (4, -5, -6), (7, -8, -9)])
 
 
+_FRAK_FAULTS = [
+    (build_frakM, [(1, 2, -3), (4, -5, -6), (7, -8, -9)],
+     "expected one positive and two negative literals: (1, 2, -3)"),
+    (build_frakM, [(1, -2, -3), (-4, 5, 6), (7, -8, -9)],
+     "expected one positive and two negative literals: (-4, 5, 6)"),
+    (build_frakMbar, [(-1, 2, 3), (4, -5, -6), (-7, 8, 9)],
+     "expected one negative and two positive literals: (4, -5, -6)"),
+    (build_frakMbar, [(-1, 2, 3), (-4, 5, 6), (7, 8, 9)],
+     "expected one negative and two positive literals: (7, 8, 9)"),
+    (build_frakM, [(1, -2, -3), (4, -5), (7, -8, -9)],
+     "not a 3-clause over distinct variables: (4, -5)"),
+    (build_frakMbar, [(-1, 2, 3), (-4, 5), (-7, 8, 9)],
+     "not a 3-clause over distinct variables: (-4, 5)"),
+    (build_frakM, [(1, -2, -3), (4, -5, -5), (7, -8, -9)],
+     "not a 3-clause over distinct variables: (4, -5, -5)"),
+    (build_frakMbar, [(-1, 2, 3), (-4, 4, 5), (-7, 8, 9)],
+     "not a 3-clause over distinct variables: (-4, 4, 5)"),
+    (build_frakM, [(1, -2, -3), (4, -5, -6)], "exactly three clauses are combined per instance"),
+    (build_frakMbar, [(-1, 2, 3), (-4, 5, 6)], "exactly three clauses are combined per instance"),
+    # a wrong count and a bad shape at once: the count is checked first
+    (build_frakM, [(1, 2, 3), (4, -5, -6)], "exactly three clauses are combined per instance"),
+    (build_frakMbar, [(1, 2, 3), (-4, 5, 6)], "exactly three clauses are combined per instance"),
+    # a zero literal ends up among the ports
+    (build_frakM, [(1, -2, 0), (4, -5, -6), (7, -8, -9)], "port variable 0 is not a variable id"),
+    (build_frakMbar, [(-1, 2, 0), (-4, 5, 6), (-7, 8, 9)], "port variable 0 is not a variable id"),
+]
+
+
+@pytest.mark.parametrize("build, triple, message", _FRAK_FAULTS)
+def test_frak_fault_message_leaves_allocator_untouched(build, triple, message):
+    alloc = FreshVarAllocator(20)
+    alloc.reserve(0, "earlier")
+    with pytest.raises(ValueError) as err:
+        build(alloc, triple)
+    assert str(err.value) == message
+    assert alloc.next_id == 20
+    assert alloc.reservations == [("earlier", range(20, 20))]
+
+
 def test_frakm_unsat_when_a_simulated_clause_fails():
     alloc = FreshVarAllocator(10)
     inst = build_frakM(alloc, [(1, -2, -3), (4, -5, -6), (7, -8, -9)])

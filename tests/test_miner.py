@@ -34,6 +34,15 @@ def test_config_refuses_more_variables_than_exact_counting_takes():
         MinerConfig(n_vars=24, n_clauses=1, initial=cnf([[1, 2, 3]], n_vars=24))
 
 
+@pytest.mark.parametrize("n_vars, n_clauses", [(0, 0), (-3, -4), (0, 1)])
+def test_config_refuses_fewer_than_one_variable(n_vars, n_clauses):
+    with pytest.raises(MinerConfigError) as e:
+        MinerConfig(n_vars=n_vars, n_clauses=n_clauses)
+    assert str(e.value) == f"n_vars must be at least 1, not {n_vars}"
+    with pytest.raises(MinerConfigError, match="n_vars must be at least 1"):
+        MinerConfig(n_vars=n_vars, n_clauses=0, initial=cnf([], n_vars=0))
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("max_iters", -1, "max_iters must be at least 0, not -1"),
     ("population_size", 0, "population_size must be at least 1, not 0"),

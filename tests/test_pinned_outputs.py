@@ -251,6 +251,13 @@ PORT_GADGET_CASES = {
                                     [(2, -1, -3), (2, -4, -5), (1, -4, -5)]]),
     "frakMbar": (gadgets.build_frakMbar, [[(-1, 2, 3), (-4, 5, 6), (-7, 8, 9)],
                                           [(-3, 1, 2), (-3, 4, 5), (-1, 2, 4)]]),
+    # clauses out of canonical order, the lone literal anywhere: frakM keeps
+    # the other two ports in the order given, frakMbar puts them in
+    # ascending variable order
+    "frakM_unsorted": (gadgets.build_frakM, [[(1, -5, -3), (4, -6, -2), (9, -8, -7)],
+                                             [(-9, 3, -1), (-4, -2, 8), (6, -7, -5)]]),
+    "frakMbar_unsorted": (gadgets.build_frakMbar, [[(-1, 5, 3), (-4, 6, 2), (-9, 8, 7)],
+                                                   [(3, -9, 1), (8, 4, -2), (-6, 7, 5)]]),
 }
 PORT_GADGET_TAGS = (0, 7, "t")
 
@@ -286,6 +293,17 @@ def _cli_gadget_rows(capsys):
         ports = ["--ports", *map(str, range(1, arity + 1))] if arity else []
         code = main(["gadget", name, "--format", "json", *ports])
         rows.append((name, code, capsys.readouterr().out))
+    return rows
+
+
+def _cli_unsorted_port_rows(capsys):
+    rows = []
+    for name in ("frakM", "frakMbar"):
+        for ports in ("1 5 3 4 6 7 8 9 10", "9 2 1 3 8 4 7 6 5"):
+            for fmt in ("dimacs", "json"):
+                code = main(["gadget", name, "--ports", *ports.split(), "--format", fmt])
+                captured = capsys.readouterr()
+                rows.append((name, ports, fmt, code, captured.out, captured.err))
     return rows
 
 
@@ -336,7 +354,10 @@ BUILDER_DIGESTS = {
     "gadget_Sbar": "c4341699efb88c2e65bcaa2ce165639ac3c678910bc8de58ea0e30381f5c0d34",
     "gadget_frakM": "4cff13fd31daf2d4d06e72b6fa8ae417b45d16dc92dfa7c55d189db9ad6d97c3",
     "gadget_frakMbar": "935dd82a1d2216942cbbef6989390949f6cb827d75bad84e2aeae9b4579334b2",
+    "gadget_frakM_unsorted": "5ab5743a1b99524f4a56793d96a70a02ec30eb58d91f9c466c355800bbbdffd4",
+    "gadget_frakMbar_unsorted": "701632f410978414865d05189406b8cf99e9daabd0737cd1afebe1c5e07f6318",
     "cli_gadget_json": "b63f6662bd7b410e4a961c1a16414da1c22b755f63d5b3d7521ce4456c75d0f2",
+    "cli_gadget_unsorted": "e58232ed311cfad5e90057dbc4622ea5de64960ec58fe53e87d8fbedc27941d9",
     "random_3sat22": "09abe706b77a946a53cec1592b7881f6f1c595bfd7dd675832a6907a8f2c6211",
     "random_mono_3sat_star22": "aa36628237e53f4eca1ea9a5076a3ea5a95a8b13c664acb4727e2a0c527d2ce9",
     "random_mono_nae_e2": "3cd636366b8018c18bf68210613e75d3fd8f3c7e4481128418e6faa3ba9b06d9",
@@ -353,6 +374,8 @@ def test_builder_output_digest(capsys, name):
         rows = _gadget_rows(name[len("gadget_"):])
     elif name == "cli_gadget_json":
         rows = _cli_gadget_rows(capsys)
+    elif name == "cli_gadget_unsorted":
+        rows = _cli_unsorted_port_rows(capsys)
     elif name.startswith("mine_"):
         rows = _miner_rows(name)
     else:

@@ -1,17 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoforge.formula import (
     InstanceClass,
     InvalidInstanceError,
+    canonical_clause,
     cnf,
     satisfies,
     validate_class,
 )
 from monoforge.generate import random_mono_22
 from monoforge.kernels import clause_arrays, count_sat
-from monoforge.reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
+from monoforge.reductions import copies, reduce_3sat22_to_mono22, reduce_star22_to_mono22
 from monoforge.solver import Status, solve
 
 
@@ -96,3 +98,24 @@ def test_provenance_covers_every_clause(sat22_corpus):
     assert kinds <= {"original", "gadget"}
     for p in out.provenance:
         assert 0 <= p.source_clause < f.m
+
+
+@st.composite
+def _canonical_rows(draw):
+    """A width and canonical rows of literals over variables 1..width."""
+    width = draw(st.integers(0, 8))
+    row = st.just([])
+    if width:
+        row = st.lists(st.integers(1, width).flatmap(lambda v: st.sampled_from((v, -v))),
+                       max_size=4)
+    return width, [canonical_clause(r) for r in draw(st.lists(row, max_size=6))]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_canonical_rows(), st.integers(0, 4))
+def test_copies_shifts_by_definition(spec, count):
+    width, rows = spec
+    out = copies(rows, width, count)
+    assert out == [tuple(l + k * width if l > 0 else l - k * width for l in row)
+                   for k in range(count) for row in rows]
+    assert all(canonical_clause(row) == row for row in out)
