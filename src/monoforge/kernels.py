@@ -90,13 +90,6 @@ def count_sat(lits, widths, n_vars: int, limit: int) -> int:
     return total
 
 
-def sat_words(lits, widths, n_vars: int) -> np.ndarray:
-    """The satisfying set as a bitmap of ``max(2 ** n_vars // 64, 1)`` words:
-    bit ``b`` of word ``w`` is set when assignment ``64 * w + b`` satisfies
-    every clause."""
-    return np.concatenate([ok for _, ok in _blocks(lits, widths, n_vars, nae=False)])
-
-
 def collect_sat(lits, widths, n_vars: int, cap: int) -> np.ndarray:
     """Ascending indices of satisfying assignments, at most ``cap`` of them."""
     out: list[np.ndarray] = []

@@ -51,13 +51,13 @@ Within a part of the walk, existential witnesses are reused.  Each SAT
 answer leaves its universal residue: the universal parts of the clauses that
 the model's existential part leaves unsatisfied.  Every universal assignment
 that satisfies the residue is extended by that existential part to a model
-of the whole matrix.  The truth-table kernel (:mod:`.kernels`) turns each
-residue into its satisfying set, which is ORed into one coverage bitmap of
-2^k bits for a part with k universals, and the walk jumps to the lowest
-uncovered assignment above the current one; an empty residue or a full map
-makes the part true.  Only assignments that do have an extension are skipped
-and the walk keeps its order, so the first assignment the solver refutes is
-still the lexicographically first counterexample.
+of the whole matrix.  A second solver, the abstraction, keeps as its models
+the assignments no residue covers (Janota & Marques-Silva, "Abstraction-Based
+Algorithm for 2QBF", SAT 2011): the walk asks the least of them next, and an
+unsatisfiable abstraction makes the part true.  Only assignments that do
+have an extension are skipped and the walk keeps its order, so the first
+assignment the solver refutes is still the lexicographically first
+counterexample.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from . import kernels
 from .fileio import ParseError, _parse_dimacs, write_dimacs
 from .formula import (
     Assignment,
@@ -82,7 +79,7 @@ from .formula import (
 )
 from .gadgets import FreshVarAllocator
 from .reductions import MonotonizeError, build_enforcer, copies, mixed_triples, splice
-from .solver import Solver, Status
+from .solver import Solver, SolveResult, Status
 
 
 @dataclass(frozen=True)
@@ -152,11 +149,6 @@ def validate_balanced(q: Qbf2Formula, spec: BalanceSpec) -> ValidationReport:
 
 # -- truth ------------------------------------------------------------------
 
-# a part left by elimination with more universals answers BUDGET instead
-# of walking 2^k assignments; the walk's coverage map has 2^k bits, 2 MiB
-# at 24.  Elimination runs first, so an input part may have more.
-MAX_UNIVERSAL_BITS = 24
-
 # existential elimination keeps a variable whose resolvents would include
 # one wider than MAX_RESOLVENT_WIDTH literals that no other one subsumes, or
 # whose elimination would add more than MAX_ADDED_CLAUSES clauses to those
@@ -212,52 +204,61 @@ def _components(
 
 def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) -> PartVerdict:
     """(YES|NO|BUDGET, lexicographically first failing assignment of the
-    universals 1..k of a renumbered part; NO only after the solver refutes
-    it, BUDGET when k exceeds ``MAX_UNIVERSAL_BITS``).
+    universals 1..k of a renumbered part; NO only after the matrix solver
+    refutes it, BUDGET once the part's ``conflict_budget`` runs out).
 
-    The residue of each SAT answer goes through ``kernels.sat_words`` into a
-    2^k-bit coverage map; the next assignment asked is the lowest one above
-    the current that the map leaves uncovered, and a full map means YES.
+    The abstraction holds the universals and a selector k + j per row j, a
+    clause with a non-tautological universal part: the clauses (-l, -(k + j))
+    for each literal l of that part make a true selector force the part
+    false, and each witness adds the OR of its residue rows' selectors.  One
+    pool of ``conflict_budget`` pays every solve's conflicts and one unit per step.
     """
-    if k > MAX_UNIVERSAL_BITS:
-        return QbfValue.BUDGET, None
-    # universal i is kernel variable k - i + 1, so a kernel index is the
-    # walk counter (universal i in bit k - i) and counting up is
-    # lexicographic order.  Clauses with no universal literal, or both
-    # literals of one, never constrain a residue; the universal parts of the
-    # others are packed for the kernel once.
-    universal: list[list[int]] = []
+    # clauses with no universal literal, or both literals of one, never
+    # constrain a residue; the others are the rows
     existential: list[list[int]] = []
+    selecting: list[tuple[int, int]] = []
     for c in local.clauses:
         us = [l for l in c if abs(l) <= k]
         if us and not any(-l in us for l in us):
-            universal.append([k + 1 - l if l > 0 else -(k + 1 + l) for l in us])
             existential.append([l for l in c if abs(l) > k])
-    ulits, uwidths = kernels.clause_arrays(universal)
-    covered = np.zeros(max(1 << k >> 6, 1), dtype=np.uint64)
-    full = (1 << min(1 << k, 64)) - 1  # a map word with every assignment covered
-    solver = Solver(local, conflict_budget=conflict_budget)
-    a = 0
+            selecting.extend((-l, -(k + len(existential))) for l in us)
+    matrix = Solver(local)
+    abstraction = Solver(CnfFormula(k + len(existential), tuple(selecting)))
+    pool = conflict_budget
+
+    def ask(solver: Solver, assumptions: list[int]) -> SolveResult:
+        nonlocal pool
+        solver.conflict_budget = pool
+        res = solver.solve(assumptions)
+        pool -= res.conflicts
+        return res
+
+    bits = (False,) * k
     while True:
-        bits = tuple(bool(a >> (k - i) & 1) for i in range(1, k + 1))
-        res = solver.solve([i if b else -i for i, b in enumerate(bits, 1)])
-        if res.status is Status.BUDGET:
+        res = ask(matrix, [i if b else -i for i, b in enumerate(bits, 1)])
+        if res.status is not Status.SAT:
+            return (QbfValue.NO, bits) if res.status is Status.UNSAT else (QbfValue.BUDGET, None)
+        abstraction.add_clause(k + 1 + j for j, ex in enumerate(existential)
+                               if not any(res.model[abs(l)] == (l > 0) for l in ex))
+        # a step costs a unit even when its solves cost no conflict, so the
+        # pool bounds the number of steps too
+        pool -= 1
+        if pool < 0:
             return QbfValue.BUDGET, None
-        if res.status is Status.UNSAT:
-            return QbfValue.NO, bits
-        model = res.model
-        rows = [j for j, ex in enumerate(existential)
-                if not any(model[l] if l > 0 else not model[-l] for l in ex)]
-        covered |= kernels.sat_words(ulits[rows], uwidths[rows], k)
-        # the model satisfies its own residue, so every assignment up to
-        # ``a`` is covered now and the next one lies above it
-        if not int(covered[a >> 6]) >> (a & 63) & 1:
-            raise AssertionError("internal error: a witness misses its own assignment")
-        w = (a >> 6) + int(np.argmax(covered[a >> 6:] != full))
-        free = ~int(covered[w]) & full
-        if not free:
-            return QbfValue.YES, None
-        a = 64 * w + (free & -free).bit_length() - 1
+        # the least model: from any model, try each universal it sets true as false
+        res = ask(abstraction, [])
+        for i in range(1, k + 1):
+            if res.status is Status.SAT and res.model[i]:
+                trial = ask(abstraction, [j if res.model[j] else -j for j in range(1, i)] + [-i])
+                if trial.status is not Status.UNSAT:
+                    res = trial
+        if res.status is not Status.SAT:
+            return (QbfValue.YES, None) if res.status is Status.UNSAT else (QbfValue.BUDGET, None)
+        # every assignment up to ``bits`` is covered, its own by its witness
+        following = tuple(res.model[i] for i in range(1, k + 1))
+        if following <= bits:
+            raise AssertionError("internal error: the walk does not move up")
+        bits = following
 
 
 def _resolvents(
@@ -460,10 +461,9 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     assignment fail.  The second splits what is left, over the variables it
     still mentions, and walks each part with ``_component_first_failure``.
     The first failing assignment is the least of the parts' first failing
-    assignments, each extended by false.  A part that reaches the walk with
-    more than ``MAX_UNIVERSAL_BITS`` universals, or a solver call that runs
-    out of ``conflict_budget``, makes the answer BUDGET whatever the other
-    parts give.
+    assignments, each extended by false.  A walked part that spends its own
+    ``conflict_budget``, on conflicts of either solver and one unit per
+    step, makes the answer BUDGET whatever the other parts give.
     """
     all_false = (False,) * q.p
     if any(len(c) == 0 for c in q.matrix.clauses):

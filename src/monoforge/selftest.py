@@ -2,12 +2,11 @@
 
 Each check is small enough to run at desk scale; together they cover the
 construction sizes, the listing equalities, the unsatisfiability results,
-the certificate replays and the enforcer truth tables.
+the certificate replays and the clauses each enforcer simulates.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, TextIO
 
 from . import refdata
@@ -18,6 +17,7 @@ from .gadgets import (
     build_core8,
     build_F2,
     build_frakM,
+    build_frakMbar,
     build_G,
     build_H,
     build_M,
@@ -33,23 +33,22 @@ from .gadgets import (
 from .models import count_models
 from .nae import complete_component_check, variable_graph
 from .kernels import clause_arrays, first_nae
-from .qbf import BalanceSpec, QbfValue, build_Q1mon, build_Q3, qbf_truth, validate_balanced
+from .qbf import (
+    BalanceSpec, QbfValue, _eliminate_existentials, build_Q1mon, build_Q3, qbf_truth,
+    validate_balanced,
+)
 from .rup import parse_rup, verify_rup
-from .solver import Solver, Status, solve
+from .solver import Status, solve
 
 
-def _enforcer_table(build, ports, expect) -> bool:
-    """Exhaustively compare gadget satisfiability with the simulated clause."""
-    alloc = FreshVarAllocator(start=max(ports) + 1)
-    inst = build(alloc, *ports)
-    solver = Solver(inst.formula)
-    for bits in itertools.product((False, True), repeat=len(set(ports))):
-        values = dict(zip(sorted(set(ports)), bits))
-        assumptions = [v if values[v] else -v for v in sorted(set(ports))]
-        got = solver.solve(assumptions).status is Status.SAT
-        if got != expect(values):
-            return False
-    return True
+def _simulates(build, simulated, *ports) -> bool:
+    """Eliminating the gadget's fresh variables, with its ports (the variables
+    of the simulated clauses) universal, leaves exactly those clauses; DP
+    elimination keeps the projection onto the ports, so truth tables agree."""
+    k = max(abs(l) for c in simulated for l in c)
+    f = build(FreshVarAllocator(start=k + 1), *ports).formula
+    left = _eliminate_existentials(f.clauses, k, f.n_vars)
+    return left is not None and sorted(left) == sorted(simulated)
 
 
 def _checks() -> list[tuple[str, Callable[[], bool]]]:
@@ -113,24 +112,23 @@ def _checks() -> list[tuple[str, Callable[[], bool]]]:
         return c.m == 8 and c.n_vars == 6 and count_models(c).count == 0
 
     def m_enforcer():
-        return _enforcer_table(
-            build_M_enforcer, (1, 2, 3),
-            lambda v: v[1] or not v[2] or not v[3])
+        return _simulates(build_M_enforcer, [(1, -2, -3)], 1, 2, 3)
 
     def mbar_enforcer():
-        return _enforcer_table(
-            build_Mbar_enforcer, (1, 2, 3),
-            lambda v: not v[1] or v[2] or v[3])
+        return _simulates(build_Mbar_enforcer, [(-1, 2, 3)], 1, 2, 3)
 
     def n_enforcer():
-        return _enforcer_table(build_N, (1,), lambda v: not v[1])
+        return _simulates(build_N, [(-1,)], 1)
 
     def s_enforcer():
         alloc = FreshVarAllocator(4)
         inst = build_S(alloc, 1, 2, 3)
         sizes = len(inst.fresh_vars) == 99 and inst.formula.m == 133
-        return sizes and _enforcer_table(
-            build_S, (1, 2, 3), lambda v: v[1] or v[2] or v[3])
+        return sizes and _simulates(build_S, [(1, 2, 3)], 1, 2, 3)
+
+    def frak_enforcers():
+        m, mbar = [(1, -2, -3), (4, -5, -6), (7, -8, -9)], [(-1, 2, 3), (-4, 5, 6), (-7, 8, 9)]
+        return _simulates(build_frakM, m, m) and _simulates(build_frakMbar, mbar, mbar)
 
     def frak_sizes():
         alloc = FreshVarAllocator(10)
@@ -170,11 +168,12 @@ def _checks() -> list[tuple[str, Callable[[], bool]]]:
         ("y-side core: listing, unsatisfiable, 0 models, certificate replays", y_core),
         ("z-side core: listing, unsatisfiable, 0 models, certificate replays", z_core),
         ("eight-clause core over a..f: 0 models", core8),
-        ("M enforcer simulates {u1, -u2, -u3} over all 8 port assignments", m_enforcer),
+        ("M enforcer simulates {u1, -u2, -u3}: eliminating its fresh variables leaves it", m_enforcer),
         ("negated M enforcer simulates {-u1, u2, u3}", mbar_enforcer),
-        ("N blocker satisfiable exactly when its port is false", n_enforcer),
-        ("S simulator: 99 fresh variables, 133 clauses, truth table exact", s_enforcer),
+        ("N blocker simulates {-u1}: satisfiable exactly when its port is false", n_enforcer),
+        ("S simulator: 99 fresh variables, 133 clauses, simulates {u1, u2, u3}", s_enforcer),
         ("combined enforcer: 96 fresh variables, 131 clauses, all (2,2)", frak_sizes),
+        ("combined enforcer and its mirror image simulate their three clauses", frak_enforcers),
         ("quantified enforcer (5 universals, 2 existentials) is a yes-instance", q3_yes),
         ("monotone quantified enforcer (5 universals, 4 existentials) is a yes-instance", q1mon_yes),
         ("7-clause all-positive instance: complete graph on 7, no nae-model", u_nae),

@@ -1,5 +1,7 @@
 import bisect
+import hashlib
 import itertools
+import random
 from collections import deque
 
 import numpy as np
@@ -13,7 +15,6 @@ from monoforge.formula import CnfFormula, InvalidInstanceError, canonical_clause
 from monoforge.gadgets import FreshVarAllocator, build_U
 from monoforge.generate import random_balanced_qbf
 from monoforge.qbf import (
-    MAX_UNIVERSAL_BITS,
     _block_cuts,
     _component_first_failure,
     _components,
@@ -140,16 +141,42 @@ def count_solves(monkeypatch):
     return calls
 
 
-def test_budget_on_too_many_universals(monkeypatch):
+def test_budget_on_too_many_universals():
     # one part with 25 universals, chained by clauses over universals alone,
-    # so elimination leaves it whole and the walk refuses it
+    # so elimination leaves it whole; the walk refutes its all-false
+    # assignment with one matrix solve, however many universals it has
     q = Qbf2Formula(tuple(range(1, 26)), (),
                     cnf([[i, i + 1] for i in range(1, 25)], n_vars=25))
-    assert MAX_UNIVERSAL_BITS == 24
-    calls = []
-    monkeypatch.setattr(solver_module.Solver, "solve", lambda *a, **k: calls.append(1))
-    assert qbf_truth(q).value is QbfValue.BUDGET
-    assert calls == []
+    verdict, bits, steps = walk_steps(*raw_part(q))
+    assert (verdict, bits, len(steps)) == (QbfValue.NO, (False,) * 25, 1)
+    assert qbf_truth(q) == QbfResult(QbfValue.NO, dict.fromkeys(range(1, 26), False))
+    # BUDGET comes from the budget alone: each step draws one unit, so the
+    # 130-step yes-part runs out below 130 even where its solves cost no
+    # conflict, and one pool pays for all solves, so it runs out below its
+    # steps plus its matrix solves' conflicts; a budget of 0 stops the
+    # two-step 17-universal yes-part at its first witness
+    part, k = raw_part(monotonized_p3())
+    verdict, _, steps = walk_steps(part, k)
+    assert (verdict, len(steps)) == (QbfValue.YES, 130)
+    assert _component_first_failure(part, k, 129) == (QbfValue.BUDGET, None)
+    spent = len(steps) + sum(res.conflicts for _, res in steps)
+    assert _component_first_failure(part, k, spent - 1) == (QbfValue.BUDGET, None)
+    part, k = raw_part(seventeen_universals(None))
+    assert walk_steps(part, k)[0] is QbfValue.YES
+    verdict, bits, steps = walk_steps(part, k, 0)
+    assert (verdict, bits, len(steps)) == (QbfValue.BUDGET, None, 1)
+    assert steps[0][1].status is solver_module.Status.SAT
+
+
+def pigeon_clauses(first):
+    """11 pigeons in 10 holes on the variables first..first + 109: every
+    resolvent has 10 literals, so elimination keeps each variable and the
+    solver meets a budget of 5 conflicts."""
+    def var(pigeon, hole):
+        return first + 10 * pigeon + hole
+
+    clauses = [[var(i, j) for j in range(10)] for i in range(11)]
+    return clauses + [[-var(i, j), -var(h, j)] for j in range(10) for i in range(11) for h in range(i)]
 
 
 REFUTED_PARTS = {
@@ -161,24 +188,24 @@ REFUTED_PARTS = {
 @pytest.mark.parametrize("refuted", sorted(REFUTED_PARTS))
 @pytest.mark.parametrize("chain_first", [True, False], ids=["chain-first", "chain-last"])
 def test_budget_wins_over_a_refuted_part(refuted, chain_first):
-    # a chain of 25 universals, over the walk's budget, beside a part on
-    # universal u and existential e that is false at u = false; the parts
-    # come in order of their smallest variable
-    chain = list(range(1, 26)) if chain_first else list(range(3, 28))
-    u, e = (26, 27) if chain_first else (1, 2)
+    # the pigeons, over a budget of 5 conflicts, beside a part on universal
+    # u and existential e that is false at u = false; the parts come in
+    # order of their smallest variable, the pigeons first with chain_first
+    first = 1 if chain_first else 3
+    u, e = (111, 112) if chain_first else (1, 2)
     other = REFUTED_PARTS[refuted](u, e)
-    alone = Qbf2Formula((u,), (e,), cnf(other, n_vars=27))
-    assert qbf_truth(alone) == QbfResult(QbfValue.NO, {u: False})
-    clauses = [[a, b] for a, b in zip(chain, chain[1:])] + other
-    q = Qbf2Formula((*chain, u), (e,), cnf(clauses, n_vars=27))
-    assert qbf_truth(q) == QbfResult(QbfValue.BUDGET)
+    alone = Qbf2Formula((u,), (e,), cnf(other, n_vars=112))
+    assert qbf_truth(alone, conflict_budget=5) == QbfResult(QbfValue.NO, {u: False})
+    q = Qbf2Formula((u,), (e, *range(first, first + 110)),
+                    cnf(pigeon_clauses(first) + other, n_vars=112))
+    assert qbf_truth(q, conflict_budget=5) == QbfResult(QbfValue.BUDGET)
 
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_universal_budget_applies_after_elimination(s):
     # the monotonized and padded p = 9 stages are one part with 27
-    # universals, over the walk's budget; elimination splits it into parts
-    # the walk decides, with the tripled stage's verdict and counterexample
+    # universals; elimination splits it into parts the walk decides, with
+    # the tripled stage's verdict and counterexample
     q = random_balanced_qbf(9, s, s, 1)
     tripled = triple_copy(q)
     want = qbf_truth(tripled)
@@ -193,14 +220,7 @@ def test_universal_budget_applies_after_elimination(s):
 
 
 def test_budget_on_conflict_budget(monkeypatch):
-    # 11 pigeons in 10 holes: every resolvent has 10 literals, so
-    # elimination keeps each variable and the solver meets the budget
-    def var(pigeon, hole):
-        return 10 * pigeon + hole + 1
-
-    clauses = [[var(i, j) for j in range(10)] for i in range(11)]
-    clauses += [[-var(i, j), -var(h, j)] for j in range(10) for i in range(11) for h in range(i)]
-    q = Qbf2Formula((), tuple(range(1, 111)), cnf(clauses, n_vars=110))
+    q = Qbf2Formula((), tuple(range(1, 111)), cnf(pigeon_clauses(1), n_vars=110))
     calls = count_solves(monkeypatch)
     assert qbf_truth(q, conflict_budget=5).value is QbfValue.BUDGET
     assert calls == [1]
@@ -310,20 +330,50 @@ def test_components_match_breadth_first_search(q):
     assert parts_of(q) == bfs_components(q)
 
 
-def test_witness_reuse_skips_solves(monkeypatch, qbf_1122_corpus):
-    # a (1,1) yes-instance with p = 3: its monotonized matrix is one
-    # component with 9 universals.  Elimination decides it without the
-    # solver, so the walk gets the part itself, renumbered: universals
-    # 1..9, then the existentials in declared order.
-    assert corpus.QBF_1122_SPECS[3][0] == 3
-    q = monotonize(triple_copy(qbf_1122_corpus[3]))
-    assert len(q.universals) == 9 and len(parts_of(q)) == 1
+def raw_part(q):
+    """``q``'s matrix as one part for the walk, without elimination:
+    (formula, k) with the universals numbered 1..k and then the
+    existentials, both in declared order."""
     local = {v: i for i, v in enumerate(q.universals + q.existentials, 1)}
     part = cnf([[local[abs(l)] if l > 0 else -local[abs(l)] for l in c] for c in q.matrix.clauses],
                n_vars=len(local))
-    calls = count_solves(monkeypatch)
-    assert _component_first_failure(part, 9, 1_000_000) == (QbfValue.YES, None)
-    assert 0 < len(calls) < 2 ** 9
+    return part, len(q.universals)
+
+
+def monotonized_p3():
+    """A (1,1) yes-instance with p = 3, monotonized: one part with 9
+    universals, which the walk alone decides in 130 steps."""
+    assert corpus.QBF_1122_SPECS[3] == (3, 103)
+    return monotonize(triple_copy(random_balanced_qbf(3, 1, 1, 103)))
+
+
+def walk_steps(part, k, conflict_budget=1_000_000):
+    """``_component_first_failure`` on ``part``: the verdict, the failing
+    bits and, for each solve of the matrix solver (the one whose formula is
+    ``part``), its assumptions and result."""
+    steps = []
+    solve = solver_module.Solver.solve
+
+    def recording_solve(self, assumptions=(), **kwargs):
+        res = solve(self, assumptions, **kwargs)
+        if self.formula is part:
+            steps.append((tuple(assumptions), res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module.Solver, "solve", recording_solve)
+        verdict, bits = _component_first_failure(part, k, conflict_budget)
+    return verdict, bits, steps
+
+
+def test_witness_reuse_skips_solves():
+    # elimination decides the monotonized part without the solver, so the
+    # walk gets the part itself, renumbered
+    q = monotonized_p3()
+    assert len(q.universals) == 9 and len(parts_of(q)) == 1
+    verdict, bits, steps = walk_steps(*raw_part(q))
+    assert (verdict, bits) == (QbfValue.YES, None)
+    assert 0 < len(steps) < 2 ** 9
     assert qbf_truth(q).value is QbfValue.YES
 
 
@@ -350,36 +400,126 @@ def numpy_truth(q):
     return {u: bool(a >> (k - i) & 1) for i, u in enumerate(q.universals, 1)}
 
 
-@pytest.mark.parametrize("failing", [(1, 9, 17), None], ids=["no", "yes"])
-def test_walk_crosses_kernel_block_boundary(monkeypatch, failing):
-    # one part with 17 universals: its 2^17 assignments fill two kernel
-    # blocks, and universal 1 picks the block.  The no-instance fails
-    # exactly when universals 1, 9 and 17 are true (index 2^16 + 2^8 + 1);
-    # in the yes-instance e = -u1, so the first witness covers the first
-    # block and the second the other.  f = true, in every model, ties all
-    # universals into one part.  Elimination would drop the pure f and
-    # split the part, so the walk is called on the formula directly.
+def seventeen_universals(failing):
+    """One part with 17 universals.  The no-instance fails exactly when the
+    universals in ``failing`` are true; in the yes-instance (``failing``
+    None) e = -u1, so one witness covers every assignment with u1 false and
+    a second the others.  f = true, in every model, ties all universals
+    into one part.  Elimination would drop the pure f and split the part,
+    so the walk is called on the formula directly."""
     k, e, f = 17, 18, 19
     clauses = [[u, f] for u in range(1, k + 1)]
     if failing:
         clauses += [[-u for u in failing] + [e], [-u for u in failing] + [-e]]
     else:
         clauses += [[1, e], [-1, -e], [1, e, -f]]
-    q = Qbf2Formula(tuple(range(1, k + 1)), (e, f), cnf(clauses, n_vars=f))
-    assumed = []
-    solve = solver_module.Solver.solve
+    return Qbf2Formula(tuple(range(1, k + 1)), (e, f), cnf(clauses, n_vars=f))
 
-    def recording_solve(self, assumptions=(), **kwargs):
-        assumed.append(sum(1 << (k - l) for l in assumptions if l > 0))
-        return solve(self, assumptions, **kwargs)
 
-    monkeypatch.setattr(solver_module.Solver, "solve", recording_solve)
-    verdict, bits = _component_first_failure(q.matrix, k, 1_000_000)
+@pytest.mark.parametrize("failing", [(1, 9, 17), None], ids=["no", "yes"])
+def test_walk_jumps_across_half_the_assignments(failing):
+    # the second assignment asked is 2^16 + 2^8 + 1 (universals 1, 9 and 17
+    # true) in the no-instance and 2^16 (universal 1 true) in the other
+    k = 17
+    q = seventeen_universals(failing)
+    verdict, bits, steps = walk_steps(q.matrix, k)
+    assumed = [sum(1 << (k - l) for l in assumptions if l > 0) for assumptions, _ in steps]
     alpha = numpy_truth(q)
     assert verdict is (QbfValue.YES if alpha is None else QbfValue.NO)
     assert (None if bits is None else dict(zip(q.universals, bits))) == alpha
     assert assumed == [0, (1 << 16) + (1 << 8) + 1 if failing else 1 << 16]
     assert qbf_truth(q).counterexample == alpha
+
+
+def random_walk_parts(count, seed):
+    """``count`` seeded random parts over universals 1..k, k <= 12, and
+    existentials k+1..k+e, e <= 6: up to 6e clauses, each with 1-3
+    universals and 1-2 existentials."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k, e = rng.randint(1, 12), rng.randint(1, 6)
+        clauses = []
+        for _ in range(rng.randint(1, 6 * e)):
+            us = rng.sample(range(1, k + 1), rng.randint(1, min(3, k)))
+            es = rng.sample(range(k + 1, k + e + 1), rng.randint(1, min(2, e)))
+            clauses.append(canonical_clause(v if rng.random() < 0.5 else -v for v in us + es))
+        out.append(Qbf2Formula(tuple(range(1, k + 1)), tuple(range(k + 1, k + e + 1)),
+                               CnfFormula(k + e, tuple(clauses))))
+    return out
+
+
+# sha256 over each part's verdict, failing bits and matrix-solver assumption
+# sequence, one repr line per part; computed with the earlier coverage-bitmap
+# walk, which jumped to the least uncovered assignment through truth tables
+WALK_DIGEST = "3727b1af96f3c6d2ea1324c7b153396b3d0cf4b75f059d87b1cb89d079a20613"
+
+
+def test_walk_digest():
+    qs = [*random_walk_parts(400, 16), seventeen_universals((1, 9, 17)),
+          seventeen_universals(None), monotonized_p3()]
+    h = hashlib.sha256()
+    for q in qs:
+        verdict, bits, steps = walk_steps(*raw_part(q))
+        h.update(repr((verdict.value, bits, [a for a, _ in steps])).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == WALK_DIGEST
+
+
+@st.composite
+def small_walk_parts(draw):
+    """Raw parts over universals 1..k, k <= 8, and existentials k+1..k+e,
+    e <= 4, with repeated variables, tautologies, repeated clauses and
+    clauses over one quantifier block alone."""
+    k, e = draw(st.integers(1, 8)), draw(st.integers(0, 4))
+    lit = st.integers(1, k + e).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4).map(canonical_clause),
+                            max_size=12))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=2))
+    return Qbf2Formula(tuple(range(1, k + 1)), tuple(range(k + 1, k + e + 1)),
+                       CnfFormula(k + e, tuple(clauses), allows_duplicate_literals=True))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_walk_parts())
+def test_walk_asks_the_least_uncovered_assignment(q):
+    # a witness covers an assignment when every clause that its existential
+    # values leave false has a true universal literal under it; each
+    # assignment the walk asks is the least that no earlier witness covers
+    k = len(q.universals)
+    verdict, bits, steps = walk_steps(q.matrix, k)
+    left = list(itertools.product((False, True), repeat=k))  # uncovered, in order
+    for i, (assumptions, res) in enumerate(steps):
+        assert assumptions == tuple(j if b else -j for j, b in enumerate(left[0], 1))
+        last_no = verdict is QbfValue.NO and i == len(steps) - 1
+        assert res.status is (solver_module.Status.UNSAT if last_no else solver_module.Status.SAT)
+        if res.status is solver_module.Status.SAT:
+            residue = [c for c in q.matrix.clauses
+                       if not any(res.model[abs(l)] == (l > 0) for l in c if abs(l) > k)]
+            left = [a for a in left if not all(
+                any(a[abs(l) - 1] == (l > 0) for l in c if abs(l) <= k) for c in residue)]
+    alpha = numpy_truth(q)
+    assert verdict is (QbfValue.YES if alpha is None else QbfValue.NO)
+    assert (None if bits is None else dict(zip(q.universals, bits))) == alpha
+    assert (left == []) is (alpha is None)
+
+
+@pytest.mark.parametrize("p, s", [(27, 1), (30, 1), (30, 2)])
+def test_large_sources_and_their_transforms_are_decided(p, s):
+    # after elimination each source leaves one part with all p universals to
+    # walk; its counterexample refutes it, and the transform's is that
+    # counterexample on the third copy with every other universal false
+    q = random_balanced_qbf(p, s, s, 1)
+    res = qbf_truth(q)
+    assert res.value is QbfValue.NO
+    alpha = res.counterexample
+    assumptions = [u if b else -u for u, b in alpha.items()]
+    assert solver_module.solve(q.matrix, assumptions=assumptions).status is solver_module.Status.UNSAT
+    out = (transform_1122 if s == 1 else transform_2222)(q)
+    want = dict.fromkeys(out.universals, False)
+    want.update((u + 2 * q.matrix.n_vars, b) for u, b in alpha.items())
+    assert qbf_truth(out) == QbfResult(QbfValue.NO, want)
 
 
 def extendable(clauses, k, n):

@@ -194,6 +194,50 @@ def test_add_clause_sequences_match_fresh_solves(case):
     check_incremental(f, additions)
 
 
+@st.composite
+def interleaved_calls(draw):
+    """A formula, a first conflict budget and a sequence of calls on one
+    solver: clauses to add, assumption lists (with repeated and
+    contradictory literals) to solve under, and new budgets, 0 among them."""
+    n = draw(st.integers(1, 12))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=3, max_size=3), max_size=4 * n))
+    # parity constraints on three variables make wrong decisions conflict
+    for a, b, c in draw(st.lists(st.lists(lit, min_size=3, max_size=3), max_size=n)):
+        clauses += [[a, b, c], [a, -b, -c], [-a, b, -c], [-a, -b, c]]
+    budget = st.sampled_from((0, 1, 2, 5, 1_000_000))
+    call = st.one_of(
+        st.tuples(st.just("add"), st.lists(lit, max_size=3)),
+        st.tuples(st.just("solve"), st.lists(lit, max_size=5)),
+        st.tuples(st.just("budget"), budget),
+    )
+    return n, clauses, draw(budget), draw(st.lists(call, max_size=14))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(interleaved_calls())
+def test_interleaved_solves_under_assumptions_match_the_kernel(case):
+    # a SAT or UNSAT answer agrees with the kernel on the formula, the
+    # clauses added so far and the assumptions as units, and a model
+    # satisfies all three; BUDGET answers leave the solver usable
+    n, clauses, budget, calls = case
+    s = Solver(cnf(clauses, n_vars=n, allows_duplicate_literals=True), conflict_budget=budget)
+    added = []
+    for kind, arg in calls:
+        if kind == "add":
+            s.add_clause(arg)
+            added.append(arg)
+        elif kind == "budget":
+            s.conflict_budget = arg
+        else:
+            res = s.solve(arg)
+            g = cnf(clauses + added + [[l] for l in arg], n_vars=n, allows_duplicate_literals=True)
+            if res.status is not Status.BUDGET:
+                assert (res.status is Status.SAT) == brute_sat(g)
+            if res.status is Status.SAT:
+                assert satisfies(g, res.model)
+
+
 def test_add_clause_rejects_bad_literals():
     s = Solver(cnf([[1, 2]]))
     for bad in ([3], [0], [-3], [True]):
