@@ -3,7 +3,8 @@
 Small universes (n_vars <= 22) go through the dense truth-table kernels;
 larger ones fall back to solve-and-block enumeration, which requires a cap.
 Models are returned in ascending assignment-index order on the dense path
-(variable v is bit v-1 of the index).
+(variable v is bit v-1 of the index).  ``kernels`` (and with it numpy) is
+imported on the first dense count or enumeration, not when the package loads.
 
 Solve-and-block keeps one incremental :class:`~monoforge.solver.Solver` per
 enumeration and adds each blocking clause to it, so learned clauses carry
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kernels
 from .formula import Assignment, CnfFormula, satisfies
 from .solver import Solver, Status
 
@@ -52,6 +52,7 @@ def count_models(f: CnfFormula, cap: int | None = None) -> ModelCount:
     if cap is not None and cap < 0:
         raise ValueError("cap must be non-negative")
     if f.n_vars <= DENSE_VAR_LIMIT:
+        from . import kernels
         lits, widths = kernels.clause_arrays(f.clauses)
         limit = (1 << f.n_vars) + 1 if cap is None else cap + 1
         raw = kernels.count_sat(lits, widths, f.n_vars, limit)
@@ -71,6 +72,7 @@ def enumerate_models(f: CnfFormula, cap: int = 1 << 20) -> ModelEnumeration:
     if cap < 0:
         raise ValueError("cap must be non-negative")
     if f.n_vars <= DENSE_VAR_LIMIT:
+        from . import kernels
         lits, widths = kernels.clause_arrays(f.clauses)
         idxs = kernels.collect_sat(lits, widths, f.n_vars, cap + 1)
         capped = len(idxs) > cap

@@ -32,7 +32,6 @@ from .gadgets import (
 )
 from .models import count_models
 from .nae import complete_component_check, variable_graph
-from .kernels import clause_arrays, first_nae
 from .qbf import (
     BalanceSpec, QbfValue, _eliminate_existentials, build_Q1mon, build_Q3, qbf_truth,
     validate_balanced,
@@ -154,6 +153,7 @@ def _checks() -> list[tuple[str, Callable[[], bool]]]:
         return occ and mono and counts and qbf_truth(q).value is QbfValue.YES
 
     def u_nae():
+        from .kernels import clause_arrays, first_nae
         f = build_U_NAE()
         g = variable_graph(f)
         k7 = complete_component_check(g, 7)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from monoforge.gadgets import build_U, build_U_NAE, build_y_core
 from monoforge.qbf import build_Q3, read_qdimacs, write_qdimacs
 from monoforge.gadgets import FreshVarAllocator
 from monoforge.generate import random_3sat22
+from monoforge.kernels import clause_arrays, count_sat
 
 
 def run(capsys, *argv):
@@ -402,3 +407,40 @@ def test_oversized_input_is_refused_before_any_work(tmp_path, monkeypatch, capsy
         code, out, err = run(capsys, *argv, "--in", "big")
         assert (code, out) == (1, ""), fmt
         assert err == "error: input declares 30000000 variables; the limit is 1048576\n", fmt
+
+
+# Run in a fresh interpreter: prints whether numpy is loaded after the imports
+# and after each command, then the output of ``count``.
+_NUMPY_PROBE = """
+import contextlib, io, os, sys
+import monoforge, monoforge.cli
+from monoforge.cli import main
+loaded = ["numpy" in sys.modules]
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for argv in (["gadget", "U"], ["qbf", "check", "--in", sys.argv[1]]):
+        assert main(argv) == 0, argv
+        loaded.append("numpy" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["count", "--in", sys.argv[2]]) == 0
+loaded.append("numpy" in sys.modules)
+print(loaded, out.getvalue().strip())
+"""
+
+
+def test_numpy_is_loaded_only_by_dense_counts(tmp_path):
+    # tier-1 imports numpy in this process, so the probe needs its own
+    qdimacs = tmp_path / "q3.qdimacs"
+    qdimacs.write_text(write_qdimacs(build_Q3(FreshVarAllocator(1))))
+    f = random_3sat22(9, 5)
+    dense = tmp_path / "f.cnf"
+    dense.write_text(write_dimacs(f))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(qdimacs), str(dense)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lits, widths = clause_arrays(f.clauses)
+    want = count_sat(lits, widths, f.n_vars, (1 << f.n_vars) + 1)
+    assert proc.stdout == f"[False, False, False, True] {want}\n"

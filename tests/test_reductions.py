@@ -58,6 +58,8 @@ def test_star_reduction_corpus(star22_corpus):
         assert res.status in (Status.SAT, Status.UNSAT)
         assert (res.status is Status.SAT) == brute_sat(f)
         assert len(out.provenance) == out.formula.m
+        if res.status is Status.SAT:  # the model transports to the source
+            assert satisfies(f, {v: res.model[v] for v in range(1, f.n_vars + 1)})
 
 
 def test_3sat22_reduction_monotone_input_passthrough():

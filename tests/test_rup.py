@@ -1,10 +1,12 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoforge import refdata
 from monoforge.formula import cnf
 from monoforge.gadgets import build_y_core, build_z_core
+from monoforge.kernels import clause_arrays, count_sat
 from monoforge.rup import RupParseError, RupProof, RupStep, parse_rup, verify_rup
 from monoforge.solver import Status, solve
 
@@ -112,3 +114,26 @@ def test_solver_traces_verify_on_random_unsat(sat22_corpus):
         f = cnf([[1, 2], [1, -2], [-1, 2], [-1, -2]])
         res = solve(f, trace=True)
         assert res.status is Status.UNSAT and verify_rup(f, res.proof)
+
+
+@st.composite
+def small_cnfs(draw):
+    n = draw(st.integers(1, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3), max_size=4 * n))
+    # parity constraints on three variables make UNSAT answers common
+    for a, b, c in draw(st.lists(st.lists(lit, min_size=3, max_size=3), max_size=n)):
+        clauses += [[a, b, c], [a, -b, -c], [-a, b, -c], [-a, -b, c]]
+    return cnf(clauses, n_vars=n, allows_duplicate_literals=True)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_cnfs())
+def test_traced_proofs_replay(f):
+    res = solve(f, trace=True)
+    lits, widths = clause_arrays(f.clauses)
+    assert (res.status is Status.SAT) == (count_sat(lits, widths, f.n_vars, 1) > 0)
+    if res.status is Status.UNSAT:
+        assert verify_rup(f, res.proof)
+        assert res.proof.steps[-1] == RupStep(())
+        assert not verify_rup(f, RupProof(res.proof.steps[:-1])).ok
