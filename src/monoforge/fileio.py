@@ -23,7 +23,7 @@ def _needs_dup_flag(clauses) -> bool:
     return any(not clause_has_distinct_vars(c) for c in clauses)
 
 
-def _parse_dimacs(text: str, quantifier=None) -> tuple[int, list[tuple[int, ...]]]:
+def parse_dimacs(text: str, quantifier=None) -> tuple[int, list[tuple[int, ...]]]:
     """Header and 0-terminated clauses of DIMACS text: (n_vars, clauses).
 
     With ``quantifier``, a line whose first token is 'a' or 'e' is passed to
@@ -85,7 +85,7 @@ def read_dimacs(text: str) -> CnfFormula:
     Clauses may span lines.  The duplicate-literal dialect flag is set
     automatically when some clause repeats a variable.
     """
-    n_vars, clauses = _parse_dimacs(text)
+    n_vars, clauses = parse_dimacs(text)
     return CnfFormula(n_vars, tuple(clauses), _needs_dup_flag(clauses))
 
 

@@ -129,8 +129,6 @@ def _random_instance(cls: InstanceClass, n_vars: int, rng: random.Random) -> Cnf
 
 def random_3sat22(n_vars: int, seed: int) -> CnfFormula:
     """A (2,2)-balanced 3-SAT instance: mixed clauses allowed, unique, distinct."""
-    if n_vars % 3:
-        raise GenerationError("n_vars must be divisible by 3 for a (2,2) profile")
     return _random_instance(InstanceClass.THREE_SAT_22, n_vars, random.Random(seed))
 
 

@@ -6,46 +6,12 @@ A formula is a single universal block followed by a single existential block
 over a CNF matrix.  Truth takes two passes over variable-disjoint parts (by
 union-find over a flat parent array, the parts in order of their smallest
 variable), each handling structurally identical parts once: the first
-eliminates the existentials of the input's parts, the second splits the
-clauses left and walks each part's universal assignments in lexicographic
-order (declared variable order, false before true), checking existential
-satisfiability with the clause-learning solver.  The verdict and the reported
-counterexample are exactly those of plain enumeration over the whole formula.
-
-In the first pass each distinct part loses its existentials to DP resolution
-(the "resolve" half of Quantor: Biere, "Resolve and Expand", SAT 2004),
-highest local id first.  That is reverse declared order, so the gadget and
-padding existentials the pipelines append go first.  Fixing the universals
-commutes with resolution on an existential, so under every universal
-assignment the matrix stays satisfiable exactly when it was, and neither the
-verdict nor the first counterexample can move.  The elimination is bounded
-as in Eén & Biere, "Effective preprocessing in SAT through variable and
-clause elimination" (SAT 2005): a variable stays when a resolvent that no
-other one subsumes would have more than ``MAX_RESOLVENT_WIDTH`` (9)
-literals, or when eliminating it would add more than ``MAX_ADDED_CLAUSES``
-(64) clauses.  Tautologies are dropped, a pure existential takes its clauses
-with it, and a new resolvent is skipped when a live clause subsumes it and
-removes the live clauses it subsumes.  An empty resolvent makes the part
-false under every assignment, so its first counterexample is all-false.  The
-clauses left, over the input's variables, are what the second pass splits.
-On the pipelines' outputs every existential goes, the 96-variable enforcers
-that join the three copies of a formula included, and the walk is left with
-clauses over the universals alone.
-
-Elimination goes block by block, because a monotonized part is many copies
-of one 96-variable enforcer, equal up to their ports and a global sign flip.
-Let ``need(x)`` be the highest variable up to x of any clause that also has
-one above x.  For a base bound L, every x >= L with ``need(x) <= L`` is a
-cut; the cuts split the existentials above L into blocks, and no clause
-touches two blocks.  L is the one in k..n with the least (L - k) + the size
-of the largest block, the smallest on ties: on the pipelines' parts the
-tripled source's variables, with one block per enforcer.  Each block is
-eliminated, top down, from the clauses that touch it, once per
-``qbf_truth`` call for all blocks that are equal to it with the ports
-numbered by first occurrence in matrix order and the block's own variables
-by offset, taking the smaller of the block and its sign flip.  The results,
-mapped back, join the other clauses with the subsumption checks of a
-resolvent, and the base existentials go last.
+eliminates the existentials of the input's parts (:mod:`.elimination`), the
+second splits the clauses left, over the input's variables, and walks each
+part's universal assignments in lexicographic order (declared variable
+order, false before true), checking existential satisfiability with the
+clause-learning solver.  The verdict and the reported counterexample are
+exactly those of plain enumeration over the whole formula.
 
 Within a part of the walk, existential witnesses are reused.  Each SAT
 answer leaves its universal residue: the universal parts of the clauses that
@@ -63,12 +29,13 @@ counterexample.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
-from .fileio import ParseError, _parse_dimacs, write_dimacs
+from .elimination import eliminate_blocks, renumbered
+from .fileio import ParseError, parse_dimacs, write_dimacs
 from .formula import (
     Assignment,
     CnfFormula,
@@ -148,13 +115,6 @@ def validate_balanced(q: Qbf2Formula, spec: BalanceSpec) -> ValidationReport:
 
 
 # -- truth ------------------------------------------------------------------
-
-# existential elimination keeps a variable whose resolvents would include
-# one wider than MAX_RESOLVENT_WIDTH literals that no other one subsumes, or
-# whose elimination would add more than MAX_ADDED_CLAUSES clauses to those
-# it removes
-MAX_RESOLVENT_WIDTH = 9
-MAX_ADDED_CLAUSES = 64
 
 # a part's answer: YES, NO with the lexicographically first failing
 # assignment of its universals, or BUDGET
@@ -261,244 +221,61 @@ def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) ->
         bits = following
 
 
-def _resolvents(
-    v: int, pos: set[frozenset[int]], neg: set[frozenset[int]]
-) -> set[frozenset[int]] | None:
-    """The distinct non-tautological resolvents on ``v``, or None when they
-    outnumber the clauses they replace by more than ``MAX_ADDED_CLAUSES``
-    (counted before subsumption, which bounds the work) or when one that no
-    other resolvent subsumes is wider than ``MAX_RESOLVENT_WIDTH``."""
-    limit = len(pos) + len(neg) + MAX_ADDED_CLAUSES
-    rests = [b - {-v} for b in neg]
-    out: set[frozenset[int]] = set()
-    for a in pos:
-        rest = a - {v}
-        flipped = {-l for l in rest}
-        for b in rests:
-            if flipped.isdisjoint(b):
-                out.add(rest | b)
-        if len(out) > limit:
-            return None
-    # a wide resolvent that a narrower one subsumes would not be added
-    for r in out:
-        if len(r) > MAX_RESOLVENT_WIDTH and not any(s < r for s in out):
-            return None
-    return out
-
-
-def _eliminate_existentials(
-    clauses: Iterable[tuple[int, ...]], k: int, n: int,
-    resolved: Iterable[tuple[int, ...]] = (), top: int | None = None,
-) -> list[tuple[int, ...]] | None:
-    """DP resolution on the existentials k+1..``top`` (default n) of a
-    renumbered part, highest first, skipping each variable that
-    ``_resolvents`` refuses; None when an empty resolvent makes the matrix
-    false under every universal assignment, else the canonical clauses left.
-    The ``resolved`` clauses, canonical and non-empty, join before the first
-    step with the subsumption checks of a resolvent."""
-    # occ[l] holds the live clauses with literal l; it has 2n + 1 entries,
-    # so occ[-l] is entry 2n + 1 - l.  live keeps the live clauses in the
-    # order they joined.
-    occ: list[set[frozenset[int]]] = [set() for _ in range(2 * n + 1)]
-    live: dict[frozenset[int], None] = {}
-
-    def add(c: frozenset[int]) -> None:
-        live[c] = None
-        for l in c:
-            occ[l].add(c)
-
-    def remove(c: frozenset[int]) -> None:
-        del live[c]
-        for l in c:
-            occ[l].discard(c)
-
-    def admit(r: frozenset[int]) -> None:
-        # skip a clause that a live one subsumes, else add it and remove the
-        # live clauses it subsumes, which all hold each literal of r
-        if any(c <= r for l in r for c in occ[l]):
-            return
-        for c in [c for c in occ[max(r, key=abs)] if r < c]:
-            remove(c)
-        add(r)
-
-    for t in clauses:
-        c = frozenset(t)
-        if c not in live and not any(-l in c for l in c):
-            add(c)
-    for t in resolved:
-        admit(frozenset(t))
-    for v in range(n if top is None else top, k, -1):
-        pos, neg = occ[v], occ[-v]
-        resolvents = _resolvents(v, pos, neg) if pos and neg else set()
-        if resolvents is None:
-            continue
-        for c in [*pos, *neg]:
-            remove(c)
-        # shortest first, so a resolvent subsumed by another is skipped
-        # rather than added and removed
-        for r in sorted(resolvents, key=len):
-            if not r:
-                return None
-            admit(r)
-    return [tuple(sorted(c, key=abs)) for c in live]
-
-
-def _block_cuts(clauses: Iterable[tuple[int, ...]], k: int, n: int) -> list[int]:
-    """The base bound L of a renumbered part and its cuts above: [L, ..., n].
-
-    ``need(x)`` is the highest variable up to x of a clause that also has one
-    above x, so a clause spans x only through variables up to ``need(x)``.
-    For a base bound L, every x >= L with ``need(x) <= L`` is a cut, and no
-    clause has variables in two of the blocks (c, c'] between cuts.  L is
-    the one in k..n with the least (L - k) + the largest block's size, the
-    smallest on ties.
-    """
-    # reach[a]: the highest variable that follows a in some canonical clause;
-    # index 0 is a sentinel that is never popped
-    reach = list(range(n + 1))
-    reach[0] = n + 1
-    for c in clauses:
-        a = abs(c[0])
-        for l in c[1:]:
-            b = abs(l)
-            if b > reach[a]:
-                reach[a] = b
-            a = b
-    # need[x] is the highest a <= x with reach[a] > x: a stack of candidates
-    # that pops those that end at or before x
-    need = [0] * (n + 1)
-    stack = [0]
-    for x in range(1, n + 1):
-        if reach[x] > x:
-            stack.append(x)
-        while reach[stack[-1]] <= x:
-            stack.pop()
-        need[x] = stack[-1]
-    # descending L: cut L joins at the bottom and the cuts x with
-    # need(x) = L + 1 leave.  Leaving merges two blocks, so the largest block
-    # only grows and one doubly linked list of cuts tracks it.
-    leaving: list[list[int]] = [[] for _ in range(n + 1)]
-    for x in range(k + 1, n + 1):
-        leaving[need[x]].append(x)
-    below, above = [0] * (n + 1), [0] * (n + 1)
-    low, largest, best, base = n, 0, n - k, n
-    for L in range(n - 1, k - 1, -1):
-        above[L], below[low] = low, L
-        largest = max(largest, low - L)
-        low = L
-        for x in leaving[L + 1]:
-            b, a = below[x], above[x]
-            above[b], below[a] = a, b
-            largest = max(largest, a - b)
-        if L - k + largest <= best:
-            best, base = L - k + largest, L
-    return [x for x in range(base, n + 1) if need[x] <= base]
-
-
-def _eliminate_blocks(
-    clauses: Sequence[tuple[int, ...]], k: int, n: int,
-    cache: dict[tuple, list[tuple[int, ...]] | None],
-) -> list[tuple[int, ...]] | None:
-    """``_eliminate_existentials`` on a renumbered part, block by block.
-
-    Each block of ``_block_cuts`` above the base bound is eliminated, top
-    down, from the clauses that touch it, through ``cache``: the key is
-    those clauses with the ports (variables up to the bound) numbered by
-    first occurrence and the block's own variables by offset, or their sign
-    flip if that is smaller.  The results, mapped back, join the other
-    clauses with the subsumption checks of a resolvent, and the base
-    existentials go last.
-    """
-    cuts = _block_cuts(clauses, k, n)
-    base = cuts[0]
-    # a clause belongs to the block of its highest variable, if any
-    touching: list[list[tuple[int, ...]]] = [[] for _ in cuts[1:]]
-    rest = []
-    for c in clauses:
-        top = abs(c[-1])
-        (touching[bisect_left(cuts, top) - 1] if top > base else rest).append(c)
-    resolved: list[tuple[int, ...]] = []
-    for lo, hi, cs in reversed(list(zip(cuts, cuts[1:], touching))):
-        ports = dict.fromkeys(abs(l) for c in cs for l in c if abs(l) <= base)
-        own = range(lo + 1, hi + 1)
-        glob = [0, *ports, *own]
-        named = sorted(_renumbered(ports, own, cs))
-        flipped = sorted(tuple(-l for l in c) for c in named)
-        sign = -1 if flipped < named else 1
-        key = (len(ports), hi - lo, tuple(flipped if sign < 0 else named))
-        if key not in cache:
-            cache[key] = _eliminate_existentials(key[2], len(ports), len(glob) - 1)
-        out = cache[key]
-        if out is None:
-            return None
-        resolved.extend(
-            tuple(sorted((sign * glob[l] if l > 0 else -sign * glob[-l] for l in c), key=abs))
-            for c in out)
-    return _eliminate_existentials(rest, k, n, resolved=resolved, top=base)
-
-
-def _renumbered(
-    us: Sequence[int], es: Sequence[int], clauses: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    """A part's clauses, in their order, with ``us`` numbered 1..k and then
-    ``es``, both in their order.  A stable sort by variable keeps a negative
-    literal before its positive twin, so a canonical clause stays canonical."""
-    lit: dict[int, int] = {}
-    for i, v in enumerate(itertools.chain(us, es), 1):
-        lit[v], lit[-v] = i, -i
-    return tuple(tuple(sorted(map(lit.__getitem__, c), key=abs)) for c in clauses)
+def _parts(
+    us: Sequence[int], es: Sequence[int], clauses: Sequence[tuple[int, ...]],
+    memo: dict[tuple, Any], decide: Callable[[tuple[tuple[int, ...], ...], int, int], Any],
+) -> Iterator[tuple[list[int], list[int], Any]]:
+    """(universals, existentials, answer) per part of ``_components`` that has
+    clauses: ``decide(local, k, n)`` on its ``renumbered`` clauses, once per
+    distinct renumbered part (equal clauses up to order) through ``memo``."""
+    for part_us, part_es, idx in _components(us, es, clauses):
+        if idx:  # a part without clauses is true under every assignment
+            # not sorted: the block keys number the ports by first occurrence
+            local = renumbered(part_us, part_es, (clauses[j] for j in idx))
+            key = (len(part_us), len(part_es), tuple(sorted(local)))
+            if key not in memo:
+                memo[key] = decide(local, len(part_us), len(part_us) + len(part_es))
+            yield part_us, part_es, memo[key]
 
 
 def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     """Decide the formula; a 'no' carries the lexicographically first failing
     universal assignment (declared order, false < true).
 
-    Two passes, each over the parts of a clause list, renumbered by
-    ``_renumbered`` and handled once per distinct renumbered part (equal
-    clauses up to order).  The first eliminates each part of the input with
-    ``_eliminate_blocks``, in matrix order, and maps the clauses left back
-    to the input's variables; an empty resolvent makes the all-false
-    assignment fail.  The second splits what is left, over the variables it
-    still mentions, and walks each part with ``_component_first_failure``.
-    The first failing assignment is the least of the parts' first failing
-    assignments, each extended by false.  A walked part that spends its own
-    ``conflict_budget``, on conflicts of either solver and one unit per
-    step, makes the answer BUDGET whatever the other parts give.
+    Two passes, each over the distinct parts of a clause list that
+    ``_parts`` gives.  The first eliminates each part of the input with
+    ``eliminate_blocks``, in matrix order, and maps the clauses left back to
+    the input's variables; an empty resolvent makes the all-false assignment
+    fail.  The second splits what is left and walks each part with
+    ``_component_first_failure``.  The first failing assignment is the least
+    of the parts' first failing assignments, each extended by false.  A
+    walked part that spends its own ``conflict_budget``, on conflicts of
+    either solver and one unit per step, makes the answer BUDGET whatever
+    the other parts give.
     """
     all_false = (False,) * q.p
     if any(len(c) == 0 for c in q.matrix.clauses):
         return QbfResult(QbfValue.NO, dict(zip(q.universals, all_false)))
     # eliminate: each distinct part's clauses left, None after an empty
-    # resolvent, and the eliminated blocks, keyed as in ``_eliminate_blocks``
+    # resolvent, and the eliminated blocks, keyed as in ``eliminate_blocks``
     eliminated: dict[tuple, list[tuple[int, ...]] | None] = {}
     blocks: dict[tuple, list[tuple[int, ...]] | None] = {}
     candidates: list[tuple[bool, ...]] = []
     left: list[tuple[int, ...]] = []
-    for us, es, idx in _components(q.universals, q.existentials, q.matrix.clauses):
-        if not idx:  # no constraint: true under every assignment
-            continue
-        # not sorted: the block keys number the ports by first occurrence
-        clauses = _renumbered(us, es, (q.matrix.clauses[j] for j in idx))
-        key = (len(us), len(es), tuple(sorted(clauses)))
-        if key not in eliminated:
-            eliminated[key] = _eliminate_blocks(clauses, len(us), len(us) + len(es), blocks)
-        out = eliminated[key]
+    for us, es, out in _parts(q.universals, q.existentials, q.matrix.clauses, eliminated,
+                              lambda cs, k, n: eliminate_blocks(cs, k, n, blocks)):
         if out is None:
             candidates.append(all_false)
             continue
         glob = (0, *us, *es)
         left.extend(tuple(glob[l] if l > 0 else -glob[-l] for l in c) for c in out)
-    # walk: each distinct part's answer
+    # walk: each distinct part's answer, over the variables still mentioned
     walked: dict[tuple, PartVerdict] = {}
     mentioned = {abs(l) for c in left for l in c}
-    for us, es, idx in _components([u for u in q.universals if u in mentioned],
-                                   [e for e in q.existentials if e in mentioned], left):
-        clauses = _renumbered(us, es, (left[j] for j in idx))
-        key = (len(us), len(es), tuple(sorted(clauses)))
-        if key not in walked:
-            local = CnfFormula(len(us) + len(es), clauses)
-            walked[key] = _component_first_failure(local, len(us), conflict_budget)
-        value, bits = walked[key]
+    for us, _, (value, bits) in _parts(
+            [u for u in q.universals if u in mentioned],
+            [e for e in q.existentials if e in mentioned], left, walked,
+            lambda cs, k, n: _component_first_failure(CnfFormula(n, cs), k, conflict_budget)):
         if value is QbfValue.BUDGET:
             return QbfResult(QbfValue.BUDGET)
         if value is QbfValue.NO:
@@ -660,7 +437,7 @@ def read_qdimacs(text: str) -> Qbf2Formula:
             seen_e = True
             existentials.extend(ids)
 
-    n_vars, clauses = _parse_dimacs(text, quantifier)
+    n_vars, clauses = parse_dimacs(text, quantifier)
     try:
         return Qbf2Formula(tuple(universals), tuple(existentials),
                            CnfFormula(n_vars, tuple(clauses)))

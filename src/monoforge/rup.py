@@ -177,32 +177,25 @@ class _Propagator:
 
     def add(self, ext: tuple[int, ...]) -> None:
         lits, taut = self._internal_clause(ext)
-        key = tuple(sorted(lits))
+        # every clause is registered for deletion matching; an inert one (a
+        # tautology, the empty clause, any clause after a root conflict, a
+        # unit at root) keeps None in db
         ci = len(self.db)
-        if taut:
-            self.db.append(None)  # inert, but registered for deletion matching
-            self.by_key.setdefault(key, []).append(ci)
+        self.db.append(None)
+        self.by_key.setdefault(tuple(sorted(lits)), []).append(ci)
+        if taut or self.root_conflict:
             return
         if not lits:
-            self.db.append(None)
-            self.by_key.setdefault(key, []).append(ci)
             self.root_conflict = True
             return
-        if self.root_conflict:
-            self.db.append(None)
-            self.by_key.setdefault(key, []).append(ci)
-            return
         # prefer unassigned or true literals as watches
-        lits.sort(key=lambda i: self._lit_false(i))
+        lits.sort(key=self._lit_false)
         if len(lits) == 1 or self._lit_false(lits[1]):
             # effectively unit (or conflicting) at root
-            self.db.append(None)
-            self.by_key.setdefault(key, []).append(ci)
             if not self._enqueue(lits[0]) or not self._propagate():
                 self.root_conflict = True
             return
-        self.db.append(lits)
-        self.by_key.setdefault(key, []).append(ci)
+        self.db[ci] = lits
         self.watches[lits[0]].append(ci)
         self.watches[lits[1]].append(ci)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, TextIO
 
 from . import refdata
+from .elimination import eliminate
 from .fileio import write_clause_list
 from .formula import InstanceClass, occurrence_profile, validate_class
 from .gadgets import (
@@ -32,10 +33,7 @@ from .gadgets import (
 )
 from .models import count_models
 from .nae import complete_component_check, variable_graph
-from .qbf import (
-    BalanceSpec, QbfValue, _eliminate_existentials, build_Q1mon, build_Q3, qbf_truth,
-    validate_balanced,
-)
+from .qbf import BalanceSpec, QbfValue, build_Q1mon, build_Q3, qbf_truth, validate_balanced
 from .rup import parse_rup, verify_rup
 from .solver import Status, solve
 
@@ -46,8 +44,20 @@ def _simulates(build, simulated, *ports) -> bool:
     elimination keeps the projection onto the ports, so truth tables agree."""
     k = max(abs(l) for c in simulated for l in c)
     f = build(FreshVarAllocator(start=k + 1), *ports).formula
-    left = _eliminate_existentials(f.clauses, k, f.n_vars)
+    left = eliminate(f.clauses, k, f.n_vars)
     return left is not None and sorted(left) == sorted(simulated)
+
+
+def _core(build, listing: str, proof_lines) -> bool:
+    """A core equals its listing, is unsatisfiable, has no model, and its
+    printed certificate replays."""
+    f = build()
+    return (
+        write_clause_list(f) == listing
+        and solve(f).status is Status.UNSAT
+        and count_models(f).count == 0
+        and bool(verify_rup(f, parse_rup(proof_lines)))
+    )
 
 
 def _checks() -> list[tuple[str, Callable[[], bool]]]:
@@ -84,26 +94,6 @@ def _checks() -> list[tuple[str, Callable[[], bool]]]:
             and list(g.clauses[0]) == [3, 9, 10]
             and h.m == 18
             and list(h.clauses[-1]) == [-29, -30, -32]
-        )
-
-    def y_core():
-        y = build_y_core()
-        proof = parse_rup(refdata.Y_CORE_PROOF_LINES)
-        return (
-            write_clause_list(y) == refdata.Y_CORE_LIST_TEXT
-            and solve(y).status is Status.UNSAT
-            and count_models(y).count == 0
-            and bool(verify_rup(y, proof))
-        )
-
-    def z_core():
-        z = build_z_core()
-        proof = parse_rup(refdata.Z_CORE_PROOF_LINES)
-        return (
-            write_clause_list(z) == refdata.Z_CORE_LIST_TEXT
-            and solve(z).status is Status.UNSAT
-            and count_models(z).count == 0
-            and bool(verify_rup(z, proof))
         )
 
     def core8():
@@ -165,8 +155,10 @@ def _checks() -> list[tuple[str, Callable[[], bool]]]:
         ("gadget M: exactly x1, x5, x6, y6, z15 appear (1,2)", m_profile),
         ("instance U: 198 variables, 264 clauses, valid (2,2), equals listing, unsatisfiable", u_golden),
         ("clause groups: numbered clauses as constructed", groups),
-        ("y-side core: listing, unsatisfiable, 0 models, certificate replays", y_core),
-        ("z-side core: listing, unsatisfiable, 0 models, certificate replays", z_core),
+        ("y-side core: listing, unsatisfiable, 0 models, certificate replays",
+         lambda: _core(build_y_core, refdata.Y_CORE_LIST_TEXT, refdata.Y_CORE_PROOF_LINES)),
+        ("z-side core: listing, unsatisfiable, 0 models, certificate replays",
+         lambda: _core(build_z_core, refdata.Z_CORE_LIST_TEXT, refdata.Z_CORE_PROOF_LINES)),
         ("eight-clause core over a..f: 0 models", core8),
         ("M enforcer simulates {u1, -u2, -u3}: eliminating its fresh variables leaves it", m_enforcer),
         ("negated M enforcer simulates {-u1, u2, u3}", mbar_enforcer),

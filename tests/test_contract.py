@@ -2,7 +2,9 @@
 subcommands and the CLI exit codes."""
 
 import argparse
+import ast
 import inspect
+from pathlib import Path
 
 import monoforge
 from monoforge import cli
@@ -52,3 +54,16 @@ def test_cli_subcommands():
 
 def test_exit_codes():
     assert (cli.EXIT_OK, cli.EXIT_UNSAT, cli.EXIT_INVALID, cli.EXIT_ERROR) == (0, 10, 20, 1)
+
+
+def test_no_private_names_imported_across_modules():
+    # an underscore name stays inside its module: no module of the package
+    # imports one from a sibling
+    found = []
+    for path in sorted(Path(monoforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__" and (
+                    node.level or (node.module or "").startswith("monoforge")):
+                found += [f"{path.name}:{node.lineno} {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert found == []

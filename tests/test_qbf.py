@@ -9,17 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
-from monoforge import qbf as qbf_module
+from monoforge import elimination
 from monoforge import solver as solver_module
 from monoforge.formula import CnfFormula, InvalidInstanceError, canonical_clause, cnf
 from monoforge.gadgets import FreshVarAllocator, build_U
 from monoforge.generate import random_balanced_qbf
+from monoforge.elimination import block_cuts, eliminate, eliminate_blocks
 from monoforge.qbf import (
-    _block_cuts,
     _component_first_failure,
     _components,
-    _eliminate_blocks,
-    _eliminate_existentials,
     BalanceSpec,
     MonotonizeError,
     PadError,
@@ -553,9 +551,9 @@ def renumbered_parts(draw):
 def test_elimination_keeps_satisfiability_under_every_universal_assignment(part):
     k, n, clauses, width, growth = part
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qbf_module, "MAX_RESOLVENT_WIDTH", width)
-        mp.setattr(qbf_module, "MAX_ADDED_CLAUSES", growth)
-        left = _eliminate_existentials(clauses, k, n)
+        mp.setattr(elimination, "MAX_RESOLVENT_WIDTH", width)
+        mp.setattr(elimination, "MAX_ADDED_CLAUSES", growth)
+        left = eliminate(clauses, k, n)
     assert (set() if left is None else extendable(left, k, n)) == extendable(clauses, k, n)
     if left is not None:
         assert all(c == canonical_clause(c) and len(c) == len({abs(l) for l in c})
@@ -565,7 +563,7 @@ def test_elimination_keeps_satisfiability_under_every_universal_assignment(part)
 def test_empty_resolvent_is_no_with_all_false(monkeypatch):
     # e4 gives -e3 and then e3 resolves with the unit e3 to the empty clause
     clauses = [[3], [-3, 4], [-4], [1, 2, 3]]
-    assert _eliminate_existentials([tuple(c) for c in clauses], 2, 4) is None
+    assert eliminate([tuple(c) for c in clauses], 2, 4) is None
     q = Qbf2Formula((2, 1), (3, 4), cnf(clauses, n_vars=4))
     calls = count_solves(monkeypatch)
     res = qbf_truth(q)
@@ -577,8 +575,8 @@ def test_empty_resolvent_is_no_with_all_false(monkeypatch):
 def test_pure_existential_takes_its_clauses(monkeypatch):
     # e3 occurs only positively: its clauses go, and the universals left
     # in no clause make the part true without a solver call
-    assert _eliminate_existentials([(1, 3), (-2, 3), (-1, 2, 3)], 2, 3) == []
-    assert _eliminate_existentials([(1, 3), (-1, 2)], 2, 3) == [(-1, 2)]
+    assert eliminate([(1, 3), (-2, 3), (-1, 2, 3)], 2, 3) == []
+    assert eliminate([(1, 3), (-1, 2)], 2, 3) == [(-1, 2)]
     q = Qbf2Formula((1, 2), (3,), cnf([[1, 3], [-2, 3], [-1, 2, 3]], n_vars=3))
     calls = count_solves(monkeypatch)
     assert qbf_truth(q).value is QbfValue.YES
@@ -588,9 +586,9 @@ def test_pure_existential_takes_its_clauses(monkeypatch):
 def test_resolvents_are_checked_for_subsumption_both_ways():
     # e4 gives (u1 e3), which removes (u1 u2 e3); e3 then gives (u1 u2),
     # which the live (u2) subsumes
-    assert _eliminate_existentials([(2,), (1, 2, 3), (1, 4), (3, -4), (2, -3)], 2, 4) == [(2,)]
+    assert eliminate([(2,), (1, 2, 3), (1, 4), (3, -4), (2, -3)], 2, 4) == [(2,)]
     # e5 gives (u1 u2), which removes (u1 u2 u3)
-    assert _eliminate_existentials([(1, 5), (2, -5), (1, 2, 3)], 3, 5) == [(1, 2)]
+    assert eliminate([(1, 5), (2, -5), (1, 2, 3)], 3, 5) == [(1, 2)]
 
 
 def test_block_results_join_with_subsumption_both_ways():
@@ -598,13 +596,13 @@ def test_block_results_join_with_subsumption_both_ways():
     # the clause (u1 u2 u3), and in the second part (u1 u2 u3) is skipped
     # because (u1 u2) subsumes it, as in the plain elimination
     for clauses in ([(1, 2, 3), (1, 4), (2, -4)], [(1, 2), (1, 4), (2, 3, -4)]):
-        assert _block_cuts(clauses, 3, 4) == [3, 4]
-        assert _eliminate_blocks(clauses, 3, 4, {}) == _eliminate_existentials(clauses, 3, 4) \
+        assert block_cuts(clauses, 3, 4) == [3, 4]
+        assert eliminate_blocks(clauses, 3, 4, {}) == eliminate(clauses, 3, 4) \
             == [(1, 2)]
 
 
 def cuts_by_definition(clauses, k, n):
-    """``_block_cuts`` by its definition: every base bound L in k..n tried
+    """``block_cuts`` by its definition: every base bound L in k..n tried
     in turn, ``need`` computed per variable from the clauses."""
     def need(x):
         return max((max(abs(l) for l in c if abs(l) <= x) for c in clauses
@@ -673,7 +671,7 @@ def folded_blocks(clauses, cuts):
 @given(planted_blocks())
 def test_blocks_are_eliminated_once_per_folded_shape(part):
     k, n, clauses, width, growth = part
-    plain = qbf_module._eliminate_existentials
+    plain = elimination.eliminate
     runs = []  # the arguments of each block elimination; the base pass names its top
 
     def recording(clauses, k, n, *, resolved=(), top=None):
@@ -684,11 +682,11 @@ def test_blocks_are_eliminated_once_per_folded_shape(part):
     q = Qbf2Formula(tuple(range(1, k + 1)), tuple(range(k + 1, n + 1)),
                     CnfFormula(n, tuple(clauses), allows_duplicate_literals=True))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qbf_module, "MAX_RESOLVENT_WIDTH", width)
-        mp.setattr(qbf_module, "MAX_ADDED_CLAUSES", growth)
-        mp.setattr(qbf_module, "_eliminate_existentials", recording)
-        left = _eliminate_blocks(clauses, k, n, {})
-        cuts = _block_cuts(clauses, k, n)
+        mp.setattr(elimination, "MAX_RESOLVENT_WIDTH", width)
+        mp.setattr(elimination, "MAX_ADDED_CLAUSES", growth)
+        mp.setattr(elimination, "eliminate", recording)
+        left = eliminate_blocks(clauses, k, n, {})
+        cuts = block_cuts(clauses, k, n)
         blocks = folded_blocks(clauses, cuts)
         part_runs = list(runs)
         per_call = []
@@ -740,12 +738,12 @@ def test_blocks_on_pipeline_stages(s):
                     continue
                 seen.add(key)
                 blocks = {}
-                left = _eliminate_blocks(clauses, k, n, blocks)
+                left = eliminate_blocks(clauses, k, n, blocks)
                 assert left is not None and all(abs(l) <= k for c in left for l in c)
-                assert sorted(left) == sorted(_eliminate_existentials(clauses, k, n))
+                assert sorted(left) == sorted(eliminate(clauses, k, n))
                 if k == 3 * p:
                     joined += 1
-                    cuts = _block_cuts(clauses, k, n)
+                    cuts = block_cuts(clauses, k, n)
                     assert cuts[0] == 3 * q.matrix.n_vars
                     assert len(cuts) - 1 == sum(1 for c in q.matrix.clauses
                                                  if 0 < sum(l > 0 for l in c) < len(c))
@@ -761,7 +759,7 @@ def test_truth_eliminates_each_folded_block_once(s):
     # and with the clauses sorted equal enforcers no longer fold into one
     specs = corpus.QBF_1122_SPECS if s == 1 else corpus.QBF_2222_SPECS
     transform = transform_1122 if s == 1 else transform_2222
-    plain = qbf_module._eliminate_existentials
+    plain = elimination.eliminate
     runs = []
 
     def recording(clauses, k, n, *, resolved=(), top=None):
@@ -777,10 +775,10 @@ def test_truth_eliminates_each_folded_block_once(s):
                 key = (k, n, tuple(sorted(clauses)))
                 if key not in keys:
                     keys.add(key)
-                    blocks.update(folded_blocks(clauses, _block_cuts(clauses, k, n)))
+                    blocks.update(folded_blocks(clauses, block_cuts(clauses, k, n)))
             runs.clear()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(qbf_module, "_eliminate_existentials", recording)
+                mp.setattr(elimination, "eliminate", recording)
                 qbf_truth(stage)
             assert sorted(runs) == sorted(blocks)
 

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monoforge import refdata
 from monoforge.formula import cnf
@@ -117,10 +117,10 @@ def test_solver_traces_verify_on_random_unsat(sat22_corpus):
 
 
 @st.composite
-def small_cnfs(draw):
+def small_cnfs(draw, min_width=1):
     n = draw(st.integers(1, 8))
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
-    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3), max_size=4 * n))
+    clauses = draw(st.lists(st.lists(lit, min_size=min_width, max_size=3), max_size=4 * n))
     # parity constraints on three variables make UNSAT answers common
     for a, b, c in draw(st.lists(st.lists(lit, min_size=3, max_size=3), max_size=n)):
         clauses += [[a, b, c], [a, -b, -c], [-a, b, -c], [-a, -b, c]]
@@ -137,3 +137,78 @@ def test_traced_proofs_replay(f):
         assert verify_rup(f, res.proof)
         assert res.proof.steps[-1] == RupStep(())
         assert not verify_rup(f, RupProof(res.proof.steps[:-1])).ok
+
+
+def naive_replay(f, steps):
+    """(ok, failed_step) of a forward RUP replay by plain unit propagation
+    over clause lists, no watches: root implications stay when the clauses
+    that gave them are deleted, and after a root conflict every step holds."""
+    def propagate(true, clauses):
+        # the literals unit propagation sets from ``true``, or None on a conflict
+        true = set(true)
+        if any(-l in true for l in true):
+            return None
+        changed = True
+        while changed:
+            changed = False
+            for c in clauses:
+                if not any(l in true for l in c):
+                    free = [l for l in c if -l not in true]
+                    if not free:
+                        return None
+                    if len(free) == 1:
+                        true.add(free[0])
+                        changed = True
+        return true
+
+    live = [set(c) for c in f.clauses]
+    root = propagate((), live)
+    empty = False
+    for i, step in enumerate(steps):
+        c = set(step.lits)
+        if step.delete:
+            if c in live:
+                live.remove(c)
+            continue
+        if root is not None and propagate(root | {-l for l in c}, live) is not None:
+            return False, i
+        live.append(c)
+        if root is not None:
+            root = propagate(root, live)
+        empty = empty or not c
+    return empty, None
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_cnfs(min_width=2), st.data())
+def test_mutated_traced_proofs_match_a_naive_replay(f, data):
+    # width-2 clauses make fewer root conflicts, so more proofs have steps
+    # to mutate.  Each of eight mutants negates one literal of one step,
+    # replaces its variable or drops it, and may have a deletion of a
+    # formula clause or an earlier step inserted; verify_rup's verdict and
+    # failed step must be those of the naive replay.
+    res = solve(f, trace=True)
+    assume(res.status is Status.UNSAT)
+    assert naive_replay(f, res.proof.steps) == (True, None)
+    targets = [i for i, s in enumerate(res.proof.steps) if s.lits]
+    for _ in range(8 if targets else 0):
+        steps = list(res.proof.steps)
+        i = data.draw(st.sampled_from(targets))
+        lits = list(steps[i].lits)
+        j = data.draw(st.integers(0, len(lits) - 1))
+        others = [v for v in range(1, f.n_vars + 1) if v != abs(lits[j])]
+        op = data.draw(st.sampled_from(("negate", "drop") + (("swap",) if others else ())))
+        if op == "negate":
+            lits[j] = -lits[j]
+        elif op == "swap":
+            v = data.draw(st.sampled_from(others))
+            lits[j] = v if lits[j] > 0 else -v
+        else:
+            del lits[j]
+        steps[i] = RupStep(tuple(lits))
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(steps)))
+            gone = data.draw(st.sampled_from(list(f.clauses) + [s.lits for s in steps[:at]]))
+            steps.insert(at, RupStep(tuple(gone), delete=True))
+        check = verify_rup(f, RupProof(tuple(steps)))
+        assert (check.ok, check.failed_step) == naive_replay(f, steps)
