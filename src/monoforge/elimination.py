@@ -27,16 +27,19 @@ cut; the cuts split the existentials above L into blocks, and no clause
 touches two blocks.  L is the one in k..n with the least (L - k) + the size
 of the largest block, the smallest on ties: on the pipelines' parts the
 tripled source's variables, with one block per enforcer.  Each block is
-eliminated, top down, from the clauses that touch it, once per cache (one
-per ``qbf_truth`` call) for all blocks that are equal to it with the ports
-numbered by first occurrence in matrix order and the block's own variables
-by offset, taking the smaller of the block and its sign flip.  The results,
-mapped back, join the other clauses with the subsumption checks of a
-resolvent, and the base existentials go last.
+eliminated, top down, from the clauses that touch it, once per process for
+all blocks that are equal to it with the ports numbered by first occurrence
+in matrix order and the block's own variables by offset, taking the smaller
+of the block and its sign flip: a bounded memo keyed by that folded block
+and both caps keeps the result.  So the enforcer that every monotonized and
+padded formula carries is eliminated once, whatever the number of formulas
+decided.  The results, mapped back, join the other clauses with the
+subsumption checks of a resolvent, and the base existentials go last.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
@@ -195,17 +198,30 @@ def block_cuts(clauses: Iterable[tuple[int, ...]], k: int, n: int) -> list[int]:
     return [x for x in range(base, n + 1) if need[x] <= base]
 
 
+# a part has a few distinct folded blocks; the bound caps what a long-lived
+# process keeps
+@functools.lru_cache(maxsize=256)
+def eliminated_block(
+    key: tuple[int, int, tuple[tuple[int, ...], ...]], caps: tuple[int, int],
+) -> tuple[tuple[int, ...], ...] | None:
+    """``eliminate`` on a folded block ``key`` = (port count, block size,
+    clauses), the ports universal, memoized for the process.  ``caps`` is
+    (``MAX_RESOLVENT_WIDTH``, ``MAX_ADDED_CLAUSES``) at the call: it only
+    keys the memo, so a result under other caps is never reused."""
+    out = eliminate(key[2], key[0], key[0] + key[1])
+    return None if out is None else tuple(out)
+
+
 def eliminate_blocks(
     clauses: Sequence[tuple[int, ...]], k: int, n: int,
-    cache: dict[tuple, list[tuple[int, ...]] | None],
 ) -> list[tuple[int, ...]] | None:
     """``eliminate`` on a renumbered part, block by block.
 
     Each block of ``block_cuts`` above the base bound is eliminated, top
-    down, from the clauses that touch it, through ``cache``: the key is
-    those clauses with the ports (variables up to the bound) numbered by
-    first occurrence and the block's own variables by offset, or their sign
-    flip if that is smaller.  The results, mapped back, join the other
+    down, from the clauses that touch it, through ``eliminated_block``: the
+    key is those clauses with the ports (variables up to the bound) numbered
+    by first occurrence and the block's own variables by offset, or their
+    sign flip if that is smaller.  The results, mapped back, join the other
     clauses with the subsumption checks of a resolvent, and the base
     existentials go last.
     """
@@ -217,6 +233,7 @@ def eliminate_blocks(
     for c in clauses:
         top = abs(c[-1])
         (touching[bisect_left(cuts, top) - 1] if top > base else rest).append(c)
+    caps = (MAX_RESOLVENT_WIDTH, MAX_ADDED_CLAUSES)
     resolved: list[tuple[int, ...]] = []
     for lo, hi, cs in reversed(list(zip(cuts, cuts[1:], touching))):
         ports = dict.fromkeys(abs(l) for c in cs for l in c if abs(l) <= base)
@@ -225,10 +242,8 @@ def eliminate_blocks(
         named = sorted(renumbered(ports, own, cs))
         flipped = sorted(tuple(-l for l in c) for c in named)
         sign = -1 if flipped < named else 1
-        key = (len(ports), hi - lo, tuple(flipped if sign < 0 else named))
-        if key not in cache:
-            cache[key] = eliminate(key[2], len(ports), len(glob) - 1)
-        out = cache[key]
+        out = eliminated_block(
+            (len(ports), hi - lo, tuple(flipped if sign < 0 else named)), caps)
         if out is None:
             return None
         resolved.extend(

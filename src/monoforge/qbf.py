@@ -245,7 +245,8 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     Two passes, each over the distinct parts of a clause list that
     ``_parts`` gives.  The first eliminates each part of the input with
     ``eliminate_blocks``, in matrix order, and maps the clauses left back to
-    the input's variables; an empty resolvent makes the all-false assignment
+    the input's variables (the parts are memoized per call, their blocks for
+    the process); an empty resolvent makes the all-false assignment
     fail.  The second splits what is left and walks each part with
     ``_component_first_failure``.  The first failing assignment is the least
     of the parts' first failing assignments, each extended by false.  A
@@ -257,13 +258,13 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     if any(len(c) == 0 for c in q.matrix.clauses):
         return QbfResult(QbfValue.NO, dict(zip(q.universals, all_false)))
     # eliminate: each distinct part's clauses left, None after an empty
-    # resolvent, and the eliminated blocks, keyed as in ``eliminate_blocks``
+    # resolvent; its blocks go through the process-wide memo of
+    # ``eliminate_blocks``
     eliminated: dict[tuple, list[tuple[int, ...]] | None] = {}
-    blocks: dict[tuple, list[tuple[int, ...]] | None] = {}
     candidates: list[tuple[bool, ...]] = []
     left: list[tuple[int, ...]] = []
     for us, es, out in _parts(q.universals, q.existentials, q.matrix.clauses, eliminated,
-                              lambda cs, k, n: eliminate_blocks(cs, k, n, blocks)):
+                              eliminate_blocks):
         if out is None:
             candidates.append(all_false)
             continue

@@ -597,7 +597,7 @@ def test_block_results_join_with_subsumption_both_ways():
     # because (u1 u2) subsumes it, as in the plain elimination
     for clauses in ([(1, 2, 3), (1, 4), (2, -4)], [(1, 2), (1, 4), (2, 3, -4)]):
         assert block_cuts(clauses, 3, 4) == [3, 4]
-        assert eliminate_blocks(clauses, 3, 4, {}) == eliminate(clauses, 3, 4) \
+        assert eliminate_blocks(clauses, 3, 4) == eliminate(clauses, 3, 4) \
             == [(1, 2)]
 
 
@@ -685,15 +685,18 @@ def test_blocks_are_eliminated_once_per_folded_shape(part):
         mp.setattr(elimination, "MAX_RESOLVENT_WIDTH", width)
         mp.setattr(elimination, "MAX_ADDED_CLAUSES", growth)
         mp.setattr(elimination, "eliminate", recording)
-        left = eliminate_blocks(clauses, k, n, {})
+        elimination.eliminated_block.cache_clear()
+        left = eliminate_blocks(clauses, k, n)
         cuts = block_cuts(clauses, k, n)
         blocks = folded_blocks(clauses, cuts)
         part_runs = list(runs)
-        per_call = []
+        # qbf_truth on a cold memo, then on the memo it warmed
+        results, per_call = [], []
+        elimination.eliminated_block.cache_clear()
         for _ in range(2):
             runs.clear()
-            qbf_truth(q)
-            per_call.append(len(runs))
+            results.append(qbf_truth(q))
+            per_call.append(list(runs))
     assert cuts == cuts_by_definition(clauses, k, n)
     assert all(len({bisect.bisect_left(cuts, abs(l)) for l in c if abs(l) > cuts[0]}) <= 1
                for c in clauses)
@@ -704,7 +707,9 @@ def test_blocks_are_eliminated_once_per_folded_shape(part):
         assert set(part_runs) <= set(blocks)
     else:
         assert sorted(part_runs) == sorted(set(blocks))
-    assert per_call[0] == per_call[1]
+    assert len(per_call[0]) == len(set(per_call[0]))
+    assert per_call[1] == []
+    assert results[0] == results[1]
 
 
 def local_parts(q):
@@ -737,8 +742,8 @@ def test_blocks_on_pipeline_stages(s):
                 if key in seen:
                     continue
                 seen.add(key)
-                blocks = {}
-                left = eliminate_blocks(clauses, k, n, blocks)
+                elimination.eliminated_block.cache_clear()
+                left = eliminate_blocks(clauses, k, n)
                 assert left is not None and all(abs(l) <= k for c in left for l in c)
                 assert sorted(left) == sorted(eliminate(clauses, k, n))
                 if k == 3 * p:
@@ -747,16 +752,17 @@ def test_blocks_on_pipeline_stages(s):
                     assert cuts[0] == 3 * q.matrix.n_vars
                     assert len(cuts) - 1 == sum(1 for c in q.matrix.clauses
                                                  if 0 < sum(l > 0 for l in c) < len(c))
-                    assert len(blocks) == 1
+                    assert elimination.eliminated_block.cache_info().currsize == 1
         assert joined == 1
 
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_truth_eliminates_each_folded_block_once(s):
-    # qbf_truth on a monotonized or padded stage runs one block elimination
-    # per distinct folded block of its distinct parts, each part's clauses
-    # in matrix order: the block keys number the ports by first occurrence,
-    # and with the clauses sorted equal enforcers no longer fold into one
+    # qbf_truth on a monotonized or padded stage, with a cold memo, runs one
+    # block elimination per distinct folded block of its distinct parts,
+    # each part's clauses in matrix order: the block keys number the ports
+    # by first occurrence, and with the clauses sorted equal enforcers no
+    # longer fold into one.  A second call on the warm memo runs none.
     specs = corpus.QBF_1122_SPECS if s == 1 else corpus.QBF_2222_SPECS
     transform = transform_1122 if s == 1 else transform_2222
     plain = elimination.eliminate
@@ -776,11 +782,33 @@ def test_truth_eliminates_each_folded_block_once(s):
                 if key not in keys:
                     keys.add(key)
                     blocks.update(folded_blocks(clauses, block_cuts(clauses, k, n)))
-            runs.clear()
+            results, per_call = [], []
+            elimination.eliminated_block.cache_clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(elimination, "eliminate", recording)
-                qbf_truth(stage)
-            assert sorted(runs) == sorted(blocks)
+                for _ in range(2):
+                    runs.clear()
+                    results.append(qbf_truth(stage))
+                    per_call.append(list(runs))
+            assert sorted(per_call[0]) == sorted(blocks)
+            assert per_call[1] == []
+            assert results[0] == results[1]
+
+
+def test_block_memo_is_keyed_by_the_caps(monkeypatch):
+    # a monotonized part warms the memo with its enforcer under the default
+    # caps, which eliminate every existential; under low caps the same
+    # block keeps some, and its memoized result must not be reused
+    p, seed = corpus.QBF_1122_SPECS[3]
+    clauses, k, n = max(local_parts(monotonize(triple_copy(random_balanced_qbf(p, 1, 1, seed)))),
+                        key=lambda part: len(part[0]))
+    assert len(block_cuts(clauses, k, n)) > 2
+    assert eliminate_blocks(clauses, k, n) == [] == eliminate(clauses, k, n)
+    monkeypatch.setattr(elimination, "MAX_RESOLVENT_WIDTH", 5)
+    monkeypatch.setattr(elimination, "MAX_ADDED_CLAUSES", 8)
+    low = eliminate(clauses, k, n)
+    assert low and any(abs(l) > k for c in low for l in c)
+    assert sorted(eliminate_blocks(clauses, k, n)) == sorted(low)
 
 
 def test_monotonized_p5_instance_needs_few_solver_calls(monkeypatch):
