@@ -136,3 +136,26 @@ def glued_chain(blocks, seed, size=5):
         if b < blocks - 1:
             edges += [(label[b * (size + 1) + size], x) for x in lost[-1]]
     return _graph(n, edges)
+
+
+def random_connected_graph(n, extra, seed):
+    """A random connected graph on 1..n of maximum degree 4: a random tree,
+    whose every edge is a bridge, plus up to ``extra`` more edges that close
+    cycles.  Labels are shuffled by the seed."""
+    rng = random.Random(seed)
+    label = rng.sample(range(1, n + 1), n)
+    degree = [0] * n
+    edges = set()
+
+    def join(u, w):
+        edges.add((label[u], label[w]))
+        degree[u] += 1
+        degree[w] += 1
+
+    for w in range(1, n):
+        join(rng.choice([u for u in range(w) if degree[u] < 4]), w)
+    for _ in range(extra if n > 1 else 0):
+        u, w = rng.sample(range(n), 2)
+        if max(degree[u], degree[w]) < 4 and not {(label[u], label[w]), (label[w], label[u])} & edges:
+            join(u, w)
+    return _graph(n, sorted(edges))

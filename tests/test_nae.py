@@ -1,8 +1,10 @@
 import pytest
 
 import corpus
+from monoforge import nae
 from monoforge.formula import InvalidInstanceError, cnf, negate_formula, satisfies
 from monoforge.gadgets import build_U_NAE
+from monoforge.generate import random_mono_nae_e2
 from monoforge.kernels import clause_arrays, first_nae
 from monoforge.nae import (
     ColoringError,
@@ -203,3 +205,61 @@ def test_four_coloring_reports_k5_component(seed):
     with pytest.raises(ColoringError) as err:
         four_coloring(g)
     assert err.value.component == k5
+
+
+# -- the lowpoint pass that finds case 3's cut vertex -----------------------------
+
+def brute_lowest_cut_vertex(g, vertices):
+    """Delete each vertex in turn and search the rest; None when no deletion
+    disconnects it."""
+    for v in sorted(vertices):
+        rest = set(vertices) - {v}
+        if not rest:
+            continue
+        seen, todo = set(), [min(rest)]
+        while todo:
+            u = todo.pop()
+            if u not in seen:
+                seen.add(u)
+                todo += [w for w in g.adj[u] if w in rest]
+        if seen != rest:
+            return v
+    return None
+
+
+def _cut_vertex_cases(nae_corpus):
+    """(graph, connected vertex set) pairs, each of maximum degree 4."""
+    bowtie = corpus._graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
+    path = corpus._graph(3, [(1, 2), (1, 3)])
+    graphs = [bowtie, path, corpus._graph(1, []), corpus._graph(2, [(1, 2)]),
+              corpus.octahedron(), corpus.cut_vertex_graph(), cycle_graph(7), complete_graph(5)]
+    graphs += [corpus.random_connected_graph(n, extra, 100 * n + extra)
+               for n in range(1, 41, 3) for extra in (0, 1, 3, n // 2, n, 2 * n)]
+    graphs += [corpus.glued_chain(blocks, seed, size)
+               for blocks, seed, size in ((2, 0, 5), (3, 1, 6), (5, 2, 9), (4, 3, 11))]
+    graphs += [corpus.random_degree4_graph(6 + seed, seed) for seed in range(20)]
+    graphs += [variable_graph(strip_trivial_pairs(f)[0]) for f in nae_corpus[:80]]
+    return [(g, set(comp)) for g in graphs for comp in g.components()]
+
+
+def test_lowest_cut_vertex_matches_brute_force(nae_corpus):
+    found = []
+    for g, vertices in _cut_vertex_cases(nae_corpus):
+        want = brute_lowest_cut_vertex(g, vertices)
+        # the pass finds every cut vertex, so the answer does not depend on the root
+        for root in {min(vertices), max(vertices)}:
+            assert nae._lowest_cut_vertex(g, root, vertices) == want, (sorted(vertices), root)
+        found.append("none" if want is None else "root" if want == min(vertices) else "inner")
+    # not vacuous: 2-connected parts, cut roots and cut inner vertices all occur
+    assert {"none", "root", "inner"} <= set(found)
+
+
+def test_nae_solve_makes_a_few_traversals_per_component(monkeypatch):
+    # one BFS per vertex in the cut-vertex search made 3003 traversals here
+    f = random_mono_nae_e2(3000, 0)
+    components = variable_graph(strip_trivial_pairs(f)[0]).components()
+    calls = []
+    bfs = nae._bfs_order
+    monkeypatch.setattr(nae, "_bfs_order", lambda g, root, vs: calls.append(root) or bfs(g, root, vs))
+    assert is_nae_satisfied(f, nae_solve_e2(f))
+    assert len(calls) <= 4 * len(components)

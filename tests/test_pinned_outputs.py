@@ -389,6 +389,9 @@ def _nae_rows(name):
     if name == "nae_solve_e2":
         return [sorted(nae_solve_e2(random_mono_nae_e2(n, seed)).items())
                 for n in range(6, 61, 3) for seed in range(8)]
+    if name == "nae_solve_e2_scale":  # pinned when a cut vertex took one BFS per vertex
+        return [sorted(nae_solve_e2(random_mono_nae_e2(n, seed)).items())
+                for n in (300, 999, 3000) for seed in range(3)]
     graphs = [corpus.octahedron(), corpus.cut_vertex_graph()]
     graphs += [corpus.random_degree4_graph(6 + seed, seed) for seed in range(12)]
     graphs += [corpus.glued_chain(blocks, seed, size) for blocks, seed, size in
@@ -398,6 +401,7 @@ def _nae_rows(name):
 
 NAE_DIGESTS = {
     "nae_solve_e2": "58159d472eda34077a1b63762c75c48ac1a064c521289dcb01c603da61767559",
+    "nae_solve_e2_scale": "6ceb22a70ae598c6d32f53b474470f9d23716f9625b72d7998b9bde382243cd6",
     "four_coloring": "1d24db32417546fffc5d1506e48aa561e88100b69474543372a24272804106c7",
 }
 

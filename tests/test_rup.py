@@ -118,27 +118,43 @@ def test_solver_traces_verify_on_random_unsat(sat22_corpus):
 
 @st.composite
 def small_cnfs(draw, min_width=1):
-    n = draw(st.integers(1, 8))
-    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
-    clauses = draw(st.lists(st.lists(lit, min_size=min_width, max_size=3), max_size=4 * n))
+    # the variables of a clause are distinct, so a clause of width 2 is not
+    # a unit in disguise, as (v, v) would be
+    n = draw(st.integers(3, 8))
+
+    def clause(min_size):
+        vs = draw(st.lists(st.integers(1, n), min_size=min_size, max_size=3, unique=True))
+        return [v if draw(st.booleans()) else -v for v in vs]
+
+    clauses = [clause(min_width) for _ in range(draw(st.integers(0, 4 * n)))]
     # parity constraints on three variables make UNSAT answers common
-    for a, b, c in draw(st.lists(st.lists(lit, min_size=3, max_size=3), max_size=n)):
+    for _ in range(draw(st.integers(0, n))):
+        a, b, c = clause(3)
         clauses += [[a, b, c], [a, -b, -c], [-a, b, -c], [-a, -b, c]]
-    return cnf(clauses, n_vars=n, allows_duplicate_literals=True)
+    return cnf(clauses, n_vars=n)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(small_cnfs(min_width=2))
-def test_traced_proofs_replay(f):
+def test_traced_proofs_replay():
     # width-2 clauses make fewer root conflicts, so more proofs have steps
-    # before their empty clause
-    res = solve(f, trace=True)
-    lits, widths = clause_arrays(f.clauses)
-    assert (res.status is Status.SAT) == (count_sat(lits, widths, f.n_vars, 1) > 0)
-    if res.status is Status.UNSAT:
-        assert verify_rup(f, res.proof)
-        assert res.proof.steps[-1] == RupStep(())
-        assert not verify_rup(f, RupProof(res.proof.steps[:-1])).ok
+    # before their empty clause: most UNSAT examples must learn one, since a
+    # proof that is only the empty clause replays nothing
+    learned = []
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(small_cnfs(min_width=2))
+    def replay(f):
+        res = solve(f, trace=True)
+        lits, widths = clause_arrays(f.clauses)
+        assert (res.status is Status.SAT) == (count_sat(lits, widths, f.n_vars, 1) > 0)
+        if res.status is Status.UNSAT:
+            assert verify_rup(f, res.proof)
+            assert res.proof.steps[-1] == RupStep(())
+            assert not verify_rup(f, RupProof(res.proof.steps[:-1])).ok
+            learned.append(any(s.lits and not s.delete for s in res.proof.steps))
+
+    replay()
+    assert len(learned) >= 20
+    assert sum(learned) >= 0.75 * len(learned)
 
 
 def naive_replay(f, steps):
