@@ -7,16 +7,35 @@ positive on ties), so clause equality is syntactic.  Formulas keep the clause
 list in construction order; use :func:`canonicalize` when order-insensitive
 equality is wanted.
 
-A formula checks its clauses when it is built, in one pass per clause: each
-literal must be a nonzero int within range, and its (variable, sign) key must
-not be below the previous literal's.  Once the keys never decrease, a
-repeated variable is two adjacent literals over one variable, which the
-strict dialect rejects.  :func:`canonical_clause` returns a clause that is
-already canonical as it is, and sorts only the others.
+A formula checks its clauses when it is built, in one pass per clause
+(:func:`check_clauses`, the one clause validator): each literal must be a
+nonzero int within range, and its (variable, sign) key must not be below the
+previous literal's.  Once the keys never decrease, a repeated variable is two
+adjacent literals over one variable, which the strict dialect rejects.
+:func:`canonical_clause` returns a clause that is already canonical as it is,
+and sorts only the others.
+
+The public constructors (:class:`CnfFormula`, :func:`cnf`, the readers)
+always check every clause.  A formula made only of clauses of formulas
+already built, each clause shifted by a constant or taken as it is, is
+checked by construction (:func:`formula_of_copies`): tripling, padding,
+monotonization and the reductions build their outputs that way.  Adding k
+to every variable keeps signs, order and distinctness, so such a clause is
+canonical and repeats a variable only where its source clause does.  What is
+left to check is one comparison per source, its n_vars plus its largest
+shift against the new n_vars, and that its dialect is no looser; when either
+fails, every clause is checked as the constructor checks it.  So the result
+is exactly what the full check accepts, at a cost per source, not per
+literal.
+
+:func:`simplify_under` propagates units through occurrence lists and a heap
+of the indices of unit clauses, so each value touches only the clauses over
+its variable, in time near-linear in the formula's size.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -67,6 +86,39 @@ def clause_has_distinct_vars(c: Clause) -> bool:
     return len(set(vs)) == len(vs)
 
 
+def check_clauses(
+    n_vars: int, clauses: Iterable[Clause], allows_duplicate_literals: bool
+) -> None:
+    """The checks of :class:`CnfFormula`: raise :class:`FormulaError` for a
+    negative ``n_vars`` or for the first clause that is not canonical over
+    1..n_vars in its dialect."""
+    if n_vars < 0:
+        raise FormulaError("n_vars must be non-negative")
+    for j, c in enumerate(clauses):
+        # a bad literal anywhere in the clause outranks its order error,
+        # which outranks a repeat (adjacent literals with one abs)
+        prev = top = 0
+        unordered = repeats = False
+        for l in c:
+            if type(l) is not int and (not isinstance(l, int) or isinstance(l, bool)) or l == 0:
+                raise FormulaError(f"clause {j}: invalid literal {l!r}")
+            a = abs(l)
+            if a > n_vars:
+                raise FormulaError(f"clause {j}: literal {l} out of range 1..{n_vars}")
+            if a <= top:
+                if a < top or l < prev:
+                    unordered = True
+                else:
+                    repeats = True
+            top, prev = a, l
+        if unordered:
+            raise FormulaError(f"clause {j} is not in canonical order: {c}")
+        if repeats and not allows_duplicate_literals:
+            raise FormulaError(
+                f"clause {j} repeats a variable but duplicates are not allowed: {c}"
+            )
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """A CNF formula over variables 1..n_vars.
@@ -83,32 +135,7 @@ class CnfFormula:
     symbol_table: dict[int, str] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_vars < 0:
-            raise FormulaError("n_vars must be non-negative")
-        n = self.n_vars
-        for j, c in enumerate(self.clauses):
-            # a bad literal anywhere in the clause outranks its order error,
-            # which outranks a repeat (adjacent literals with one abs)
-            prev = top = 0
-            unordered = repeats = False
-            for l in c:
-                if type(l) is not int and (not isinstance(l, int) or isinstance(l, bool)) or l == 0:
-                    raise FormulaError(f"clause {j}: invalid literal {l!r}")
-                a = abs(l)
-                if a > n:
-                    raise FormulaError(f"clause {j}: literal {l} out of range 1..{n}")
-                if a <= top:
-                    if a < top or l < prev:
-                        unordered = True
-                    else:
-                        repeats = True
-                top, prev = a, l
-            if unordered:
-                raise FormulaError(f"clause {j} is not in canonical order: {c}")
-            if repeats and not self.allows_duplicate_literals:
-                raise FormulaError(
-                    f"clause {j} repeats a variable but duplicates are not allowed: {c}"
-                )
+        check_clauses(self.n_vars, self.clauses, self.allows_duplicate_literals)
 
     @property
     def m(self) -> int:
@@ -132,6 +159,35 @@ def cnf(
     if n_vars is None:
         n_vars = max((abs(l) for c in canon for l in c), default=0)
     return CnfFormula(n_vars, canon, allows_duplicate_literals, symbol_table)
+
+
+def formula_of_copies(
+    n_vars: int,
+    clauses: tuple[Clause, ...],
+    sources: Iterable[tuple[CnfFormula, int]],
+    allows_duplicate_literals: bool = False,
+) -> CnfFormula:
+    """A formula whose clauses are all clauses of built formulas, each source
+    given as (formula, shift): every clause taken from it is one of its
+    clauses with each variable moved up by one shift from 0 to ``shift``,
+    signs and order kept.
+
+    Such a clause is canonical, and it repeats a variable only where its
+    source clause does, so the checks of the constructor come down to one
+    per source: its variables, shifted, stay within 1..n_vars, and its
+    dialect allows no repeat that this one forbids.  If one of those fails,
+    the clauses are checked in full, with the constructor's messages.
+    """
+    if not n_vars >= 0 or not all(
+            0 <= shift and f.n_vars + shift <= n_vars
+            and (allows_duplicate_literals or not f.allows_duplicate_literals)
+            for f, shift in sources):
+        check_clauses(n_vars, clauses, allows_duplicate_literals)
+    out = object.__new__(CnfFormula)
+    # the fields the frozen dataclass's __init__ sets, without its checks
+    vars(out).update(n_vars=n_vars, clauses=clauses,
+                     allows_duplicate_literals=allows_duplicate_literals, symbol_table=None)
+    return out
 
 
 def canonicalize(f: CnfFormula) -> CnfFormula:
@@ -328,7 +384,9 @@ def simplify_under(f: CnfFormula, a: Mapping[int, bool]) -> CnfFormula:
     Clauses satisfied by ``a`` are dropped and false literals removed.  Unit
     clauses already present or arising afterwards are propagated into the
     other clauses but stay in the output, so forced values remain visible.
-    An empty clause is retained to signal a conflict.
+    The unit propagated next is always the first one in clause order over an
+    unassigned variable, and propagation stops once a clause is empty: an
+    empty clause is retained to signal a conflict.
     """
     val: dict[int, bool] = dict(a)
 
@@ -348,23 +406,39 @@ def simplify_under(f: CnfFormula, a: Mapping[int, bool]) -> CnfFormula:
                 return None
         return canonical_clause(out)
 
-    clauses: list[Clause] = []
-    for c in f.clauses:
-        kept = keep(c)
-        if kept is not None:
-            clauses.append(kept)
+    def open_unit(c: Clause) -> bool:
+        return len(set(c)) == 1 and val.get(abs(c[0])) is None
 
-    while not any(len(c) == 0 for c in clauses):
-        unit = None
-        for c in clauses:
-            if len(set(c)) == 1 and val.get(abs(c[0])) is None:
-                unit = c[0]
-                break
-        if unit is None:
-            break
-        val[abs(unit)] = unit > 0
-        clauses = [kept for c in clauses if (kept := keep(c)) is not None]
+    # dropped clauses leave None, so the kept ones keep their indices; a
+    # value changes only the clauses over its variable, which occ lists (a
+    # clause that repeats it twice; keeping a kept clause again changes
+    # nothing), and the least index in the heap of open units is the first
+    # unit in order
+    clauses = [keep(c) for c in f.clauses]
+    occ: list[list[int]] = [[] for _ in range(f.n_vars + 1)]
+    units: list[int] = []
+    conflict = False
+    for j, c in enumerate(clauses):
+        if c is not None:
+            conflict = conflict or not c
+            for l in c:
+                occ[abs(l)].append(j)
+            if open_unit(c):
+                units.append(j)  # ascending, so already a heap
+    while not conflict and units:
+        c = clauses[heapq.heappop(units)]
+        if c is None or not open_unit(c):
+            continue
+        val[abs(c[0])] = c[0] > 0
+        for j in occ[abs(c[0])]:
+            if clauses[j] is not None:
+                clauses[j] = kept = keep(clauses[j])
+                if kept is not None:
+                    conflict = conflict or not kept
+                    if open_unit(kept):
+                        heapq.heappush(units, j)
 
     return CnfFormula(
-        f.n_vars, tuple(clauses), f.allows_duplicate_literals, f.symbol_table
+        f.n_vars, tuple(c for c in clauses if c is not None),
+        f.allows_duplicate_literals, f.symbol_table,
     )

@@ -3,9 +3,14 @@ a per-component walk with witness reuse, and the monotonization / balancing
 pipelines.
 
 A formula is a single universal block followed by a single existential block
-over a CNF matrix.  Truth takes two passes over variable-disjoint parts (by
-union-find over a flat parent array, the parts in order of their smallest
-variable), each handling structurally identical parts once: the first
+over a CNF matrix.  Its constructor checks the prefix against the matrix's
+literals only when the prefix is not n distinct variables in 1..n: such a
+prefix is all of 1..n, so every matrix variable is quantified.  Truth takes
+two passes over variable-disjoint parts (by union-find over a flat parent
+array, the parts in order of their smallest variable; the same pass fills a
+table of local ids indexed by literal and renumbers each part's clauses, so
+a part numbered in increasing variable order, as every padding copy is,
+needs no sort), each handling structurally identical parts once: the first
 eliminates the existentials of the input's parts (:mod:`.elimination`), the
 second splits the clauses left, over the input's variables, and walks each
 part's universal assignments in lexicographic order (declared variable
@@ -24,6 +29,12 @@ unsatisfiable abstraction makes the part true.  Only assignments that do
 have an extension are skipped and the walk keeps its order, so the first
 assignment the solver refutes is still the lexicographically first
 counterexample.
+
+The pipeline stages (tripling, monotonization, padding) make each matrix
+only of clauses of formulas already built: the input's, its shifted copies,
+the enforcers' and the padding block's shifted copies.  So they build it
+with :func:`.formula.formula_of_copies`, which checks it by construction
+with one comparison per source, and their prefixes are all of 1..n.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .elimination import eliminate_blocks, renumbered
+from .elimination import eliminate_blocks
 from .fileio import ParseError, parse_dimacs, write_dimacs
 from .formula import (
     Assignment,
@@ -42,6 +53,7 @@ from .formula import (
     InvalidInstanceError,
     ValidationReport,
     Violation,
+    formula_of_copies,
     validate_instance,
 )
 from .gadgets import FreshVarAllocator
@@ -62,6 +74,11 @@ class Qbf2Formula:
             raise ValueError("repeated variable in a quantifier block")
         if u & e:
             raise ValueError(f"variables quantified twice: {sorted(u & e)}")
+        # n distinct variables in 1..n are all of them, so they quantify every
+        # matrix variable without a scan of the literals
+        n = self.matrix.n_vars
+        if len(u) + len(e) == n and all(1 <= min(b) and max(b) <= n for b in (u, e) if b):
+            return
         used = set(map(abs, itertools.chain.from_iterable(self.matrix.clauses)))
         missing = used - u - e
         if missing:
@@ -123,18 +140,21 @@ PartVerdict = tuple[QbfValue, tuple[bool, ...] | None]
 
 def _components(
     universals: Sequence[int], existentials: Sequence[int], clauses: Sequence[tuple[int, ...]]
-) -> list[tuple[list[int], list[int], list[int]]]:
-    """Variable-disjoint parts: (universals, existentials, clause indices).
+) -> list[tuple[list[int], list[int], list[tuple[int, ...]]]]:
+    """Variable-disjoint parts: (universals, existentials, clauses), each
+    part's clauses renumbered as :func:`.elimination.renumbered` numbers
+    them, its universals 1..k and then its existentials.
 
     Parts come in order of their smallest variable.  Within a part the
-    universals and the existentials keep their given order and the clause
-    indices ascend.  Every clause must be non-empty, over the given
-    variables.
+    universals and the existentials keep their given order and the clauses
+    keep theirs.  Every clause must be canonical and non-empty, over the
+    given variables.
     """
     variables = sorted(itertools.chain(universals, existentials))
+    top = variables[-1] if variables else 0
     # union-find on a flat parent array with path halving: the root of each
     # clause's first variable absorbs the roots of the others
-    parent = list(range(variables[-1] + 1 if variables else 1))
+    parent = list(range(top + 1))
     for c in clauses:
         r = abs(c[0])
         while parent[r] != r:
@@ -144,21 +164,39 @@ def _components(
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]
             parent[x] = r
-    # number the parts by smallest variable, pointing each variable at its root
+    # number the parts by smallest variable; part[l] and lid[l] (local id)
+    # are indexed by literal, with 2 * top + 1 entries, so a negative
+    # literal's entry lies past top
     index: dict[int, int] = {}
+    part = [0] * (2 * top + 1)
     for v in variables:
         r = v
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
-        parent[v] = r
-        index.setdefault(r, len(index))
-    parts: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in index]
+        part[v] = part[-v] = index.setdefault(r, len(index))
+    parts: list[tuple[list[int], list[int], list[tuple[int, ...]]]] = [
+        ([], [], []) for _ in index]
     for v in universals:
-        parts[index[parent[v]]][0].append(v)
+        parts[part[v]][0].append(v)
     for v in existentials:
-        parts[index[parent[v]]][1].append(v)
-    for j, c in enumerate(clauses):
-        parts[index[parent[abs(c[0])]]][2].append(j)
+        parts[part[v]][1].append(v)
+    lid = [0] * (2 * top + 1)
+    # a part numbered in increasing variable order keeps a canonical clause
+    # canonical; in any other, a stable sort by variable restores the order
+    increasing = []
+    for us, es, _ in parts:
+        order = us + es
+        for i, v in enumerate(order, 1):
+            lid[v], lid[-v] = i, -i
+        increasing.append(order == sorted(order))
+    get = lid.__getitem__
+    add = [cs.append for _, _, cs in parts]
+    for c in clauses:
+        j = part[c[0]]
+        if increasing[j]:
+            add[j](tuple(map(get, c)))
+        else:
+            add[j](tuple(sorted(map(get, c), key=abs)))
     return parts
 
 
@@ -223,15 +261,14 @@ def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) ->
 
 def _parts(
     us: Sequence[int], es: Sequence[int], clauses: Sequence[tuple[int, ...]],
-    memo: dict[tuple, Any], decide: Callable[[tuple[tuple[int, ...], ...], int, int], Any],
+    memo: dict[tuple, Any], decide: Callable[[list[tuple[int, ...]], int, int], Any],
 ) -> Iterator[tuple[list[int], list[int], Any]]:
     """(universals, existentials, answer) per part of ``_components`` that has
-    clauses: ``decide(local, k, n)`` on its ``renumbered`` clauses, once per
+    clauses: ``decide(local, k, n)`` on its renumbered clauses, once per
     distinct renumbered part (equal clauses up to order) through ``memo``."""
-    for part_us, part_es, idx in _components(us, es, clauses):
-        if idx:  # a part without clauses is true under every assignment
+    for part_us, part_es, local in _components(us, es, clauses):
+        if local:  # a part without clauses is true under every assignment
             # not sorted: the block keys number the ports by first occurrence
-            local = renumbered(part_us, part_es, (clauses[j] for j in idx))
             key = (len(part_us), len(part_es), tuple(sorted(local)))
             if key not in memo:
                 memo[key] = decide(local, len(part_us), len(part_us) + len(part_es))
@@ -255,7 +292,7 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     the other parts give.
     """
     all_false = (False,) * q.p
-    if any(len(c) == 0 for c in q.matrix.clauses):
+    if not all(q.matrix.clauses):  # an empty clause
         return QbfResult(QbfValue.NO, dict(zip(q.universals, all_false)))
     # eliminate: each distinct part's clauses left, None after an empty
     # resolvent; its blocks go through the process-wide memo of
@@ -267,16 +304,20 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
                               eliminate_blocks):
         if out is None:
             candidates.append(all_false)
-            continue
-        glob = (0, *us, *es)
-        left.extend(tuple(glob[l] if l > 0 else -glob[-l] for l in c) for c in out)
+        elif out:
+            glob = (0, *us, *es)
+            # sorted, since ``_components`` takes canonical clauses and a part
+            # numbered out of variable order maps a clause back out of order
+            left.extend(tuple(sorted((glob[l] if l > 0 else -glob[-l] for l in c), key=abs))
+                        for c in out)
     # walk: each distinct part's answer, over the variables still mentioned
     walked: dict[tuple, PartVerdict] = {}
     mentioned = {abs(l) for c in left for l in c}
     for us, _, (value, bits) in _parts(
             [u for u in q.universals if u in mentioned],
             [e for e in q.existentials if e in mentioned], left, walked,
-            lambda cs, k, n: _component_first_failure(CnfFormula(n, cs), k, conflict_budget)):
+            lambda cs, k, n: _component_first_failure(CnfFormula(n, tuple(cs)), k,
+                                                       conflict_budget)):
         if value is QbfValue.BUDGET:
             return QbfResult(QbfValue.BUDGET)
         if value is QbfValue.NO:
@@ -293,19 +334,23 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
 def _qbf_copies(q: Qbf2Formula, width: int, count: int) -> tuple[tuple, tuple, tuple]:
     """The blocks and clauses of ``count`` copies of q, copy-major, copy k
     shifted by k * width; one :func:`copies` call, so one table per copy."""
-    rows = copies([q.universals, q.existentials, *q.matrix.clauses], width, count)
-    stride = 2 + q.matrix.m
-    return (tuple(itertools.chain.from_iterable(rows[0::stride])),
-            tuple(itertools.chain.from_iterable(rows[1::stride])),
-            tuple(c for j in range(0, len(rows), stride) for c in rows[j + 2:j + stride]))
+    universals: list[int] = []
+    existentials: list[int] = []
+    clauses: list[tuple[int, ...]] = []
+    for us, es, *cs in copies([q.universals, q.existentials, *q.matrix.clauses], width, count):
+        universals += us
+        existentials += es
+        clauses += cs
+    return tuple(universals), tuple(existentials), tuple(clauses)
 
 
 def triple_copy(q: Qbf2Formula) -> Qbf2Formula:
     """Three variable-disjoint copies under one prefix; truth is preserved."""
     n = q.matrix.n_vars
     universals, existentials, clauses = _qbf_copies(q, n, 3)
-    return Qbf2Formula(universals, existentials,
-                       CnfFormula(3 * n, clauses, q.matrix.allows_duplicate_literals))
+    matrix = formula_of_copies(3 * n, clauses, [(q.matrix, 2 * n)],
+                               q.matrix.allows_duplicate_literals)
+    return Qbf2Formula(universals, existentials, matrix)
 
 
 class PadVariant(Enum):
@@ -321,10 +366,11 @@ def monotonize(q: Qbf2Formula) -> Qbf2Formula:
     by :func:`triple_copy`.  Gadget variables join the existential block.
     Raises :class:`MonotonizeError` unless each shape count is divisible by 3.
     """
-    clauses, fresh, _ = splice(
+    clauses, fresh, _, blocks = splice(
         q.matrix.clauses, q.matrix.n_vars, mixed_triples(q.matrix.clauses), build_enforcer)
-    matrix = CnfFormula(q.matrix.n_vars + len(fresh), tuple(clauses),
-                        q.matrix.allows_duplicate_literals)
+    matrix = formula_of_copies(q.matrix.n_vars + len(fresh), tuple(clauses),
+                               [(q.matrix, 0), *((b, 0) for b in blocks)],
+                               q.matrix.allows_duplicate_literals)
     return Qbf2Formula(q.universals, q.existentials + tuple(fresh), matrix)
 
 
@@ -379,8 +425,9 @@ def pad_to_balance(q: Qbf2Formula, variant: PadVariant) -> Qbf2Formula:
     blocks = surplus // net
     width = block.matrix.n_vars - base
     universals, existentials, clauses = _qbf_copies(block, width, blocks)
-    matrix = CnfFormula(base + blocks * width, q.matrix.clauses + clauses,
-                        q.matrix.allows_duplicate_literals)
+    matrix = formula_of_copies(base + blocks * width, q.matrix.clauses + clauses,
+                               [(q.matrix, 0), (block.matrix, (blocks - 1) * width)],
+                               q.matrix.allows_duplicate_literals)
     return Qbf2Formula(q.universals + universals, q.existentials + existentials, matrix)
 
 

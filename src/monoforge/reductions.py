@@ -5,14 +5,16 @@ padding), :func:`mixed_triples`, :func:`build_enforcer` and :func:`splice`.
 
 Outputs keep pass-through clauses first (in copy order after tripling) and
 append gadget blocks in the order of their groups, so they are deterministic
-functions of their inputs.  Every step keeps clauses canonical, so outputs go
-to :class:`CnfFormula`, whose constructor checks them, without a re-sort.
+functions of their inputs.  Every step keeps clauses canonical, and every
+output clause is a clause of the input, possibly shifted by a copy, or of a
+gadget block, so outputs are checked by construction
+(:func:`.formula.formula_of_copies`) without a re-sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .formula import (
     Clause,
@@ -20,6 +22,7 @@ from .formula import (
     InstanceClass,
     InvalidInstanceError,
     clause_has_distinct_vars,
+    formula_of_copies,
     validate_class,
 )
 from .gadgets import (
@@ -62,8 +65,11 @@ class MonotonizeError(ValueError):
     pass
 
 
-def copies(rows: Sequence[Sequence[int]], width: int, count: int) -> list[tuple[int, ...]]:
-    """``count`` variable-disjoint copies of rows of literals, copy-major.
+def copies(
+    rows: Sequence[Sequence[int]], width: int, count: int
+) -> Iterator[list[tuple[int, ...]]]:
+    """``count`` variable-disjoint copies of rows of literals, one list of
+    rows per copy.
 
     Copy k adds k * width to every variable and keeps signs and order, so
     canonical clauses stay canonical and quantifier blocks keep their order.
@@ -71,8 +77,9 @@ def copies(rows: Sequence[Sequence[int]], width: int, count: int) -> list[tuple[
     object however often it occurs.
     """
     lits = {l for row in rows for l in row}
-    shifts = ({l: l + k * width if l > 0 else l - k * width for l in lits} for k in range(count))
-    return [tuple(map(shift.__getitem__, row)) for shift in shifts for row in rows]
+    for k in range(count):
+        shift = {l: l + k * width if l > 0 else l - k * width for l in lits}
+        yield [tuple(map(shift.__getitem__, row)) for row in rows]
 
 
 def _mixed_shape(c: Clause) -> int:
@@ -114,35 +121,40 @@ def splice(
     n_vars: int,
     groups: Sequence[Sequence[int]],
     build: Callable[..., GadgetInstantiation],
-) -> tuple[list[Clause], range, list[tuple[int, str | None]]]:
+) -> tuple[list[Clause], range, list[tuple[int, str | None]], list[CnfFormula]]:
     """Replace each group of clause indices by the block that
     ``build(alloc, group_clauses, first_index)`` makes.
 
     Returns the clauses in no group, in input order, then the blocks in group
-    order; the fresh variables, numbered from n_vars + 1; and per output
-    clause its input index (a block's is its group's first index) and the
-    gadget tag, None for pass-through clauses.
+    order; the fresh variables, numbered from n_vars + 1; per output clause
+    its input index (a block's is its group's first index) and the gadget
+    tag, None for pass-through clauses; and the blocks' formulas.
     """
     replaced = {j for g in groups for j in g}
     source: list[tuple[int, str | None]] = [
         (j, None) for j in range(len(clauses)) if j not in replaced]
     out = [clauses[j] for j, _ in source]
     alloc = FreshVarAllocator(n_vars + 1)
+    blocks = []
     for g in groups:
         inst = build(alloc, [clauses[j] for j in g], g[0])
+        blocks.append(inst.formula)
         out.extend(inst.formula.clauses)
         source.extend([(g[0], inst.tag)] * inst.formula.m)
-    return out, range(n_vars + 1, alloc.next_id), source
+    return out, range(n_vars + 1, alloc.next_id), source, blocks
 
 
 def _reduction_output(f, clauses, n_vars, groups, build) -> ReductionOutput:
-    out, fresh, source = splice(clauses, n_vars, groups, build)
+    """The output of splicing ``clauses``, clauses of ``f`` each shifted by
+    at most n_vars - f.n_vars, as the reductions return it."""
+    out, fresh, source, blocks = splice(clauses, n_vars, groups, build)
     # clause j of a tripled list is a copy of source clause j mod m
     provenance = tuple(
         ProvenanceEntry("original" if tag is None else "gadget", j % f.m, tag)
         for j, tag in source
     )
-    formula = CnfFormula(n_vars + len(fresh), tuple(out))
+    formula = formula_of_copies(n_vars + len(fresh), tuple(out),
+                                [(f, n_vars - f.n_vars), *((b, 0) for b in blocks)])
     stats = ReductionStats(
         vars_added=formula.n_vars - f.n_vars,
         clauses_added=sum(1 for _, tag in source if tag is not None),
@@ -183,7 +195,7 @@ def reduce_3sat22_to_mono22(f: CnfFormula) -> ReductionOutput:
     rep = validate_class(f, InstanceClass.THREE_SAT_22)
     if not rep.verdict:
         raise InvalidInstanceError(rep, "(2,2)-balanced 3-SAT input")
-    tripled = copies(f.clauses, f.n_vars, 3)
+    tripled = [c for copy in copies(f.clauses, f.n_vars, 3) for c in copy]
     # source-clause order; shape-major order slows the solver on the output
     groups = sorted(mixed_triples(tripled))
     return _reduction_output(f, tripled, 3 * f.n_vars, groups, build_enforcer)

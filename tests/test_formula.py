@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from monoforge.formula import (
     canonical_clause,
     canonicalize,
     cnf,
+    formula_of_copies,
     map_variables,
     negate_formula,
     occurrence_profile,
@@ -16,7 +19,9 @@ from monoforge.formula import (
     validate_class,
 )
 from monoforge.gadgets import build_F2, build_F3, build_G, build_M, build_U, build_y_core
+from monoforge.generate import random_balanced_qbf
 from monoforge.kernels import clause_arrays, count_sat
+from monoforge.qbf import qbf_truth, transform_2222
 
 
 def brute_count(f):
@@ -175,6 +180,90 @@ def test_simplify_under_equisatisfiable(sat22_corpus):
                 assert brute_count(with_units) == 0
             else:
                 assert (brute_count(out) > 0) == (brute_count(with_units) > 0)
+
+
+def simplify_under_by_rescanning(f, a):
+    """The reference for ``simplify_under``: after each unit it keeps or
+    drops every clause again, then takes the first unit in clause order over
+    an unassigned variable, until a clause is empty or no unit is left."""
+    val = dict(a)
+
+    def keep(c):
+        if len(set(c)) == 1:
+            b = val.get(abs(c[0]))
+            if b is not None and b == (c[0] > 0):
+                return c
+        out = []
+        for l in c:
+            b = val.get(abs(l))
+            if b is None:
+                out.append(l)
+            elif b == (l > 0):
+                return None
+        return canonical_clause(out)
+
+    clauses = [kept for c in f.clauses if (kept := keep(c)) is not None]
+    while not any(len(c) == 0 for c in clauses):
+        unit = None
+        for c in clauses:
+            if len(set(c)) == 1 and val.get(abs(c[0])) is None:
+                unit = c[0]
+                break
+        if unit is None:
+            break
+        val[abs(unit)] = unit > 0
+        clauses = [kept for c in clauses if (kept := keep(c)) is not None]
+    return CnfFormula(f.n_vars, tuple(clauses), f.allows_duplicate_literals, f.symbol_table)
+
+
+@st.composite
+def formulas_under_assignments(draw):
+    """A formula in either dialect over a few variables, with many short
+    clauses, so units chain and conflicts arise, and a partial assignment."""
+    n = draw(st.integers(1, 8))
+    dup = draw(st.booleans())
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, max_size=3), max_size=14))
+    if not dup:  # one literal per variable
+        clauses = [list({abs(l): l for l in c}.values()) for c in clauses]
+    f = CnfFormula(n, tuple(canonical_clause(c) for c in clauses), dup)
+    return f, draw(st.dictionaries(st.integers(1, n), st.booleans(), max_size=n))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(formulas_under_assignments())
+def test_simplify_under_matches_rescanning_reference(case):
+    f, a = case
+    assert simplify_under(f, a) == simplify_under_by_rescanning(f, a)
+
+
+def test_simplify_under_padded_matrix_in_near_linear_time():
+    # the padded (2,2) p = 3 matrix (7698 variables) under its first
+    # counterexample; rescanning every clause after each unit took 13.4 s
+    q = transform_2222(random_balanced_qbf(3, 2, 2, 1))
+    alpha = qbf_truth(q).counterexample
+    start = time.process_time()
+    out = simplify_under(q.matrix, alpha)
+    assert time.process_time() - start < 0.5
+    assert out.n_vars == q.matrix.n_vars == 7698
+
+
+def test_formula_of_copies_checks_in_full_when_a_source_does_not_fit():
+    f = cnf([[1, -2], [2, 3]])
+    strict = formula_of_copies(6, ((1, -2), (4, -5), (5, 6)), [(f, 3)])
+    assert strict == CnfFormula(6, ((1, -2), (4, -5), (5, 6)))
+    # a shift past n_vars, a dialect looser than the result's, a negative
+    # n_vars: the constructor's checks, with its messages
+    with pytest.raises(FormulaError, match=r"^clause 2: literal 7 out of range 1..6$"):
+        formula_of_copies(6, ((1, -2), (4, -5), (6, 7)), [(f, 4)])
+    dup = CnfFormula(2, ((1, 1, 2),), True)
+    assert formula_of_copies(2, dup.clauses, [(dup, 0)], True) == dup
+    with pytest.raises(FormulaError, match="repeats a variable but duplicates are not allowed"):
+        formula_of_copies(2, dup.clauses, [(dup, 0)])
+    with pytest.raises(FormulaError, match="^n_vars must be non-negative$"):
+        formula_of_copies(-1, (), [])
+    # a source that does not fit but whose clauses do passes the full check
+    assert formula_of_copies(3, f.clauses, [(f, 1)]) == f
 
 
 def test_map_variables():

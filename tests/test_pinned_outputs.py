@@ -20,6 +20,7 @@ import corpus
 from monoforge import gadgets
 from monoforge.cli import _PLAIN_GADGETS, _PORT_GADGETS, main
 from monoforge.fileio import formula_to_json, write_clause_list, write_dimacs
+from monoforge.formula import simplify_under
 from monoforge.generate import (
     random_3sat22,
     random_balanced_qbf,
@@ -119,6 +120,37 @@ TRUTH_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(TRUTH_DIGESTS))
 def test_qbf_truth_digest(name):
     assert _digest(_truth_rows(name.rsplit("_", 1)[1])) == TRUTH_DIGESTS[name]
+
+
+def _simplify_rows():
+    """``simplify_under`` on the seeded corpora, each formula under no
+    assignment and three seeded partial ones, then on the matrix of every
+    pipeline stage of the QBF corpora under its first counterexample: the
+    output formulas, conflicts (empty clauses) included."""
+    rng = random.Random(7)
+    rows = []
+    for f in corpus.star22_corpus() + corpus.sat22_corpus() + corpus.nae_corpus()[:40]:
+        rows.append(_formula_rows(simplify_under(f, {})))
+        for _ in range(3):
+            a = {v: rng.random() < 0.5 for v in range(1, f.n_vars + 1) if rng.random() < 0.3}
+            rows.append(_formula_rows(simplify_under(f, a)))
+    for qs, variant in ((corpus.qbf_1122_corpus(), PadVariant.USE_Q3),
+                        (corpus.qbf_2222_corpus(), PadVariant.USE_Q1MON)):
+        for q in qs:
+            mono = monotonize(triple_copy(q))
+            for stage in (q, triple_copy(q), mono, pad_to_balance(mono, variant)):
+                alpha = qbf_truth(stage).counterexample
+                if alpha is not None:
+                    rows.append(_formula_rows(simplify_under(stage.matrix, alpha)))
+    return rows
+
+
+def test_simplify_under_digest():
+    # pinned from the rescanning implementation: 356 outputs, 40 of them
+    # with a conflict
+    rows = _simplify_rows()
+    assert (len(rows), sum(() in r[2] for r in rows)) == (356, 40)
+    assert _digest(rows) == "fa887559224aa10817d8d23b6a1d893a74c0b1c149dff20816baa4d99176585a"
 
 
 def _stderr_lines(capsys, tmp_path, text, *argv):

@@ -14,7 +14,7 @@ from monoforge import solver as solver_module
 from monoforge.formula import CnfFormula, InvalidInstanceError, canonical_clause, cnf
 from monoforge.gadgets import FreshVarAllocator, build_U
 from monoforge.generate import random_balanced_qbf
-from monoforge.elimination import block_cuts, eliminate, eliminate_blocks
+from monoforge.elimination import block_cuts, eliminate, eliminate_blocks, renumbered
 from monoforge.qbf import (
     _component_first_failure,
     _components,
@@ -47,6 +47,73 @@ def test_formula_invariants():
         Qbf2Formula((1,), (), cnf([[1, 2]], n_vars=2))
     with pytest.raises(ValueError, match="universe"):
         Qbf2Formula((1, 3), (2,), cnf([[1, 2]], n_vars=2))
+
+
+@pytest.mark.parametrize("universals, existentials, clauses, n, message", [
+    # n distinct variables in 1..n: no literal is looked at
+    ((2,), (1,), [[1, 2]], 2, None),
+    ((), (), [], 0, None),
+    ((1,), (), [[1, 2]], 2, "matrix variables not quantified: [2]"),
+    # a missing variable outranks an out-of-range one
+    ((1, 3), (), [[1, 2]], 2, "matrix variables not quantified: [2]"),
+    ((0,), (2,), [[1, 2]], 2, "matrix variables not quantified: [1]"),
+    # n variables, not all in 1..n
+    ((1,), (3,), [[1]], 2, "quantified variable 3 outside the universe"),
+    ((-1,), (2,), [[2]], 2, "quantified variable -1 outside the universe"),
+    ((0,), (1, 2), [[1, 2]], 2, "quantified variable 0 outside the universe"),
+])
+def test_prefix_checks(universals, existentials, clauses, n, message):
+    matrix = cnf(clauses, n_vars=n)
+    if message is None:
+        assert Qbf2Formula(universals, existentials, matrix).matrix is matrix
+    else:
+        with pytest.raises(ValueError) as err:
+            Qbf2Formula(universals, existentials, matrix)
+        assert str(err.value) == message
+
+
+def test_stage_outputs_pass_the_public_constructors(qbf_1122_corpus, qbf_2222_corpus):
+    # the stages check their clauses by construction; the full checks of
+    # the public constructors accept each output and rebuild an equal one,
+    # also for a source in the duplicate dialect that repeats a variable
+    dup = Qbf2Formula((1,), (2, 3), CnfFormula(3, ((-1, -1, 2), (2, 3, 3)), True))
+    stages = [triple_copy(dup), pad_to_balance(dup, PadVariant.USE_Q1MON)]
+    for qs, variant in ((qbf_1122_corpus, PadVariant.USE_Q3),
+                        (qbf_2222_corpus, PadVariant.USE_Q1MON)):
+        for q in qs:
+            mono = monotonize(triple_copy(q))
+            stages += [triple_copy(q), mono, pad_to_balance(mono, variant)]
+    for stage in stages:
+        m = stage.matrix
+        rebuilt = CnfFormula(m.n_vars, tuple(m.clauses), m.allows_duplicate_literals)
+        assert Qbf2Formula(tuple(stage.universals), tuple(stage.existentials), rebuilt) == stage
+    assert stages[0].matrix.allows_duplicate_literals and stages[1].matrix.allows_duplicate_literals
+
+
+@pytest.mark.parametrize("transform, q, error, message", [
+    (monotonize, Qbf2Formula((1,), (2, 3), cnf([[1, -2, -3]], n_vars=3)), MonotonizeError,
+     "mixed-clause counts not divisible by 3: 1 one-positive, 0 one-negative"),
+    (lambda q: monotonize(triple_copy(q)),
+     Qbf2Formula((1,), (2,), CnfFormula(2, ((-1, -1, 2),), True)), ValueError,
+     "not a 3-clause over distinct variables: (-1, -1, 2)"),
+    (lambda q: pad_to_balance(q, PadVariant.USE_Q3),
+     Qbf2Formula((1,), (2, 3), cnf([], n_vars=3)), PadError,
+     "existential surplus 1 is not divisible by 3"),
+    (lambda q: pad_to_balance(q, PadVariant.USE_Q1MON),
+     Qbf2Formula((1, 2), (3,), cnf([], n_vars=3)), PadError,
+     "more universals than existentials by 1; cannot pad"),
+    (transform_1122, Qbf2Formula((1,), (2, 3), cnf([[1, 2, 3]], n_vars=3)), InvalidInstanceError,
+     "balanced (1,1,2,2) input fails validation: universal 1 appears (1, 0), expected (1, 1); "
+     "existential 2 appears (1, 0), expected (2, 2); existential 3 appears (1, 0), expected "
+     "(2, 2); 1 universal vs 2 existential variables"),
+    (transform_2222, random_balanced_qbf(3, 1, 1, 1), InvalidInstanceError,
+     "balanced (2,2,2,2) input fails validation: universal 1 appears (1, 1), expected (2, 2); "
+     "universal 2 appears (1, 1), expected (2, 2); universal 5 appears (1, 1), expected (2, 2)"),
+])
+def test_transforms_reject_malformed_input(transform, q, error, message):
+    with pytest.raises(error) as err:
+        transform(q)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_truth_trivial_no():
@@ -272,7 +339,8 @@ def test_truth_matches_brute_force(q):
 def bfs_components(q):
     """The parts of ``q`` by breadth-first search over shared clauses, in the
     documented order: parts by smallest variable, universals and
-    existentials in declared order, clause indices ascending."""
+    existentials in declared order, clauses in matrix order, renumbered by
+    ``renumbered``."""
     adjacent = {v: set() for v in itertools.chain(q.universals, q.existentials)}
     for c in q.matrix.clauses:
         vs = {abs(l) for l in c}
@@ -290,21 +358,22 @@ def bfs_components(q):
                 seen.add(w)
                 part.add(w)
                 queue.append(w)
-        parts.append((
-            [u for u in q.universals if u in part],
-            [e for e in q.existentials if e in part],
-            [j for j, c in enumerate(q.matrix.clauses) if abs(c[0]) in part],
-        ))
+        us = [u for u in q.universals if u in part]
+        es = [e for e in q.existentials if e in part]
+        parts.append((us, es, list(renumbered(
+            us, es, [c for c in q.matrix.clauses if abs(c[0]) in part]))))
     return parts
 
 
 @st.composite
 def matrices_for_components(draw):
-    """Shuffled variables, some in no clause and some unquantified and
-    unused, with random clauses, long chains of binary clauses in shuffled
-    order, one-clause parts and repeated clauses."""
+    """Variables in increasing or shuffled order, so that a part's
+    universals and then existentials may or may not ascend, some in no
+    clause and some unquantified and unused, with random clauses, long
+    chains of binary clauses in shuffled order, one-clause parts and
+    repeated clauses."""
     n = draw(st.integers(1, 40))
-    ids = draw(st.permutations(range(1, n + 1)))
+    ids = draw(st.one_of(st.just(list(range(1, n + 1))), st.permutations(range(1, n + 1))))
     var = st.sampled_from(ids)
     lit = st.tuples(var, st.booleans()).map(lambda t: t[0] if t[1] else -t[0])
     clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3), max_size=12))
@@ -715,13 +784,9 @@ def test_blocks_are_eliminated_once_per_folded_shape(part):
 def local_parts(q):
     """The parts of ``q`` that have clauses, renumbered as ``qbf_truth``
     does: (clauses, k, n), universals 1..k and existentials k+1..n."""
-    for us, es, idx in parts_of(q):
-        if idx:
-            lit = {}
-            for i, v in enumerate(us + es, 1):
-                lit[v], lit[-v] = i, -i
-            yield ([canonical_clause(map(lit.__getitem__, q.matrix.clauses[j])) for j in idx],
-                   len(us), len(us) + len(es))
+    for us, es, local in parts_of(q):
+        if local:
+            yield local, len(us), len(us) + len(es)
 
 
 @pytest.mark.parametrize("s", [1, 2])

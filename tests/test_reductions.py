@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoforge.formula import (
+    CnfFormula,
     InstanceClass,
     InvalidInstanceError,
     canonical_clause,
@@ -11,7 +12,7 @@ from monoforge.formula import (
     satisfies,
     validate_class,
 )
-from monoforge.generate import random_mono_22
+from monoforge.generate import random_3sat22, random_mono_22, random_mono_3sat_star22
 from monoforge.kernels import clause_arrays, count_sat
 from monoforge.reductions import copies, reduce_3sat22_to_mono22, reduce_star22_to_mono22
 from monoforge.solver import Status, solve
@@ -102,6 +103,33 @@ def test_provenance_covers_every_clause(sat22_corpus):
         assert 0 <= p.source_clause < f.m
 
 
+def test_outputs_pass_the_public_constructor(sat22_corpus, star22_corpus):
+    # the reductions check their output by construction (the *(2,2) one in
+    # full, as its input's dialect is looser than its output's); the full
+    # check accepts each output and rebuilds an equal formula
+    outs = [reduce_3sat22_to_mono22(f) for f in sat22_corpus]
+    outs += [reduce_star22_to_mono22(f) for f in star22_corpus]
+    for out in outs:
+        f = out.formula
+        assert CnfFormula(f.n_vars, tuple(f.clauses), f.allows_duplicate_literals) == f
+
+
+@pytest.mark.parametrize("reduce, f, message", [
+    (reduce_3sat22_to_mono22, random_mono_3sat_star22(6, 1),
+     "(2,2)-balanced 3-SAT input fails validation: clause 4 repeats a variable: (-3, -3, -6); "
+     "clause 5 repeats a variable: (-1, -2, -2); clause 6 repeats a variable: (-5, -5, -6); "
+     "clause 7 repeats a variable: (-1, -4, -4)"),
+    (reduce_star22_to_mono22, random_3sat22(6, 21),
+     "monotone *(2,2) input fails validation: clause 1 is mixed: (-1, 2, -4); clause 2 is "
+     "mixed: (1, -3, 4); clause 3 is mixed: (1, -2, -5); clause 4 is mixed: (2, -5, 6); "
+     "clause 6 is mixed: (-3, 5, 6)"),
+])
+def test_reductions_reject_malformed_input(reduce, f, message):
+    with pytest.raises(InvalidInstanceError) as err:
+        reduce(f)
+    assert str(err.value) == message
+
+
 @st.composite
 def _canonical_rows(draw):
     """A width and canonical rows of literals over variables 1..width."""
@@ -117,7 +145,9 @@ def _canonical_rows(draw):
 @given(_canonical_rows(), st.integers(0, 4))
 def test_copies_shifts_by_definition(spec, count):
     width, rows = spec
-    out = copies(rows, width, count)
+    per_copy = list(copies(rows, width, count))
+    assert all(len(rows_k) == len(rows) for rows_k in per_copy)
+    out = [row for rows_k in per_copy for row in rows_k]
     assert out == [tuple(l + k * width if l > 0 else l - k * width for l in row)
                    for k in range(count) for row in rows]
     assert all(canonical_clause(row) == row for row in out)
