@@ -40,7 +40,6 @@ subsumption checks of a resolvent, and the base existentials go last.
 from __future__ import annotations
 
 import functools
-import itertools
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
@@ -50,18 +49,6 @@ from collections.abc import Iterable, Sequence
 # it removes
 MAX_RESOLVENT_WIDTH = 9
 MAX_ADDED_CLAUSES = 64
-
-
-def renumbered(
-    us: Sequence[int], es: Sequence[int], clauses: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    """A part's clauses, in their order, with ``us`` numbered 1..k and then
-    ``es``, both in their order.  A stable sort by variable keeps a negative
-    literal before its positive twin, so a canonical clause stays canonical."""
-    lit: dict[int, int] = {}
-    for i, v in enumerate(itertools.chain(us, es), 1):
-        lit[v], lit[-v] = i, -i
-    return tuple(tuple(sorted(map(lit.__getitem__, c), key=abs)) for c in clauses)
 
 
 def _resolvents(
@@ -235,11 +222,18 @@ def eliminate_blocks(
         (touching[bisect_left(cuts, top) - 1] if top > base else rest).append(c)
     caps = (MAX_RESOLVENT_WIDTH, MAX_ADDED_CLAUSES)
     resolved: list[tuple[int, ...]] = []
+    # lid[l], the literal's id in its block, has 2n + 1 entries, so a
+    # negative literal's entry lies past n
+    lid = [0] * (2 * n + 1)
+    get = lid.__getitem__
     for lo, hi, cs in reversed(list(zip(cuts, cuts[1:], touching))):
         ports = dict.fromkeys(abs(l) for c in cs for l in c if abs(l) <= base)
-        own = range(lo + 1, hi + 1)
-        glob = [0, *ports, *own]
-        named = sorted(renumbered(ports, own, cs))
+        glob = [0, *ports, *range(lo + 1, hi + 1)]
+        for i in range(1, len(glob)):
+            lid[glob[i]], lid[-glob[i]] = i, -i
+        # ports by first occurrence rarely ascend; a stable sort by variable
+        # keeps a negative literal before its positive twin
+        named = sorted(tuple(sorted(map(get, c), key=abs)) for c in cs)
         flipped = sorted(tuple(-l for l in c) for c in named)
         sign = -1 if flipped < named else 1
         out = eliminated_block(

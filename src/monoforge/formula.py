@@ -413,18 +413,16 @@ def simplify_under(f: CnfFormula, a: Mapping[int, bool]) -> CnfFormula:
     # value changes only the clauses over its variable, which occ lists (a
     # clause that repeats it twice; keeping a kept clause again changes
     # nothing), and the least index in the heap of open units is the first
-    # unit in order
+    # unit in order.  Without an open unit, or with an empty clause, nothing
+    # propagates and occ is not built.
     clauses = [keep(c) for c in f.clauses]
-    occ: list[list[int]] = [[] for _ in range(f.n_vars + 1)]
-    units: list[int] = []
-    conflict = False
-    for j, c in enumerate(clauses):
-        if c is not None:
-            conflict = conflict or not c
-            for l in c:
+    units = [j for j, c in enumerate(clauses) if c and open_unit(c)]  # ascending: a heap
+    conflict = () in clauses
+    if units and not conflict:
+        occ: list[list[int]] = [[] for _ in range(f.n_vars + 1)]
+        for j, c in enumerate(clauses):
+            for l in c or ():
                 occ[abs(l)].append(j)
-            if open_unit(c):
-                units.append(j)  # ascending, so already a heap
     while not conflict and units:
         c = clauses[heapq.heappop(units)]
         if c is None or not open_unit(c):

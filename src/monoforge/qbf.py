@@ -6,17 +6,17 @@ A formula is a single universal block followed by a single existential block
 over a CNF matrix.  Its constructor checks the prefix against the matrix's
 literals only when the prefix is not n distinct variables in 1..n: such a
 prefix is all of 1..n, so every matrix variable is quantified.  Truth takes
-two passes over variable-disjoint parts (by union-find over a flat parent
+one pass over the variable-disjoint parts (by union-find over a flat parent
 array, the parts in order of their smallest variable; the same pass fills a
 table of local ids indexed by literal and renumbers each part's clauses, so
 a part numbered in increasing variable order, as every padding copy is,
-needs no sort), each handling structurally identical parts once: the first
-eliminates the existentials of the input's parts (:mod:`.elimination`), the
-second splits the clauses left, over the input's variables, and walks each
-part's universal assignments in lexicographic order (declared variable
-order, false before true), checking existential satisfiability with the
-clause-learning solver.  The verdict and the reported counterexample are
-exactly those of plain enumeration over the whole formula.
+needs no sort).  Each distinct part is decided once, in its own ids: its
+existentials are eliminated (:mod:`.elimination`), the clauses left split
+again, and each of those parts walks its universal assignments in
+lexicographic order (declared variable order, false before true), checking
+existential satisfiability with the clause-learning solver; only the walked
+universals are mapped back.  The verdict and the reported counterexample
+are exactly those of plain enumeration over the whole formula.
 
 Within a part of the walk, existential witnesses are reused.  Each SAT
 answer leaves its universal residue: the universal parts of the clauses that
@@ -142,8 +142,8 @@ def _components(
     universals: Sequence[int], existentials: Sequence[int], clauses: Sequence[tuple[int, ...]]
 ) -> list[tuple[list[int], list[int], list[tuple[int, ...]]]]:
     """Variable-disjoint parts: (universals, existentials, clauses), each
-    part's clauses renumbered as :func:`.elimination.renumbered` numbers
-    them, its universals 1..k and then its existentials.
+    part's clauses renumbered, its universals 1..k and then its
+    existentials, each clause kept canonical.
 
     Parts come in order of their smallest variable.  Within a part the
     universals and the existentials keep their given order and the clauses
@@ -262,68 +262,65 @@ def _component_first_failure(local: CnfFormula, k: int, conflict_budget: int) ->
 def _parts(
     us: Sequence[int], es: Sequence[int], clauses: Sequence[tuple[int, ...]],
     memo: dict[tuple, Any], decide: Callable[[list[tuple[int, ...]], int, int], Any],
-) -> Iterator[tuple[list[int], list[int], Any]]:
-    """(universals, existentials, answer) per part of ``_components`` that has
-    clauses: ``decide(local, k, n)`` on its renumbered clauses, once per
-    distinct renumbered part (equal clauses up to order) through ``memo``."""
+) -> Iterator[tuple[list[int], Any]]:
+    """(universals, answer) per part of ``_components`` that has clauses:
+    ``decide(local, k, n)`` on its renumbered clauses, once per distinct
+    renumbered part (equal clauses up to order) through ``memo``."""
     for part_us, part_es, local in _components(us, es, clauses):
         if local:  # a part without clauses is true under every assignment
             # not sorted: the block keys number the ports by first occurrence
             key = (len(part_us), len(part_es), tuple(sorted(local)))
             if key not in memo:
                 memo[key] = decide(local, len(part_us), len(part_us) + len(part_es))
-            yield part_us, part_es, memo[key]
+            yield part_us, memo[key]
 
 
 def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
     """Decide the formula; a 'no' carries the lexicographically first failing
     universal assignment (declared order, false < true).
 
-    Two passes, each over the distinct parts of a clause list that
-    ``_parts`` gives.  The first eliminates each part of the input with
-    ``eliminate_blocks``, in matrix order, and maps the clauses left back to
-    the input's variables (the parts are memoized per call, their blocks for
-    the process); an empty resolvent makes the all-false assignment
-    fail.  The second splits what is left and walks each part with
-    ``_component_first_failure``.  The first failing assignment is the least
-    of the parts' first failing assignments, each extended by false.  A
-    walked part that spends its own ``conflict_budget``, on conflicts of
-    either solver and one unit per step, makes the answer BUDGET whatever
-    the other parts give.
+    One pass over the distinct parts of the input that ``_parts`` gives,
+    each decided in its own ids: ``eliminate_blocks`` (its blocks memoized
+    for the process), then ``_parts`` over the clauses left and
+    ``_component_first_failure`` on each distinct part of those.  An empty
+    resolvent makes the all-false assignment fail.  The first failing
+    assignment is the least of the walked parts' first failing assignments,
+    only their universals mapped back, each extended by false.  A walked
+    part that spends its own ``conflict_budget``, on conflicts of either
+    solver and one unit per step, makes the answer BUDGET whatever the
+    other parts give.
     """
     all_false = (False,) * q.p
     if not all(q.matrix.clauses):  # an empty clause
         return QbfResult(QbfValue.NO, dict(zip(q.universals, all_false)))
-    # eliminate: each distinct part's clauses left, None after an empty
-    # resolvent; its blocks go through the process-wide memo of
-    # ``eliminate_blocks``
-    eliminated: dict[tuple, list[tuple[int, ...]] | None] = {}
-    candidates: list[tuple[bool, ...]] = []
-    left: list[tuple[int, ...]] = []
-    for us, es, out in _parts(q.universals, q.existentials, q.matrix.clauses, eliminated,
-                              eliminate_blocks):
-        if out is None:
-            candidates.append(all_false)
-        elif out:
-            glob = (0, *us, *es)
-            # sorted, since ``_components`` takes canonical clauses and a part
-            # numbered out of variable order maps a clause back out of order
-            left.extend(tuple(sorted((glob[l] if l > 0 else -glob[-l] for l in c), key=abs))
-                        for c in out)
-    # walk: each distinct part's answer, over the variables still mentioned
     walked: dict[tuple, PartVerdict] = {}
-    mentioned = {abs(l) for c in left for l in c}
-    for us, _, (value, bits) in _parts(
-            [u for u in q.universals if u in mentioned],
-            [e for e in q.existentials if e in mentioned], left, walked,
+
+    def decide(local: list[tuple[int, ...]], k: int, n: int
+               ) -> list[tuple[list[int], PartVerdict]] | None:
+        # the walked parts of the clauses left, over the ids they mention,
+        # which ascend and so need no sort; None after an empty resolvent
+        left = eliminate_blocks(local, k, n)
+        if left is None:
+            return None
+        mentioned = {abs(l) for c in left for l in c}
+        return list(_parts(
+            [u for u in range(1, k + 1) if u in mentioned],
+            [e for e in range(k + 1, n + 1) if e in mentioned], left, walked,
             lambda cs, k, n: _component_first_failure(CnfFormula(n, tuple(cs)), k,
-                                                       conflict_budget)):
-        if value is QbfValue.BUDGET:
-            return QbfResult(QbfValue.BUDGET)
-        if value is QbfValue.NO:
-            alpha = dict.fromkeys(q.universals, False)
-            alpha.update(zip(us, bits))
-            candidates.append(tuple(alpha.values()))
+                                                       conflict_budget)))
+
+    candidates: list[tuple[bool, ...]] = []
+    for us, walks in _parts(q.universals, q.existentials, q.matrix.clauses, {}, decide):
+        if walks is None:
+            candidates.append(all_false)
+            continue
+        for local_us, (value, bits) in walks:
+            if value is QbfValue.BUDGET:
+                return QbfResult(QbfValue.BUDGET)
+            if value is QbfValue.NO:
+                alpha = dict.fromkeys(q.universals, False)
+                alpha.update(zip([us[u - 1] for u in local_us], bits))
+                candidates.append(tuple(alpha.values()))
     if not candidates:
         return QbfResult(QbfValue.YES)
     return QbfResult(QbfValue.NO, dict(zip(q.universals, min(candidates))))

@@ -14,7 +14,7 @@ from monoforge import solver as solver_module
 from monoforge.formula import CnfFormula, InvalidInstanceError, canonical_clause, cnf
 from monoforge.gadgets import FreshVarAllocator, build_U
 from monoforge.generate import random_balanced_qbf
-from monoforge.elimination import block_cuts, eliminate, eliminate_blocks, renumbered
+from monoforge.elimination import block_cuts, eliminate, eliminate_blocks
 from monoforge.qbf import (
     _component_first_failure,
     _components,
@@ -164,16 +164,23 @@ def test_decompose_matches_naive(qbf_1122_corpus):
         assert res.counterexample == alpha
 
 
-def test_decompose_matches_naive_multicomponent():
-    # two independent parts, one failing: the counterexample must be the
-    # lexicographically first over the declared universal order
-    q = Qbf2Formula(
-        (1, 3), (2, 4),
-        cnf([[1, 2], [-1, 2], [3, 4], [-3, -4], [3, -4]], n_vars=4),
-    )
+@pytest.mark.parametrize("universals, existentials, clauses, want", [
+    # two independent parts, one failing
+    ((1, 3), (2, 4), [[1, 2], [-1, 2], [3, 4], [-3, -4], [3, -4]], {1: False, 3: False}),
+    # one part whose leftover splits: the pure existential 5 takes its
+    # clause, leaving (1 -2) and (3 -4), with universals declared out of id
+    # order behind the universal 6 of another part
+    ((6, 4, 2, 3, 1), (7, 5), [[1, -2], [3, -4], [2, 4, 5], [6, 7]],
+     {6: False, 4: False, 2: True, 3: False, 1: False}),
+], ids=["two-parts", "leftover-splits"])
+def test_decompose_matches_naive_multicomponent(universals, existentials, clauses, want):
+    # the counterexample must be the lexicographically first over the
+    # declared universal order
+    q = Qbf2Formula(universals, existentials,
+                    cnf(clauses, n_vars=len(universals) + len(existentials)))
     res = qbf_truth(q)
     assert res.value is QbfValue.NO
-    assert res.counterexample == brute_force_truth(q) == {1: False, 3: False}
+    assert res.counterexample == brute_force_truth(q) == want
 
 
 def brute_force_truth(q):
@@ -334,6 +341,16 @@ def test_truth_matches_brute_force(q):
     res = qbf_truth(q)
     assert res.value is (QbfValue.YES if alpha is None else QbfValue.NO)
     assert res.counterexample == alpha
+
+
+def renumbered(us, es, clauses):
+    """A part's clauses, in their order, with ``us`` numbered 1..k and then
+    ``es``, both in their order.  A stable sort by variable keeps a negative
+    literal before its positive twin, so a canonical clause stays canonical."""
+    lit = {}
+    for i, v in enumerate(itertools.chain(us, es), 1):
+        lit[v], lit[-v] = i, -i
+    return tuple(tuple(sorted(map(lit.__getitem__, c), key=abs)) for c in clauses)
 
 
 def bfs_components(q):
