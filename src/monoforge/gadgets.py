@@ -6,6 +6,11 @@ clauses (the 2-clause and the two binary implications) are the port slots of
 every enforcer derived from it.  The published listing of M orders the last
 group positives-first, which `M_LISTING` reproduces so that instances built
 here match the reference lists clause-for-clause, in order.
+
+Every gadget made of copies of M (the enforcers M, M-bar and N, the simulators
+S and S-bar, the combined enforcers frakM and frakMbar, and the instance U)
+instantiates them through the one routine `_m_copies`; the builders add only
+their links, reservation labels and port literals.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .formula import (
     clause_has_distinct_vars,
     cnf,
     map_variables,
-    negate_formula,
     simplify_under,
 )
 
@@ -173,8 +177,7 @@ def build_y_core() -> CnfFormula:
     1..9; matches the published core listing clause-for-clause.
     """
     g = simplify_under(build_G(), {3: False, 4: False})
-    f = map_variables(g, {8 + i: i for i in range(1, 10)}, n_vars=9)
-    return CnfFormula(9, f.clauses, False, {i: f"y{i}" for i in range(1, 10)})
+    return map_variables(g, {8 + i: i for i in range(1, 10)}, n_vars=9)
 
 
 def build_z_core() -> CnfFormula:
@@ -185,49 +188,53 @@ def build_z_core() -> CnfFormula:
     """
     h = simplify_under(build_H(), {1: True, 2: False})
     lead = ((-18, -19), (-20, -21))
-    f = cnf(lead + h.clauses, n_vars=32)
-    f = map_variables(f, {17 + i: i for i in range(1, 16)}, n_vars=15)
-    return CnfFormula(15, f.clauses, False, {i: f"z{i}" for i in range(1, 16)})
+    f = cnf(lead + h.clauses, n_vars=32, symbol_table=h.symbol_table)
+    return map_variables(f, {17 + i: i for i in range(1, 16)}, n_vars=15)
 
 
-def _m_instance_clauses(
-    fresh: range,
-    ports: tuple[int | None, int | None, int | None],
-    negate: bool = False,
-) -> list[tuple[int, ...]]:
-    """Instantiate the 42-clause listing over a fresh 32-variable block.
+def _m_copies(
+    copies: Iterable[tuple[range, tuple[int | None, int | None, int | None], bool, int | str]],
+) -> tuple[list[list[tuple[int, ...]]], dict[int, str]]:
+    """Instantiate the 42-clause listing once per ``(fresh, slots, negate, tag)``.
 
-    ``ports`` are signed external literals appended to the three port slots
-    (None leaves a slot as written).  ``negate`` flips every literal,
-    including the ports.
+    Each copy lies on the 32-variable block ``fresh``, its variables named
+    ``x1^tag`` .. ``z15^tag``.  ``slots`` are signed external literals
+    appended to the three port slots (None leaves a slot as written), and
+    ``negate`` flips every literal, the slots' included.  Returns each copy's
+    clauses, in listing order, and the symbol table of all copies.
     """
-    base = fresh.start - 1
-    out = []
-    for j, c in enumerate(M_LISTING):
-        lits = [(base + t) if t > 0 else -(base - t) for t in c]
-        if j < 3 and ports[j] is not None:
-            lits.append(ports[j])
-        if negate:
-            lits = [-l for l in lits]
-        out.append(canonical_clause(lits))
-    return out
+    bodies: list[list[tuple[int, ...]]] = []
+    symbols: dict[int, str] = {}
+    for fresh, slots, negate, tag in copies:
+        base = fresh.start - 1
+        sign = -1 if negate else 1
+        body = []
+        for j, c in enumerate(M_LISTING):
+            lits = [sign * (t + base if t > 0 else t - base) for t in c]
+            if j < 3 and slots[j] is not None:
+                lits.append(sign * slots[j])
+            body.append(canonical_clause(lits))
+        bodies.append(body)
+        symbols |= {base + t: f"{s}^{tag}" for t, s in TEMPLATE_SYMBOLS.items()}
+    return bodies, symbols
 
 
-def _block_symbols(fresh: range, tag: int | str) -> dict[int, str]:
-    """Symbol table of a 32-variable template copy: ``x1^tag`` .. ``z15^tag``."""
-    return {fresh.start + t - 1: f"{s}^{tag}" for t, s in TEMPLATE_SYMBOLS.items()}
+def _reserve_fresh(
+    alloc: FreshVarAllocator, ports: Sequence[int], requests: Iterable[tuple[str, int]]
+) -> list[range]:
+    """Reserve one range per ``(label, count)`` after checking the ports.
 
-
-def _check_ports_fresh(ports: Iterable[int], alloc: FreshVarAllocator, count: int) -> None:
-    """Reject a port that is no variable id (not an int, a bool, or below 1)
-    or lies among the next ``count`` fresh ids; runs before the build
-    reserves them, so a rejected build leaves the allocator untouched."""
-    fresh = range(alloc.next_id, alloc.next_id + count)
+    A port must be a variable id (an int, not a bool, at least 1) below the
+    allocator's next id, so no range handed out now or later can hold it.
+    The checks run first: a rejected build leaves the allocator untouched.
+    """
     for p in ports:
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"port variable {p} is not a variable id")
-        if p in fresh:
-            raise ValueError(f"port variable {p} collides with fresh range")
+    for p in ports:
+        if p >= alloc.next_id:
+            raise ValueError(f"port variable {p} collides with fresh ids from {alloc.next_id}")
+    return [alloc.reserve(count, label) for label, count in requests]
 
 
 def _m_enforcer(
@@ -239,12 +246,15 @@ def _m_enforcer(
     negate: bool,
     port_literals: dict[str, int],
 ) -> GadgetInstantiation:
-    """One 42-clause instance over a fresh block, ``slots`` on its port slots."""
-    _check_ports_fresh(ports, alloc, 32)
-    fresh = alloc.reserve(32, f"{label}^{tag}")
-    clauses = _m_instance_clauses(fresh, slots, negate=negate)
-    n_vars = max(fresh.stop - 1, *ports)
-    formula = CnfFormula(n_vars, tuple(clauses), False, _block_symbols(fresh, tag))
+    """One 42-clause instance over a fresh block, ``slots`` on its port slots.
+
+    The first port must differ from the others.
+    """
+    if ports[0] in ports[1:]:
+        raise ValueError("u1 must differ from u2 and u3")
+    (fresh,) = _reserve_fresh(alloc, ports, [(f"{label}^{tag}", 32)])
+    (clauses,), symbols = _m_copies([(fresh, slots, negate, tag)])
+    formula = CnfFormula(alloc.next_id - 1, tuple(clauses), False, symbols)
     return GadgetInstantiation(formula, port_literals, tag)
 
 
@@ -256,8 +266,6 @@ def build_M_enforcer(
     u2 = u3 is allowed (that is how duplicate literals are absorbed); u1
     coinciding with u2 or u3 is rejected.
     """
-    if u1 in (u2, u3):
-        raise ValueError("u1 must differ from u2 and u3")
     return _m_enforcer(alloc, "M", tag, (u1, u2, u3), (u1, -u2, -u3), False,
                        {"u1": u1, "u2": -u2, "u3": -u3})
 
@@ -266,8 +274,6 @@ def build_Mbar_enforcer(
     alloc: FreshVarAllocator, u1: int, u2: int, u3: int, tag: int | str = 0
 ) -> GadgetInstantiation:
     """Literal-wise negation of the M enforcer: simulates {-u1, u2, u3}."""
-    if u1 in (u2, u3):
-        raise ValueError("u1 must differ from u2 and u3")
     return _m_enforcer(alloc, "Mbar", tag, (u1, u2, u3), (u1, -u2, -u3), True,
                        {"u1": -u1, "u2": u2, "u3": u3})
 
@@ -296,35 +302,24 @@ def build_S(
     ``negative=True`` emits the literal-wise negation (ports -v1, -v2, -v3).
     """
     ports = (v1, v2, v3)
-    _check_ports_fresh(ports, alloc, 3 * 32 + 3)
-    copies = [alloc.reserve(32, f"S{tag}/copy{i}") for i in (1, 2, 3)]
-    us = alloc.reserve(3, f"S{tag}/u")
-
-    def cv(i: int, t: int) -> int:  # template var t in copy i (1-based)
-        return copies[i - 1].start + t - 1
-
-    clauses: list[tuple[int, ...]] = []
-    for i in (1, 2, 3):
-        clauses.append(canonical_clause((cv(i, 1), cv(i, 2), ports[i - 1])))
-    for i in (1, 2, 3):
-        body = _m_instance_clauses(copies[i - 1], (None, -us[i - 1], -us[i - 1]))
-        clauses.extend(body[1:])  # the bare 2-clause is replaced by the port clause
-    clauses.append(canonical_clause(us))
+    *copies, us = _reserve_fresh(
+        alloc, ports, [(f"S{tag}/copy{i}", 32) for i in (1, 2, 3)] + [(f"S{tag}/u", 3)]
+    )
+    # copy i carries port v_i on its 2-clause and -u_i on both implications
+    bodies, symbols = _m_copies(
+        (fresh, (p, -u, -u), negative, f"{tag}.{i}")
+        for i, (fresh, p, u) in enumerate(zip(copies, ports, us), 1)
+    )
+    sign = -1 if negative else 1
+    clauses = [body[0] for body in bodies] + [c for body in bodies for c in body[1:]]
+    clauses.append(canonical_clause(sign * u for u in us))
     for t in (1, 5, 6):
-        clauses.append(canonical_clause((cv(1, t), cv(2, t), cv(3, t))))
-    for i in (1, 2, 3):
-        clauses.append(canonical_clause((cv(i, 14), cv(i, 32), us[i - 1])))
-
-    n_vars = max(us.stop - 1, *ports)
-    symbols: dict[int, str] = {}
-    for i in (1, 2, 3):
-        symbols |= _block_symbols(copies[i - 1], f"{tag}.{i}")
+        clauses.append(canonical_clause(sign * fresh[t - 1] for fresh in copies))
+    for fresh, u in zip(copies, us):  # y6 and z15 of copy i with u_i
+        clauses.append(canonical_clause(sign * v for v in (fresh[13], fresh[31], u)))
     for i, uv in enumerate(us, 1):
         symbols[uv] = f"u{i}^{tag}"
-    formula = CnfFormula(n_vars, tuple(clauses), False, symbols)
-    sign = -1 if negative else 1
-    if negative:
-        formula = negate_formula(formula)
+    formula = CnfFormula(alloc.next_id - 1, tuple(clauses), False, symbols)
     return GadgetInstantiation(formula, {f"v{i}": sign * p for i, p in enumerate(ports, 1)}, tag)
 
 
@@ -361,24 +356,20 @@ def _build_frak(
     if len(triple) != 3:
         raise ValueError("exactly three clauses are combined per instance")
     ports = [_frak_ports(c, negate) for c in triple]
-    port_vars = [v for t in ports for v in t]
-    _check_ports_fresh(port_vars, alloc, 3 * 32)
-    copies = [alloc.reserve(32, f"frak{tag}/copy{i}") for i in (1, 2, 3)]
+    copies = _reserve_fresh(alloc, [v for t in ports for v in t],
+                            [(f"frak{tag}/copy{i}", 32) for i in (1, 2, 3)])
     slots = [(u1, -u2, -u3) for u1, u2, u3 in ports]
-    clauses: list[tuple[int, ...]] = []
-    for fresh, s in zip(copies, slots):
-        clauses.extend(_m_instance_clauses(fresh, s, negate=negate))
+    bodies, symbols = _m_copies(
+        (fresh, s, negate, f"{tag}.{i}") for i, (fresh, s) in enumerate(zip(copies, slots), 1)
+    )
+    clauses = [c for body in bodies for c in body]
     # five links: the copies' once-positive variables, in order, three at a time
     once = [fresh.start + t - 1 for fresh in copies for t in ONCE_POSITIVE_VARS]
     sign = -1 if negate else 1
     for j in range(0, len(once), 3):
         clauses.append(canonical_clause(sign * v for v in once[j:j + 3]))
 
-    n_vars = max([copies[2].stop - 1] + port_vars)
-    symbols: dict[int, str] = {}
-    for i in (1, 2, 3):
-        symbols |= _block_symbols(copies[i - 1], f"{tag}.{i}")
-    formula = CnfFormula(n_vars, tuple(clauses), False, symbols)
+    formula = CnfFormula(alloc.next_id - 1, tuple(clauses), False, symbols)
     port_literals = {f"u{j}": sign * l for j, l in enumerate(itertools.chain(*slots), 1)}
     return GadgetInstantiation(formula, port_literals, tag)
 
@@ -438,15 +429,12 @@ def build_U() -> CnfFormula:
         (True, (d, a, b)),
         (True, (a, f, f)),
     )
-    clauses: list[tuple[int, ...]] = [
-        canonical_clause((-a, -d, -f)),
-        canonical_clause((b, d, e)),
-    ]
-    symbols: dict[int, str] = {}
-    for i, (bar, (p1, p2, p3)) in enumerate(specs):
-        fresh = range(32 * i + 1, 32 * i + 33)
-        clauses.extend(_m_instance_clauses(fresh, (p1, -p2, -p3), negate=bar))
-        symbols |= _block_symbols(fresh, i + 1)
+    bodies, symbols = _m_copies(
+        (range(32 * i + 1, 32 * i + 33), (p1, -p2, -p3), bar, i + 1)
+        for i, (bar, (p1, p2, p3)) in enumerate(specs)
+    )
+    clauses = [canonical_clause((-a, -d, -f)), canonical_clause((b, d, e))]
+    clauses += [c for body in bodies for c in body]
     for t in ONCE_POSITIVE_VARS:
         clauses.append(canonical_clause((t, 32 + t, 64 + t)))
         clauses.append(canonical_clause((-(96 + t), -(128 + t), -(160 + t))))

@@ -139,6 +139,19 @@ def test_mbar_is_literal_negation_of_m():
     assert table_matches(b, (1, 2, 3), lambda v: not v[1] or v[2] or v[3])
 
 
+@pytest.mark.parametrize("build, build_bar, ports, ports_bar", [
+    (build_S, build_Sbar, (1, 2, 3), (1, 2, 3)),
+    (build_S, build_Sbar, (1, 1, 2), (1, 1, 2)),
+    (build_frakM, build_frakMbar, ([(1, -2, -3), (4, -5, -6), (7, -8, -9)],),
+     ([(-1, 2, 3), (-4, 5, 6), (-7, 8, 9)],)),
+], ids=["S", "S-repeated-port", "frakM"])
+def test_bar_twin_is_literal_negation(build, build_bar, ports, ports_bar):
+    a = build(FreshVarAllocator(10), *ports)
+    b = build_bar(FreshVarAllocator(10), *ports_bar)
+    assert negate_formula(a.formula).clauses == b.formula.clauses
+    assert a.formula.symbol_table == b.formula.symbol_table
+
+
 def test_n_blocker():
     alloc = FreshVarAllocator(2)
     inst = build_N(alloc, 1)
@@ -286,7 +299,9 @@ def test_allocator_rejects_negative_count():
      "port variable 115 collides"),
     (lambda a: build_frakMbar(a, [(-1, 2, 3), (-4, 5, 30), (-7, 8, 9)]),
      "port variable 30 collides"),
-], ids=["M", "M-zero", "M-bool", "Mbar", "N", "N-float", "S", "Sbar-negative", "frakM", "frakMbar"])
+    (lambda a: build_M_enforcer(a, 1, 2, 100), "port variable 100 collides"),
+], ids=["M", "M-zero", "M-bool", "Mbar", "N", "N-float", "S", "Sbar-negative", "frakM", "frakMbar",
+        "M-above-next-id"])
 def test_rejected_port_leaves_allocator_untouched(build, message):
     alloc = FreshVarAllocator(20)
     alloc.reserve(0, "earlier")
