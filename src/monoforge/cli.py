@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes are a machine interface: 0 for success / SAT / yes, 10 for
-UNSAT / no, 20 for a validation failure, 1 for usage or I/O errors.
+UNSAT / no, 20 for a validation failure (``InvalidInstanceError``), 1 for
+usage or I/O errors and for any argument or input the library refuses
+with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .qbf import (
     write_qdimacs,
 )
 from .reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
-from .rup import RupParseError, parse_rup, verify_rup
+from .rup import parse_rup, verify_rup
 from .selftest import run_selftest
 from .solver import Status, solve
 
@@ -58,7 +60,7 @@ EXIT_INVALID = 20
 EXIT_ERROR = 1
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -170,16 +172,15 @@ def _cmd_gadget(args) -> int:
             raise CliError("port variables are positive integers")
         if max(ports) > _MAX_VARS:
             raise CliError(f"port variable {max(ports)} is out of range; the limit is {_MAX_VARS}")
-        try:
-            f = build(FreshVarAllocator(max(ports) + 1), *ports).formula
-        except ValueError as e:
-            raise CliError(str(e)) from None
+        f = build(FreshVarAllocator(max(ports) + 1), *ports).formula
     elif name not in _PLAIN_GADGETS and name not in _QBF_GADGETS:
         raise CliError(f"unknown gadget {name!r}; choices: " + ", ".join(
             sorted(_PLAIN_GADGETS) + sorted(_PORT_GADGETS) + list(_QBF_GADGETS)))
     elif ports:
         raise CliError(f"gadget {name} takes no ports")
     elif name in _QBF_GADGETS:
+        if args.format != "dimacs":
+            raise CliError(f"gadget {name} is QDIMACS only, not --format {args.format}")
         _write_text(args.out, write_qdimacs(_QBF_GADGETS[name](FreshVarAllocator(1))))
         return EXIT_OK
     else:
@@ -215,10 +216,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_count(args) -> int:
     f = _load_formula(args)
-    try:
-        mc = count_models(f, cap=args.cap)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    mc = count_models(f, cap=args.cap)
     suffix = " (capped)" if mc.capped else ""
     print(f"{mc.count}{suffix}")
     return EXIT_OK
@@ -288,28 +286,21 @@ def _cmd_nae(args) -> int:
         if l == 0:
             continue
         a[abs(l)] = l > 0
-    try:
-        ok = is_nae_satisfied(f, a)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    ok = is_nae_satisfied(f, a)
     print("nae-satisfied" if ok else "not nae-satisfied")
     return EXIT_OK if ok else EXIT_UNSAT
 
 
 def _cmd_mine(args) -> int:
-    try:
-        cfg = MinerConfig(
-            n_vars=args.vars,
-            n_clauses=args.clauses,
-            max_iters=args.iters,
-            seed=args.seed,
-            population_size=args.population,
-            sideways_prob=args.sideways,
-            stall_window=args.stall,
-        )
-        trace = mine(cfg)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    trace = mine(MinerConfig(
+        n_vars=args.vars,
+        n_clauses=args.clauses,
+        max_iters=args.iters,
+        seed=args.seed,
+        population_size=args.population,
+        sideways_prob=args.sideways,
+        stall_window=args.stall,
+    ))
     if args.out and trace.best_formula is not None:
         _write_text(args.out, fileio.write_dimacs(trace.best_formula))
     if args.trace:
@@ -394,13 +385,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, fileio.ParseError, RupParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
     except InvalidInstanceError as e:
         for v in e.report.violations:
             print(f"{v.rule}: {v.message}", file=sys.stderr)
         return EXIT_INVALID
+    except ValueError as e:  # CliError, parse errors and every refusal of the library
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
     except BrokenPipeError:
         return EXIT_ERROR
 

@@ -444,3 +444,41 @@ def test_numpy_is_loaded_only_by_dense_counts(tmp_path):
     lits, widths = clause_arrays(f.clauses)
     want = count_sat(lits, widths, f.n_vars, (1 << f.n_vars) + 1)
     assert proc.stdout == f"[False, False, False, True] {want}\n"
+
+
+@pytest.mark.parametrize("name, fmt", [("Q3", "list"), ("Q1mon", "json")])
+def test_quantified_gadgets_are_qdimacs_only(capsys, name, fmt):
+    code, out, err = run(capsys, "gadget", name, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == f"error: gadget {name} is QDIMACS only, not --format {fmt}\n"
+    code, out, _ = run(capsys, "gadget", name, "--format", "dimacs")
+    assert code == 0 and out == run(capsys, "gadget", name)[1]
+    assert read_qdimacs(out).universals
+
+
+@pytest.mark.parametrize("argv, text, unbudgeted", [
+    (["solve"], write_dimacs(build_U()), (10, "s UNSATISFIABLE\n", "")),
+    (["qbf", "check"], "p cnf 1 1\na 1 0\n-1 0\n", (10, "no\ncounterexample: 1\n", "")),
+], ids=["solve-U", "qbf-check"])
+def test_budget_zero_prints_only_budget_exhausted(capsys, tmp_path, argv, text, unbudgeted):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert run(capsys, *argv, "--in", str(path), "--budget", "0") == (1, "", "budget exhausted\n")
+    assert run(capsys, *argv, "--in", str(path)) == unbudgeted
+
+
+def test_qbf_check_empty_clause_is_no_with_all_false(capsys, tmp_path):
+    path = tmp_path / "empty.qdimacs"
+    path.write_text("p cnf 3 3\na 2 1 0\ne 3 0\n1 3 0\n0\n-2 3 0\n")
+    assert run(capsys, "qbf", "check", "--in", str(path)) == (10, "no\ncounterexample: -2 -1\n", "")
+
+
+def test_nae_check_refuses_a_partial_assignment(capsys, tmp_path):
+    from monoforge.generate import random_mono_nae_e2
+
+    f = tmp_path / "nae.cnf"
+    f.write_text(write_dimacs(random_mono_nae_e2(6, 3)))
+    assignment = tmp_path / "a.txt"
+    assignment.write_text("1 -2\n")
+    code, out, err = run(capsys, "nae", "check", "--in", str(f), "--assignment", str(assignment))
+    assert (code, out, err) == (1, "", "error: assignment must be total\n")

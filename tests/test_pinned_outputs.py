@@ -323,7 +323,8 @@ def _cli_gadget_rows(capsys):
     for name in names:
         arity = _PORT_GADGETS[name][1] if name in _PORT_GADGETS else 0
         ports = ["--ports", *map(str, range(1, arity + 1))] if arity else []
-        code = main(["gadget", name, "--format", "json", *ports])
+        fmt = "dimacs" if name in ("Q1mon", "Q3") else "json"  # QDIMACS only
+        code = main(["gadget", name, "--format", fmt, *ports])
         rows.append((name, code, capsys.readouterr().out))
     return rows
 

@@ -658,6 +658,18 @@ def test_empty_resolvent_is_no_with_all_false(monkeypatch):
     assert calls == []
 
 
+def test_empty_clause_in_the_matrix_is_no_with_all_false(monkeypatch):
+    # the "0" line is an empty clause: no universal assignment has an
+    # extension, so the first one, all false, is the counterexample
+    q = read_qdimacs("p cnf 3 3\na 2 1 0\ne 3 0\n1 3 0\n0\n-2 3 0\n")
+    assert () in q.matrix.clauses
+    calls = count_solves(monkeypatch)
+    res = qbf_truth(q)
+    assert res.value is QbfValue.NO
+    assert res.counterexample == brute_force_truth(q) == {2: False, 1: False}
+    assert calls == []
+
+
 def test_pure_existential_takes_its_clauses(monkeypatch):
     # e3 occurs only positively: its clauses go, and the universals left
     # in no clause make the part true without a solver call

@@ -1,10 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monoforge import solver as solver_module
 from monoforge.formula import cnf, satisfies
 from monoforge.gadgets import build_M, build_U, build_y_core, build_z_core
+from monoforge.generate import random_3sat22
 from monoforge.kernels import clause_arrays, count_sat
 from monoforge.models import count_models
+from monoforge.reductions import reduce_3sat22_to_mono22
 from monoforge.rup import verify_rup
 from monoforge.solver import Solver, Status, solve
 
@@ -260,3 +263,22 @@ def test_model_check_covers_added_clauses():
     solver.added += [(1,), (-1,)]  # recorded, but never watched
     with pytest.raises(AssertionError, match="model fails verification"):
         solver.solve()
+
+
+@pytest.mark.parametrize("build", [
+    build_U,
+    lambda: reduce_3sat22_to_mono22(random_3sat22(6, 2)).formula,
+], ids=["U", "reduced-3sat22"])
+def test_activity_rescale_keeps_answers_checked(monkeypatch, build):
+    f = build()
+    want = solve(f).status
+    monkeypatch.setattr(solver_module, "_ACT_RESCALE", 1e3)
+    s = Solver(f, trace=True)
+    res = s.solve()
+    # with no rescale var_inc is 1 / decay ** conflicts; each rescale divides it by 1e3
+    assert s.var_inc < solver_module._ACT_DECAY ** -res.conflicts / 100
+    assert res.status is want
+    if res.status is Status.SAT:
+        assert satisfies(f, res.model)
+    else:
+        assert res.status is Status.UNSAT and verify_rup(f, res.proof)
