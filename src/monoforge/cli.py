@@ -37,7 +37,7 @@ from .gadgets import (
     build_z_core,
 )
 from .miner import MinerConfig, mine
-from .models import count_models
+from .models import EnumerationBudgetError, count_models
 from .nae import graph_edge_text, is_nae_satisfied, nae_solve_e2, variable_graph
 from .qbf import (
     QbfValue,
@@ -216,7 +216,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_count(args) -> int:
     f = _load_formula(args)
-    mc = count_models(f, cap=args.cap)
+    try:
+        mc = count_models(f, cap=args.cap)
+    except EnumerationBudgetError:
+        print("budget exhausted", file=sys.stderr)
+        return EXIT_ERROR
     suffix = " (capped)" if mc.capped else ""
     print(f"{mc.count}{suffix}")
     return EXIT_OK

@@ -6,7 +6,8 @@ clause's width.  A move is kept only if the candidate stays well-formed
 (distinct variables per clause, unique clauses, monotone).  Strict
 improvements in the satisfying-assignment count are always accepted,
 sideways moves with a configured probability, and a restart fires after a
-stall window.  Runs are deterministic in (config, seed).
+stall window.  Every candidate is checked before it is counted: the seeds,
+each proposal and each restart.  Runs are deterministic in (config, seed).
 """
 
 from __future__ import annotations
@@ -163,55 +164,62 @@ def swap_move(f: CnfFormula, rng: random.Random) -> CnfFormula | None:
     return CnfFormula(f.n_vars, tuple(new_clauses), f.allows_duplicate_literals)
 
 
-def _perturb(f: CnfFormula, rng: random.Random, swaps: int = 3) -> CnfFormula:
-    out = f
-    done = 0
-    guard = 0
-    while done < swaps and guard < 200:
-        guard += 1
+def _perturb(f: CnfFormula, rng: random.Random) -> CnfFormula:
+    """``f`` after three swaps, or fewer if 200 draws do not find them."""
+    out, done = f, 0
+    for _ in range(200):
         nxt = swap_move(out, rng)
         if nxt is not None:
-            out = nxt
-            done += 1
+            out, done = nxt, done + 1
+            if done == 3:
+                break
     return out
 
 
-def _count(f: CnfFormula, cap: int | None) -> int:
-    return count_models(f, cap).count
+def _restart(cfg: MinerConfig, start: CnfFormula, rng: random.Random) -> CnfFormula:
+    """A fresh draw for generated runs; the start perturbed otherwise, or when
+    the draw fails."""
+    if cfg.initial is None:
+        try:
+            return random_candidate(cfg, rng)
+        except GenerationError:
+            pass
+    return _perturb(start, rng)
 
 
 def mine(cfg: MinerConfig) -> SearchTrace:
     """Hill-climb with sideways moves and stall-window restarts.
 
-    The incumbent's model count never increases; every evaluated candidate
-    is checked against the class constraint before counting and the run
-    aborts if a move ever broke it.
+    Every candidate the search counts (the seeds, each proposal and each
+    restart) is checked against the class constraint first, and the run
+    aborts if one ever broke it.  The incumbent's model count never
+    increases.
     """
     rng = random.Random(cfg.seed)
     trace = SearchTrace()
-
-    if cfg.initial is not None:
-        current = cfg.initial
-        profile = occurrence_profile(current)
-        if not candidate_ok(current, profile):
-            raise MinerConfigError("initial candidate violates the class constraint")
-        current_count = _count(current, None)
+    if cfg.initial is None:
+        profile = OccurrenceProfile(((2, 2),) * cfg.n_vars)
+        seeds = [random_candidate(cfg, rng) for _ in range(cfg.population_size)]
     else:
-        best_seed = None
-        for _ in range(cfg.population_size):
-            cand = random_candidate(cfg, rng)
-            cnt = _count(cand, None)
-            if best_seed is None or cnt < best_seed[1]:
-                best_seed = (cand, cnt)
-        current, current_count = best_seed
-        profile = occurrence_profile(current)
+        profile = occurrence_profile(cfg.initial)
+        if not candidate_ok(cfg.initial, profile):
+            raise MinerConfigError("initial candidate violates the class constraint")
+        seeds = [cfg.initial]
 
-    trace.best_formula = current
-    trace.best_count = current_count
-    trace.entries.append(TraceEntry(0, formula_hash(current), current_count, True))
-    restart_base = current
+    def evaluate(f: CnfFormula, cap: int | None = None) -> int:
+        if not candidate_ok(f, profile):
+            raise AssertionError("internal error: the search produced an invalid candidate")
+        return count_models(f, cap).count
+
+    def record(it: int, f: CnfFormula, count: int, accepted: bool) -> None:
+        trace.entries.append(TraceEntry(it, formula_hash(f), count, accepted))
+        if accepted and (trace.best_count is None or count < trace.best_count):
+            trace.best_formula, trace.best_count = f, count
+
+    start, current_count = min(((f, evaluate(f)) for f in seeds), key=lambda fc: fc[1])
+    current = start
+    record(0, current, current_count, True)
     stall = 0
-
     for it in range(1, cfg.max_iters + 1):
         if trace.best_count == 0:
             break
@@ -220,38 +228,20 @@ def mine(cfg: MinerConfig) -> SearchTrace:
             proposal = swap_move(current, rng)
             if proposal is not None:
                 break
-        if proposal is None:
-            trace.entries.append(
-                TraceEntry(it, formula_hash(current), current_count, False))
-            stall += 1
+        if proposal is None:  # a no-move: the current candidate, not accepted again
+            proposal, cnt, accepted = current, current_count, False
         else:
-            if not candidate_ok(proposal, profile):
-                raise AssertionError("internal error: move produced an invalid candidate")
-            cnt = _count(proposal, current_count + 1)
+            cnt = evaluate(proposal, current_count + 1)
             accepted = cnt < current_count or (
-                cnt == current_count and rng.random() < cfg.sideways_prob
-            )
-            trace.entries.append(
-                TraceEntry(it, formula_hash(proposal), cnt, accepted))
-            improved = cnt < current_count
-            if accepted:
-                current, current_count = proposal, cnt
-            if current_count < trace.best_count:
-                trace.best_formula, trace.best_count = current, current_count
-            stall = 0 if improved else stall + 1
+                cnt == current_count and rng.random() < cfg.sideways_prob)
+        record(it, proposal, cnt, accepted)
+        stall = 0 if cnt < current_count else stall + 1
+        if accepted:
+            current, current_count = proposal, cnt
         if stall >= cfg.stall_window and trace.best_count > 0:
             stall = 0
             trace.restarts += 1
-            if cfg.initial is None:
-                try:
-                    current = random_candidate(cfg, rng)
-                except GenerationError:
-                    current = _perturb(restart_base, rng)
-            else:
-                current = _perturb(restart_base, rng)
-            current_count = _count(current, None)
-            trace.entries.append(
-                TraceEntry(it, formula_hash(current), current_count, True))
-            if current_count < trace.best_count:
-                trace.best_formula, trace.best_count = current, current_count
+            current = _restart(cfg, start, rng)
+            current_count = evaluate(current)
+            record(it, current, current_count, True)
     return trace

@@ -10,7 +10,8 @@ Solve-and-block keeps one incremental :class:`~monoforge.solver.Solver` per
 enumeration and adds each blocking clause to it, so learned clauses carry
 over from one model to the next.  Neither check on a model trusts the
 solver: each is checked against the formula, and a model already returned
-raises ``AssertionError``.
+raises ``AssertionError``.  A solver that runs out of conflicts raises
+:class:`EnumerationBudgetError`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .formula import Assignment, CnfFormula, satisfies
 from .solver import Solver, Status
 
 DENSE_VAR_LIMIT = 22
+
+
+class EnumerationBudgetError(RuntimeError):
+    """Solve-and-block ran out of conflicts before the enumeration ended."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ def _enumerate_blocking(f: CnfFormula, cap: int) -> ModelEnumeration:
     while True:
         res = solver.solve()
         if res.status is Status.BUDGET:
-            raise RuntimeError("conflict budget exhausted during enumeration")
+            raise EnumerationBudgetError("conflict budget exhausted during enumeration")
         if res.status is Status.UNSAT:
             return ModelEnumeration(models, False)
         model = res.model

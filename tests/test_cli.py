@@ -482,3 +482,40 @@ def test_nae_check_refuses_a_partial_assignment(capsys, tmp_path):
     assignment.write_text("1 -2\n")
     code, out, err = run(capsys, "nae", "check", "--in", str(f), "--assignment", str(assignment))
     assert (code, out, err) == (1, "", "error: assignment must be total\n")
+
+
+def test_count_out_of_conflicts_prints_only_budget_exhausted(capsys, tmp_path, monkeypatch):
+    import functools
+
+    from monoforge import models
+    from monoforge.solver import Solver
+
+    f = tmp_path / "f.cnf"
+    f.write_text(write_dimacs(random_3sat22(30, 1)))  # 30 variables: solve-and-block
+    monkeypatch.setattr(models, "Solver", functools.partial(Solver, conflict_budget=0))
+    assert run(capsys, "count", "--in", str(f), "--cap", "5") == (1, "", "budget exhausted\n")
+
+
+def test_selftest_reports_failures_and_crashes(capsys, monkeypatch):
+    from monoforge import selftest
+
+    monkeypatch.setattr(selftest, "_checks", lambda: [
+        ("holds", lambda: True), ("fails", lambda: False), ("crashes", lambda: 1 // 0)])
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert out == ("PASS  holds\nFAIL  fails\n"
+                   "FAIL  crashes [ZeroDivisionError: integer division or modulo by zero]\n"
+                   "1/3 checks passed\n")
+
+
+def test_gadget_refuses_a_non_positive_port(capsys):
+    code, out, err = run(capsys, "gadget", "S", "--ports", "1", "2", "0")
+    assert (code, out, err) == (1, "", "error: port variables are positive integers\n")
+
+
+def test_gadget_refuses_an_unwritable_out_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "u.cnf"
+    code, out, err = run(capsys, "gadget", "U", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.exists()

@@ -1,12 +1,17 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from monoforge import miner
 from monoforge.formula import InstanceClass, cnf, occurrence_profile, validate_class
 from monoforge.gadgets import build_y_core
+from monoforge.generate import GenerationError
 from monoforge.miner import (
     MinerConfig,
     MinerConfigError,
+    TraceEntry,
     candidate_ok,
     formula_hash,
     mine,
@@ -154,3 +159,95 @@ def test_formula_hash_is_order_insensitive():
     f = cnf([[1, 2, 3], [4, 5, 6]], n_vars=6)
     g = cnf([[4, 5, 6], [1, 2, 3]], n_vars=6)
     assert formula_hash(f) == formula_hash(g)
+
+
+def _restart_entries(trace):
+    """Restart entries share their iteration with the entry before them."""
+    return [e for prev, e in zip(trace.entries, trace.entries[1:]) if e.iteration == prev.iteration]
+
+
+def test_mine_records_a_no_move_when_every_swap_fails():
+    # one positive and one negative clause: no two clauses share a polarity
+    f = cnf([[1, 2, 3], [-1, -2, -3]], n_vars=3)
+    cfg = MinerConfig(n_vars=3, n_clauses=2, initial=f, max_iters=12, stall_window=4, seed=0)
+    trace = mine(cfg)
+    h = formula_hash(f)
+    want = [TraceEntry(0, h, 6, True)]
+    for it in range(1, 13):
+        want.append(TraceEntry(it, h, 6, False))
+        if it % 4 == 0:
+            want.append(TraceEntry(it, h, 6, True))
+    assert trace.entries == want
+    assert (len(trace.entries), trace.restarts, trace.best_count) == (16, 3, 6)
+    assert trace.best_formula == f
+
+
+def test_mine_restart_can_beat_the_incumbent():
+    cfg = MinerConfig(n_vars=9, n_clauses=12, population_size=1, max_iters=60,
+                      stall_window=5, sideways_prob=0.0, seed=10)
+    trace = mine(cfg)
+    payload = json.dumps(trace.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "797734a5d768dfad1848f0580c0768f6550abc54d179cd1d281915159390a984")
+    restarts = _restart_entries(trace)
+    assert [(e.iteration, e.model_count, e.accepted) for e in restarts] == [
+        (12, 83, True), (23, 59, True), (32, 76, True), (44, 79, True)]
+    k = trace.entries.index(restarts[1])
+    best_before = min(e.model_count for e in trace.entries[:k] if e.accepted)
+    assert best_before == 63
+    assert (trace.restarts, trace.best_count, len(trace.entries)) == (4, 50, 65)
+    assert count_models(trace.best_formula).count == 50
+
+
+def test_mine_restart_perturbs_the_start_when_a_draw_fails(monkeypatch):
+    cfg = MinerConfig(n_vars=9, n_clauses=12, max_iters=100, stall_window=5, seed=0)
+    draws = []
+
+    def draw(cfg, rng):
+        draws.append(cfg)
+        if len(draws) > cfg.population_size:
+            raise GenerationError("no fresh candidate")
+        return random_candidate(cfg, rng)
+
+    perturbed = []
+    real_perturb = miner._perturb
+
+    def perturb(f, rng):
+        perturbed.append((f, real_perturb(f, rng)))
+        return perturbed[-1][1]
+
+    monkeypatch.setattr(miner, "random_candidate", draw)
+    monkeypatch.setattr(miner, "_perturb", perturb)
+    trace = mine(cfg)
+    restarts = _restart_entries(trace)
+    assert trace.restarts == len(restarts) == len(perturbed) > 0
+    assert len(draws) == cfg.population_size + trace.restarts
+    start = trace.entries[0].candidate_hash
+    assert all(formula_hash(f) == start for f, _ in perturbed)
+    assert [e.candidate_hash for e in restarts] == [formula_hash(out) for _, out in perturbed]
+    profile = occurrence_profile(perturbed[0][0])
+    assert all(candidate_ok(out, profile) for _, out in perturbed)
+
+
+@pytest.mark.parametrize("initial", [False, True])
+def test_mine_checks_every_candidate_before_counting(monkeypatch, initial):
+    start = swap_move(build_y_core(), random.Random(2)) if initial else None
+    cfg = MinerConfig(n_vars=9, n_clauses=13 if initial else 12, initial=start,
+                      population_size=3, max_iters=60, stall_window=5, seed=10)
+    checked, counted = [], []
+
+    def check(f, profile):
+        checked.append(f)
+        return candidate_ok(f, profile)
+
+    def count(f, cap=None):
+        assert checked and checked[-1] is f
+        counted.append(f)
+        return count_models(f, cap)
+
+    monkeypatch.setattr(miner, "candidate_ok", check)
+    monkeypatch.setattr(miner, "count_models", count)
+    trace = mine(cfg)
+    seeds = 1 if initial else cfg.population_size
+    assert trace.restarts > 0
+    assert len(counted) == seeds + len(trace.entries) - 1
