@@ -309,7 +309,7 @@ def _cmd_mine(args) -> int:
         _write_text(args.out, fileio.write_dimacs(trace.best_formula))
     if args.trace:
         _write_text(args.trace, json.dumps(trace.to_json(), indent=2) + "\n")
-    print(f"best model count: {trace.best_count} after {len(trace.entries)} iterations")
+    print(f"best model count: {trace.best_count} after {trace.entries[-1].iteration} iterations")
     return EXIT_OK
 
 

@@ -3,113 +3,115 @@
 Assignment index convention: bit ``v - 1`` of the index is the value of
 variable ``v``, so index 0 is the all-false assignment.
 
-The kernels are bitsliced (Biham, FSE 1997): one uint64 word holds 64
-assignments, bit ``b`` of word ``w`` being index ``64 * w + b``.  Variables
-1-6 are then the same mask in every word (``0xAAAA...`` for variable 1,
-``0xCCCC...`` for 2, ...), and variable ``v >= 7`` is an all-ones or
-all-zero word, bit ``v - 7`` of the word number.  A clause is the OR of its
-literal words and the formula the AND of its clauses, so each word operation
-decides 64 assignments; a clause is not-all-equal when both it and its
-negation hold.  Words are evaluated in blocks of ``_BLOCK_WORDS`` (65536
-assignments), and bits past ``2 ** n_vars`` are cleared.
+The kernels are bitsliced (Biham, FSE 1997) on Python ints: one int holds a
+chunk of ``2 ** min(n_vars, 16)`` assignments, bit ``b`` of chunk ``c`` being
+index ``(c << 16) + b``.  Variables 1-16 are column masks, the same in every
+chunk (``0b...1010`` for variable 1, ``0b...1100`` for 2, ...), built by
+doubling.  A variable above 16 is constant within a chunk: bit ``v - 17`` of
+the chunk number.  So a clause reduces to the OR of its low literals' masks,
+needed only in the chunks where all its high literals are false, and the
+formula is the AND of those masks; a clause is not-all-equal when both it
+and its negation hold.  Chunks run in ascending order, and a chunk stops at
+its first all-zero AND.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate, count
+from operator import add
 
-_BLOCK_WORDS = 1 << 10
-_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-_LANES = np.array(
-    [0xAAAA_AAAA_AAAA_AAAA, 0xCCCC_CCCC_CCCC_CCCC, 0xF0F0_F0F0_F0F0_F0F0,
-     0xFF00_FF00_FF00_FF00, 0xFFFF_0000_FFFF_0000, 0xFFFF_FFFF_0000_0000],
-    dtype=np.uint64,
-)
+_CHUNK_VARS = 16
 
 
-def clause_arrays(clauses) -> tuple[np.ndarray, np.ndarray]:
-    """Pack clauses into a zero-padded literal matrix plus a width vector."""
-    m = len(clauses)
-    w = max((len(c) for c in clauses), default=1)
-    w = max(w, 1)
-    lits = np.zeros((m, w), dtype=np.int64)
-    widths = np.zeros(m, dtype=np.int64)
-    for j, c in enumerate(clauses):
-        widths[j] = len(c)
-        for k, l in enumerate(c):
-            lits[j, k] = l
-    return lits, widths
+def clause_arrays(clauses) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The kernels' packing of ``clauses``: their literals, and their widths.
 
-
-def _blocks(lits, widths, n_vars: int, nae: bool):
-    """Yield ``(start, words)`` per block of assignments, in ascending order.
-
-    Bit ``b`` of ``words[w]`` is set when assignment ``start + 64 * w + b``
-    satisfies every clause: some literal true, and with ``nae`` also some
-    literal false, that is, the negated clause satisfied too.
+    The kernels read only the literals; the widths keep the
+    ``(lits, widths, n_vars, ...)`` call shape of packed-matrix kernels.
     """
-    # Literal l reads row n_vars + l of a table that holds each variable's
-    # words above row n_vars and their complements, mirrored, below it.
-    # Row n_vars is all-zero: padding reads it, which leaves an OR unchanged,
-    # and an empty clause reads nothing else.  The negated clause of
-    # literals l reads rows n_vars - l.
-    n = n_vars
-    rows = np.where(np.arange(lits.shape[1]) < widths[:, None], lits, 0) + n
-    passes = [rows.T, (2 * n - rows).T] if nae else [rows.T]
-    n_words = 1 << max(n - 6, 0)
-    table = np.zeros((2 * n + 1, min(n_words, _BLOCK_WORDS)), dtype=np.uint64)
-    table[n + 1 : n + 7] = _LANES[:n, None]
-    high = np.arange(max(n - 6, 0), dtype=np.uint64)[:, None]
-    for w0 in range(0, n_words, _BLOCK_WORDS):
-        words = np.arange(w0, w0 + table.shape[1], dtype=np.uint64)
-        table[n + 7 :] = ((words >> high) & 1) * _ONES
-        table[:n] = ~table[:n:-1]
-        ok = np.full(table.shape[1], _ONES)
-        for cols in passes:
-            some_true = table[cols[0]]
-            for col in cols[1:]:
-                some_true |= table[col]
-            ok &= np.bitwise_and.reduce(some_true, axis=0)
-        if n < 6:
-            ok &= np.uint64((1 << (1 << n)) - 1)
-        yield 64 * w0, ok
+    lits = tuple(tuple(c) for c in clauses)
+    return lits, tuple(len(c) for c in lits)
+
+
+def _chunks(lits, n_vars: int, nae: bool):
+    """Yield ``(start, word)`` per chunk of assignments, in ascending order.
+
+    Bit ``b`` of ``word`` is set when assignment ``start + b`` satisfies every
+    clause: some literal true, and with ``nae`` also some literal false, that
+    is, the negated clause satisfied too.
+    """
+    k = min(n_vars, _CHUNK_VARS)
+    full = (1 << (1 << k)) - 1
+    cols = []
+    for i in range(k):
+        width = 1 << i
+        cols = [c | c << width for c in cols]
+        cols.append(((1 << width) - 1) << width)
+    # Each row is (its high variables, their values in the chunks where all
+    # its high literals are false, its low mask).  A row with a high
+    # variable in both signs always holds.
+    base, rows = full, []
+    for c in lits:
+        for sign in (1, -1) if nae else (1,):
+            pos = neg = low = 0
+            for l in c:
+                l *= sign
+                v = abs(l)
+                if v <= _CHUNK_VARS:
+                    low |= cols[v - 1] if l > 0 else full ^ cols[v - 1]
+                elif l > 0:
+                    pos |= 1 << (v - _CHUNK_VARS - 1)
+                else:
+                    neg |= 1 << (v - _CHUNK_VARS - 1)
+            if pos & neg:
+                continue
+            if pos | neg:
+                rows.append((pos | neg, neg, low))
+            else:
+                base &= low
+    for chunk in range(1 << max(n_vars - _CHUNK_VARS, 0)):
+        word = base
+        for high, want, low in rows:
+            if not word:
+                break
+            if chunk & high == want:
+                word &= low
+        yield chunk << _CHUNK_VARS, word
 
 
 def active_backend() -> str:
     """Name of the kernel implementation, for benchmark metadata."""
-    return "numpy"
+    return "python-int"
 
 
 def count_sat(lits, widths, n_vars: int, limit: int) -> int:
     """Number of satisfying assignments, or ``limit`` once it is reached."""
     total = 0
-    for _, ok in _blocks(lits, widths, n_vars, nae=False):
-        total += int(np.bitwise_count(ok).sum())
+    for _, word in _chunks(lits, n_vars, nae=False):
+        total += word.bit_count()
         if total >= limit:
             return limit
     return total
 
 
-def collect_sat(lits, widths, n_vars: int, cap: int) -> np.ndarray:
+def collect_sat(lits, widths, n_vars: int, cap: int) -> list[int]:
     """Ascending indices of satisfying assignments, at most ``cap`` of them."""
-    out: list[np.ndarray] = []
-    found = 0
+    out: list[int] = []
     if cap > 0:
-        for start, ok in _blocks(lits, widths, n_vars, nae=False):
-            bits = np.unpackbits(ok.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-            out.append(np.flatnonzero(bits)[: cap - found] + start)
-            found += out[-1].shape[0]
-            if found >= cap:
+        for start, word in _chunks(lits, n_vars, nae=False):
+            # Split the bits, lowest first, at each set bit: set bit i
+            # (from 0) lies at i plus the zeros below it, summed in C.
+            gaps = bin(word)[:1:-1].split("1", cap - len(out))
+            gaps.pop()
+            out += map(add, accumulate(map(len, gaps)), count(start))
+            if len(out) == cap:
                 break
-    return np.concatenate(out) if out else np.empty(0, np.int64)
+    return out
 
 
 def first_nae(lits, widths, n_vars: int) -> int:
     """First assignment index with a true and a false literal in every clause."""
-    for start, ok in _blocks(lits, widths, n_vars, nae=True):
-        nonzero = np.flatnonzero(ok)
-        if nonzero.shape[0]:
-            w = int(nonzero[0])
-            word = int(ok[w])
-            return start + 64 * w + (word & -word).bit_length() - 1
+    for start, word in _chunks(lits, n_vars, nae=True):
+        if word:
+            return start + (word & -word).bit_length() - 1
     return -1

@@ -1,10 +1,9 @@
 """Model counting and enumeration.
 
-Small universes (n_vars <= 22) go through the dense truth-table kernels;
-larger ones fall back to solve-and-block enumeration, which requires a cap.
-Models are returned in ascending assignment-index order on the dense path
-(variable v is bit v-1 of the index).  ``kernels`` (and with it numpy) is
-imported on the first dense count or enumeration, not when the package loads.
+Small universes (n_vars <= 22) go through the dense truth-table kernels on
+Python ints; larger ones fall back to solve-and-block enumeration, which
+requires a cap.  Models are returned in ascending assignment-index order on
+the dense path (variable v is bit v-1 of the index).
 
 Solve-and-block keeps one incremental :class:`~monoforge.solver.Solver` per
 enumeration and adds each blocking clause to it, so learned clauses carry
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
 from .formula import Assignment, CnfFormula, satisfies
 from .solver import Solver, Status
 
@@ -57,7 +57,6 @@ def count_models(f: CnfFormula, cap: int | None = None) -> ModelCount:
     if cap is not None and cap < 0:
         raise ValueError("cap must be non-negative")
     if f.n_vars <= DENSE_VAR_LIMIT:
-        from . import kernels
         lits, widths = kernels.clause_arrays(f.clauses)
         limit = (1 << f.n_vars) + 1 if cap is None else cap + 1
         raw = kernels.count_sat(lits, widths, f.n_vars, limit)
@@ -77,11 +76,10 @@ def enumerate_models(f: CnfFormula, cap: int = 1 << 20) -> ModelEnumeration:
     if cap < 0:
         raise ValueError("cap must be non-negative")
     if f.n_vars <= DENSE_VAR_LIMIT:
-        from . import kernels
         lits, widths = kernels.clause_arrays(f.clauses)
         idxs = kernels.collect_sat(lits, widths, f.n_vars, cap + 1)
         capped = len(idxs) > cap
-        models = [assignment_from_index(int(i), f.n_vars) for i in idxs[:cap]]
+        models = [assignment_from_index(i, f.n_vars) for i in idxs[:cap]]
         for a in models:
             if not satisfies(f, a):
                 raise AssertionError("internal error: enumerated non-model")

@@ -31,6 +31,7 @@ from .gadgets import (
     build_y_core,
     build_z_core,
 )
+from .kernels import clause_arrays, first_nae
 from .models import count_models
 from .nae import complete_component_check, variable_graph
 from .qbf import BalanceSpec, QbfValue, build_Q1mon, build_Q3, qbf_truth, validate_balanced
@@ -143,7 +144,6 @@ def _checks() -> list[tuple[str, Callable[[], bool]]]:
         return occ and mono and counts and qbf_truth(q).value is QbfValue.YES
 
     def u_nae():
-        from .kernels import clause_arrays, first_nae
         f = build_U_NAE()
         g = variable_graph(f)
         k7 = complete_component_check(g, 7)

@@ -291,6 +291,14 @@ def test_mine_refuses_fewer_than_one_variable(capsys, n_vars, n_clauses):
     assert err == f"error: n_vars must be at least 1, not {n_vars}\n"
 
 
+def test_mine_reports_iterations_not_trace_entries(capsys):
+    # restarts add trace entries but no iterations
+    code, out, _ = run(capsys, "mine", "--vars", "9", "--clauses", "12", "--population", "1",
+                       "--iters", "60", "--stall", "5", "--sideways", "0", "--seed", "10")
+    assert code == 0
+    assert out.endswith(" after 60 iterations\n")
+
+
 @pytest.mark.parametrize("argv, text", [
     (["solve"], "p cnf 2 2\n1 2 0\n-1 0\n"),
     (["qbf", "check"], "p cnf 2 1\na 1 0\ne 2 0\n1 2 0\n"),
@@ -410,7 +418,7 @@ def test_oversized_input_is_refused_before_any_work(tmp_path, monkeypatch, capsy
 
 
 # Run in a fresh interpreter: prints whether numpy is loaded after the imports
-# and after each command, then the output of ``count``.
+# and after each command, the dense ``count`` last, then that count's output.
 _NUMPY_PROBE = """
 import contextlib, io, os, sys
 import monoforge, monoforge.cli
@@ -428,8 +436,8 @@ print(loaded, out.getvalue().strip())
 """
 
 
-def test_numpy_is_loaded_only_by_dense_counts(tmp_path):
-    # tier-1 imports numpy in this process, so the probe needs its own
+def test_no_command_loads_numpy(tmp_path):
+    # test modules may import numpy in this process, so the probe needs its own
     qdimacs = tmp_path / "q3.qdimacs"
     qdimacs.write_text(write_qdimacs(build_Q3(FreshVarAllocator(1))))
     f = random_3sat22(9, 5)
@@ -443,7 +451,7 @@ def test_numpy_is_loaded_only_by_dense_counts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lits, widths = clause_arrays(f.clauses)
     want = count_sat(lits, widths, f.n_vars, (1 << f.n_vars) + 1)
-    assert proc.stdout == f"[False, False, False, True] {want}\n"
+    assert proc.stdout == f"[False, False, False, False] {want}\n"
 
 
 @pytest.mark.parametrize("name, fmt", [("Q3", "list"), ("Q1mon", "json")])

@@ -19,16 +19,20 @@ def oracle(clauses, n_vars):
     return sat, nae
 
 
-def assert_matches_oracle(clauses, n_vars, bounds=()):
-    """Every kernel against the oracle, with limits and caps of 0, 1, below,
-    at and above the true count, plus ``bounds``."""
-    sat, nae = oracle(clauses, n_vars)
+def assert_kernels(clauses, n_vars, sat, first, bounds=()):
+    """Every kernel against the ascending models ``sat`` and the first
+    not-all-equal index ``first``, with limits and caps of 0, 1, below, at
+    and above the true count, plus ``bounds``."""
     lits, widths = kernels.clause_arrays(clauses)
     for b in {0, 1, len(sat) // 2, len(sat) - 1, len(sat), len(sat) + 1, *bounds}:
         assert kernels.count_sat(lits, widths, n_vars, b) == min(len(sat), b)
-        got = kernels.collect_sat(lits, widths, n_vars, b)
-        assert [int(x) for x in got] == sat[: max(b, 0)]
-    assert kernels.first_nae(lits, widths, n_vars) == (nae[0] if nae else -1)
+        assert kernels.collect_sat(lits, widths, n_vars, b) == sat[: max(b, 0)]
+    assert kernels.first_nae(lits, widths, n_vars) == first
+
+
+def assert_matches_oracle(clauses, n_vars, bounds=()):
+    sat, nae = oracle(clauses, n_vars)
+    assert_kernels(clauses, n_vars, sat, nae[0] if nae else -1, bounds)
 
 
 @st.composite
@@ -49,7 +53,14 @@ def clause_lists(draw):
 @given(clause_lists())
 def test_kernels_match_oracle(case):
     n, clauses, bound = case
-    assert_matches_oracle(clauses, n, (bound,))
+    sat, nae = oracle(clauses, n)
+    assert_kernels(clauses, n, sat, nae[0] if nae else -1, (bound,))
+    # Again with every variable renumbered v -> v + 8: variables 1-8 are then
+    # free, so each model s becomes the indices (s << 8) + j, and variables
+    # 9 and 10 become 17 and 18, which are constant within a chunk.
+    shifted = [[l + 8 if l > 0 else l - 8 for l in c] for c in clauses]
+    models = [i for s in sat for i in range(s << 8, (s + 1) << 8)]
+    assert_kernels(shifted, n + 8, models, nae[0] << 8 if nae else -1, (bound,))
 
 
 def test_backend_parity_on_corpus():
@@ -64,11 +75,11 @@ def test_block_boundaries():
     odd = kernels.clause_arrays([[1]])  # models: the odd indices
     assert kernels.count_sat(*odd, 17, 1 << 20) == 1 << 16
     half = (1 << 15) + 3  # every model of the first block, then 3 more
-    assert kernels.collect_sat(*odd, 17, half).tolist() == list(range(1, 2 * half, 2))
+    assert kernels.collect_sat(*odd, 17, half) == list(range(1, 2 * half, 2))
     high = kernels.clause_arrays(cnf([[17]], n_vars=17).clauses)  # models: 2**16 .. 2**17 - 1
     assert kernels.count_sat(*high, 17, 1 << 20) == 1 << 16
     assert kernels.count_sat(*high, 17, 1000) == 1000
-    assert kernels.collect_sat(*high, 17, 3).tolist() == [1 << 16, (1 << 16) + 1, (1 << 16) + 2]
+    assert kernels.collect_sat(*high, 17, 3) == [1 << 16, (1 << 16) + 1, (1 << 16) + 2]
     # not-all-equal: x17 != x18 and x1 != x2, so the first is x17 = x1 = 1
     nae = kernels.clause_arrays([[17, 18], [1, 2]])
     assert kernels.first_nae(*nae, 18) == (1 << 16) + 1
@@ -102,4 +113,4 @@ def test_first_nae():
 
 
 def test_active_backend_is_known():
-    assert kernels.active_backend() == "numpy"
+    assert kernels.active_backend() == "python-int"

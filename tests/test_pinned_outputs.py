@@ -504,7 +504,7 @@ CLI_RUNS = [
     (["mine", "--vars", "9", "--clauses", "13"], []),
 ]
 
-CLI_DIGEST = "82fa331234ccca9064b01a12a99404acb3c9ea5b414339bc93053b19cf8e05e3"
+CLI_DIGEST = "2290a5b216e8f6ae72bb34f2b346da9c3bcfda51306c6b8bbac5854595b9a9ba"
 
 
 def test_cli_output_digest(capsys, tmp_path, monkeypatch):
