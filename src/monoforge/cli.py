@@ -131,6 +131,12 @@ def _signed(a, variables) -> str:
     return " ".join(str(v if a.get(v) else -v) for v in variables)
 
 
+def _value_line(a, n_vars: int) -> str:
+    """The ``v`` line of a total assignment over 1..n_vars, ended by 0."""
+    literals = _signed(a, range(1, n_vars + 1))
+    return f"v {literals} 0" if literals else "v 0"
+
+
 _CLASS_NAMES = {c.value: c for c in InstanceClass}
 
 _PLAIN_GADGETS = {
@@ -206,7 +212,7 @@ def _cmd_solve(args) -> int:
         return EXIT_ERROR
     if res.status is Status.SAT:
         print("s SATISFIABLE")
-        print("v " + _signed(res.model or {}, range(1, f.n_vars + 1)) + " 0")
+        print(_value_line(res.model or {}, f.n_vars))
         return EXIT_OK
     print("s UNSATISFIABLE")
     if args.trace is not None and res.proof is not None:
@@ -274,7 +280,7 @@ def _cmd_nae(args) -> int:
         _write_text(args.out, graph_edge_text(variable_graph(f)))
         return EXIT_OK
     if args.action == "solve":
-        print("v " + _signed(nae_solve_e2(f), range(1, f.n_vars + 1)) + " 0")
+        print(_value_line(nae_solve_e2(f), f.n_vars))
         return EXIT_OK
     # check: read an assignment (one line of signed literals) and test it
     if not args.assignment:

@@ -2,9 +2,13 @@
 
 The solver is deterministic: variable activities with a lazy heap (ties break
 toward the smaller variable id), phase saving starting from all-false, and
-Luby restarts.  With ``trace=True`` every learned clause is recorded in
-order; on a global UNSAT answer the empty clause is appended, giving a proof
-that :func:`monoforge.rup.verify_rup` accepts.
+Luby restarts.  The heap holds at most one live entry per variable, the one
+carrying its current activity, flagged in ``in_heap``; a bump pushes a new
+live entry and leaves the old one stale, to be dropped when popped.  Every
+unassigned variable has its live entry, so a decision is the unassigned
+variable of highest activity.  With ``trace=True`` every learned clause is
+recorded in order; on a global UNSAT answer the empty clause is appended,
+giving a proof that :func:`monoforge.rup.verify_rup` accepts.
 
 Assumptions are asserted as the first decisions, so one solver instance can
 decide a fixed matrix under many partial assignments while keeping its
@@ -97,6 +101,7 @@ class Solver:
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
         heapq.heapify(self.heap)
+        self.in_heap = bytearray([0]) + bytearray([1]) * n  # v has a live heap entry
         self.phase = [False] * (n + 1)
         self.seen = bytearray(n + 1)
         self.root_conflict = False
@@ -180,56 +185,52 @@ class Solver:
         self.trail.append(lit)
 
     def _backtrack(self, level: int) -> None:
-        if len(self.trail_lim) <= level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= level:
             return
-        lim = self.trail_lim[level]
-        activity = self.activity
-        heap = self.heap
-        for pos in range(len(self.trail) - 1, lim - 1, -1):
-            lit = self.trail[pos]
+        lim = trail_lim[level]
+        trail = self.trail
+        val, reason, phase = self.val, self.reason, self.phase
+        activity, heap, in_heap = self.activity, self.heap, self.in_heap
+        for lit in trail[lim:]:
             v = lit >> 1
-            self.phase[v] = (lit & 1) == 0
-            self.val[v] = 0
-            self.reason[v] = -1
-            heapq.heappush(heap, (-activity[v], v))
-        del self.trail[lim:]
-        del self.trail_lim[level:]
-        self.qhead = len(self.trail)
+            phase[v] = (lit & 1) == 0
+            val[v] = 0
+            reason[v] = -1
+            if not in_heap[v]:
+                in_heap[v] = 1
+                heapq.heappush(heap, (-activity[v], v))
+        del trail[lim:]
+        del trail_lim[level:]
+        self.qhead = len(trail)
 
-    def _bump(self, v: int) -> None:
-        a = self.activity[v] + self.var_inc
-        self.activity[v] = a
-        if a > _ACT_RESCALE:
-            scale = 1.0 / _ACT_RESCALE
-            for u in range(1, self.n + 1):
-                self.activity[u] *= scale
-            self.var_inc *= scale
-            self.heap = [(-self.activity[u], u) for u in range(1, self.n + 1) if self.val[u] == 0]
-            heapq.heapify(self.heap)
-        else:
-            heapq.heappush(self.heap, (-a, v))
-
-    def _pick_var(self) -> int:
-        heap = self.heap
-        val = self.val
-        act = self.activity
-        while heap:
-            nact, v = heapq.heappop(heap)
-            if val[v] == 0 and -nact == act[v]:
-                return v
-        return 0
+    def _rescale(self) -> None:
+        """Scale the activities and the increment down; the heap, rebuilt in
+        place, holds one live entry per unassigned variable."""
+        scale = 1.0 / _ACT_RESCALE
+        activity = self.activity
+        for u in range(1, self.n + 1):
+            activity[u] *= scale
+        self.var_inc *= scale
+        free = [u for u in range(1, self.n + 1) if self.val[u] == 0]
+        self.heap[:] = [(-activity[u], u) for u in free]
+        heapq.heapify(self.heap)
+        self.in_heap[:] = bytes(self.n + 1)
+        for u in free:
+            self.in_heap[u] = 1
 
     # -- search core ------------------------------------------------------
 
     def _propagate(self) -> int:
         """Propagate pending trail literals; return conflict clause index or -1."""
-        val = self.val
+        val, trail, level_of, reason = self.val, self.trail, self.level_of, self.reason
         db = self.db
         watches = self.watches
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            fl = p ^ 1
+        level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            fl = trail[qhead] ^ 1
+            qhead += 1
             ws = watches[fl]
             keep: list[int] = []
             idx = 0
@@ -246,7 +247,6 @@ class Solver:
                 if v0 != 0 and (v0 > 0) == ((w0 & 1) == 0):
                     keep.append(ci)  # satisfied by the other watch
                     continue
-                moved = False
                 for k in range(2, len(c)):
                     lk = c[k]
                     vk = val[lk >> 1]
@@ -254,17 +254,21 @@ class Solver:
                         c[1] = lk
                         c[k] = fl
                         watches[lk].append(ci)
-                        moved = True
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if v0 != 0:
-                    keep.extend(ws[idx:])
-                    watches[fl] = keep
-                    return ci  # conflict: both watches false
-                self._enqueue(w0, ci)
+                else:
+                    keep.append(ci)
+                    if v0 != 0:
+                        keep.extend(ws[idx:])
+                        watches[fl] = keep
+                        self.qhead = qhead
+                        return ci  # conflict: both watches false
+                    v = w0 >> 1  # unit: enqueue w0
+                    val[v] = -1 if (w0 & 1) else 1
+                    level_of[v] = level
+                    reason[v] = ci
+                    trail.append(w0)
             watches[fl] = keep
+        self.qhead = qhead
         return -1
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
@@ -272,6 +276,8 @@ class Solver:
         seen = self.seen
         level = self.level_of
         trail = self.trail
+        activity, heap, in_heap = self.activity, self.heap, self.in_heap
+        inc = self.var_inc
         cur = len(self.trail_lim)
         tail: list[int] = []
         touched: list[int] = []
@@ -287,7 +293,14 @@ class Solver:
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     touched.append(v)
-                    self._bump(v)
+                    a = activity[v] + inc
+                    activity[v] = a
+                    if a > _ACT_RESCALE:
+                        self._rescale()
+                        inc = self.var_inc
+                    else:
+                        heapq.heappush(heap, (-a, v))
+                        in_heap[v] = 1
                     if level[v] >= cur:
                         counter += 1
                     else:
@@ -351,10 +364,12 @@ class Solver:
         if self.root_conflict:
             return self._result_unsat(0)
         self._backtrack(0)
-        self.qhead = min(self.qhead, len(self.trail))
+        val, trail, trail_lim, level_of, reason = (
+            self.val, self.trail, self.trail_lim, self.level_of, self.reason)
+        activity, heap, in_heap, phase = self.activity, self.heap, self.in_heap, self.phase
+        self.qhead = min(self.qhead, len(trail))
         for u in self.pending_units:
-            v = u >> 1
-            if self.val[v] == 0:
+            if val[u >> 1] == 0:
                 self._enqueue(u, -1)
             elif not self._lit_true(u):
                 self.root_conflict = True
@@ -367,7 +382,7 @@ class Solver:
             confl = self._propagate()
             if confl >= 0:
                 used += 1
-                if not self.trail_lim:
+                if not trail_lim:
                     self.root_conflict = True
                     return self._result_unsat(used)
                 learnt, bl = self._analyze(confl)
@@ -390,30 +405,36 @@ class Solver:
                     self._backtrack(0)
                 continue
 
-            dl = len(self.trail_lim)
+            dl = len(trail_lim)
             if dl < len(assume):
                 a = assume[dl]
-                v = a >> 1
-                if self.val[v] == 0:
-                    self.trail_lim.append(len(self.trail))
+                if val[a >> 1] == 0:
+                    trail_lim.append(len(trail))
                     self._enqueue(a, -1)
                 elif self._lit_true(a):
-                    self.trail_lim.append(len(self.trail))  # already implied
+                    trail_lim.append(len(trail))  # already implied
                 else:
                     self._backtrack(0)
                     return SolveResult(Status.UNSAT, conflicts=used)
                 continue
 
-            v = self._pick_var()
-            if v == 0:
+            while heap:  # decide the unassigned variable of highest activity
+                nact, v = heapq.heappop(heap)
+                if -nact == activity[v]:  # the live entry
+                    in_heap[v] = 0
+                    if val[v] == 0:
+                        break
+            else:
                 if not self._model_satisfies_formula():
                     raise AssertionError("internal error: model fails verification")
-                model = {u: self.val[u] > 0 for u in range(1, self.n + 1)}
+                model = {u: val[u] > 0 for u in range(1, self.n + 1)}
                 self._backtrack(0)
                 return SolveResult(Status.SAT, model=model, conflicts=used)
-            lit = (v << 1) | (0 if self.phase[v] else 1)
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, -1)
+            trail_lim.append(len(trail))
+            val[v] = 1 if phase[v] else -1
+            level_of[v] = len(trail_lim)
+            reason[v] = -1
+            trail.append((v << 1) | (0 if phase[v] else 1))
 
 
 def solve(

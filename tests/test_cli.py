@@ -527,3 +527,12 @@ def test_gadget_refuses_an_unwritable_out_path(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot write {path}: ")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["nae", "solve"]], ids=["solve", "nae-solve"])
+def test_value_line_of_a_formula_with_no_variables(tmp_path, capsys, argv):
+    f = tmp_path / "empty.cnf"
+    f.write_text("p cnf 0 0\n")
+    code, out, _ = run(capsys, *argv, "--in", str(f))
+    assert code == 0
+    assert out.splitlines()[-1] == "v 0"

@@ -11,13 +11,14 @@ clause order, fresh-variable numbering or provenance changes a digest.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 import corpus
-from monoforge import gadgets
+from monoforge import gadgets, solver as solver_module
 from monoforge.cli import _PLAIN_GADGETS, _PORT_GADGETS, main
 from monoforge.fileio import formula_to_json, write_clause_list, write_dimacs
 from monoforge.formula import simplify_under
@@ -29,6 +30,7 @@ from monoforge.generate import (
     random_mono_nae_e2,
 )
 from monoforge.miner import MinerConfig, mine, swap_move
+from monoforge.models import count_models
 from monoforge.nae import four_coloring, nae_solve_e2
 from monoforge.qbf import (
     PadVariant,
@@ -520,3 +522,55 @@ def test_cli_output_digest(capsys, tmp_path, monkeypatch):
         rows.append((argv, code, captured.out, captured.err,
                      [(tmp_path / path).read_bytes() for path in written]))
     assert _digest(rows) == CLI_DIGEST
+
+
+# -- the CDCL search: every decision shows in conflicts, models and proofs -------
+
+def _solve_row(res):
+    return (res.status.value, res.conflicts,
+            None if res.model is None else sorted(res.model.items()),
+            None if res.proof is None else res.proof.lines())
+
+
+def _solver_rows(monkeypatch):
+    """Every ``Solver.solve`` answer of: the golden refutations (traced), one
+    solve per reduction output of both corpora, the S, Sbar and frakM truth
+    tables under assumptions on one solver each, a capped solve-and-block
+    count, and U with activity rescales every few conflicts."""
+    rows = []
+    plain_solve = solver_module.Solver.solve
+
+    def recorded(self, assumptions=()):
+        res = plain_solve(self, assumptions)
+        rows.append(_solve_row(res))
+        return res
+
+    monkeypatch.setattr(solver_module.Solver, "solve", recorded)
+    for g in (gadgets.build_U(), gadgets.build_M(), gadgets.build_y_core(), gadgets.build_z_core()):
+        solver_module.solve(g, trace=True)
+    for f in corpus.star22_corpus():
+        solver_module.solve(reduce_star22_to_mono22(f).formula)
+    for f in corpus.sat22_corpus():
+        solver_module.solve(reduce_3sat22_to_mono22(f).formula)
+    frak = [(1, -2, -3), (4, -5, -6), (7, -8, -9)]
+    for build, ports in ((gadgets.build_S, (1, 2, 3)), (gadgets.build_Sbar, (1, 2, 3)),
+                         (lambda alloc, *_: gadgets.build_frakM(alloc, frak), tuple(range(1, 10)))):
+        s = solver_module.Solver(build(gadgets.FreshVarAllocator(len(ports) + 1), *ports).formula)
+        for bits in itertools.product((False, True), repeat=len(ports)):
+            s.solve([v if b else -v for v, b in zip(ports, bits)])
+    count = count_models(random_3sat22(24, 3), 40)
+    rows.append((count.count, count.capped))
+    monkeypatch.setattr(solver_module, "_ACT_RESCALE", 1e3)
+    solver_module.solve(gadgets.build_U(), trace=True)
+    return rows
+
+
+# pinned before the heap kept one live entry per variable: 614 answers with
+# 12827 conflicts between them, and the capped count
+SOLVER_DIGEST = "7339d5648980875496c4ceea9deafb58053ae4dbad5f5ef03de06c09b7e9e24f"
+
+
+def test_solver_search_digest(monkeypatch):
+    rows = _solver_rows(monkeypatch)
+    assert (len(rows), sum(row[1] for row in rows if len(row) == 4)) == (615, 12827)
+    assert _digest(rows) == SOLVER_DIGEST

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -282,3 +284,44 @@ def test_activity_rescale_keeps_answers_checked(monkeypatch, build):
         assert satisfies(f, res.model)
     else:
         assert res.status is Status.UNSAT and verify_rup(f, res.proof)
+
+
+def assert_one_live_entry_per_free_variable(s):
+    # a live entry carries the variable's current activity; in_heap flags it
+    live = Counter(e for e in s.heap if e[0] == -s.activity[e[1]])
+    for v in range(1, s.n + 1):
+        assert live[(-s.activity[v], v)] == s.in_heap[v]
+        assert s.in_heap[v] or s.val[v] != 0
+
+
+def test_heap_keeps_one_live_entry_per_free_variable(monkeypatch):
+    # checked after every backtrack too: a SAT answer drains the heap, which
+    # would hide a wrong flag from checks between solves alone
+    monkeypatch.setattr(solver_module, "_ACT_RESCALE", 1e3)
+    backtrack = Solver._backtrack
+    backtracks = []
+
+    def checked_backtrack(self, level):
+        backtrack(self, level)
+        assert_one_live_entry_per_free_variable(self)
+        backtracks.append(level)
+
+    monkeypatch.setattr(Solver, "_backtrack", checked_backtrack)
+    f = reduce_3sat22_to_mono22(random_3sat22(6, 2)).formula
+    s = Solver(f)
+    assert_one_live_entry_per_free_variable(s)
+    conflicts, statuses = 0, []
+    for assumptions, budget in (([], 200), ([], 1_000_000), ([1, -2], 1_000_000),
+                                ([-1, 3], 1_000_000), ([], 1_000_000), ([2], 1_000_000)):
+        s.conflict_budget = budget
+        res = s.solve(assumptions)
+        conflicts += res.conflicts
+        statuses.append(res.status)
+        assert_one_live_entry_per_free_variable(s)
+        if res.status is Status.SAT:
+            s.add_clause([-v if res.model[v] else v for v in range(1, f.n_vars + 1)])
+            assert_one_live_entry_per_free_variable(s)
+    assert statuses == [Status.BUDGET] + [Status.SAT] * 5
+    assert len(backtracks) > conflicts
+    # the activities were rescaled on the way
+    assert s.var_inc < solver_module._ACT_DECAY ** -conflicts / 100
