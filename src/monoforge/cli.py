@@ -267,7 +267,8 @@ def _cmd_qbf(args) -> int:
             print("yes")
             return EXIT_OK
         print("no")
-        print("counterexample: " + _signed(res.counterexample or {}, q.universals))
+        literals = _signed(res.counterexample or {}, q.universals)
+        print(f"counterexample: {literals}" if literals else "counterexample:")
         return EXIT_UNSAT
     out = transform_1122(q) if args.action == "transform-1122" else transform_2222(q)
     _write_text(args.out, write_qdimacs(out))

@@ -66,11 +66,10 @@ def canonical_clause(lits: Iterable[int]) -> Clause:
         top, prev = a, l
     else:
         return c
-    c = tuple(sorted(c, key=_lit_key))
     for l in c:
         if not isinstance(l, int) or isinstance(l, bool) or l == 0:
             raise FormulaError(f"invalid literal {l!r}")
-    return c
+    return tuple(sorted(c, key=_lit_key))
 
 
 def clause_vars(c: Clause) -> tuple[int, ...]:

@@ -5,6 +5,13 @@ separated by spaces, terminated by ``0``; deletion steps carry a leading
 ``d``.  A proof certifies unsatisfiability when every added clause passes
 reverse unit propagation against the formula plus the live added clauses, and
 an empty clause is derived.
+
+The checker numbers literals internally: ``2v`` stands for v and ``2v+1``
+for -v, so ``i ^ 1`` negates ``i``; literal ``i`` is true when ``true[i]`` is
+set and false when ``true[i ^ 1]`` is.  Between calls the root trail is at a
+unit-propagation fixpoint (``qhead == len(trail)``) unless a root conflict
+was found: each clause added propagates what it implies, and a RUP test
+undoes its assumptions by clearing the trail suffix it pushed.
 """
 
 from __future__ import annotations
@@ -91,143 +98,108 @@ class _Propagator:
     """
 
     def __init__(self, n_vars: int):
-        self.n = n_vars
-        self.val = [0] * (n_vars + 1)  # 0 unknown, 1 true, -1 false
+        self.true = bytearray(2 * n_vars + 2)  # indexed by internal literal
         self.trail: list[int] = []  # internal lits, permanent prefix first
         self.qhead = 0
         self.watches: list[list[int]] = [[] for _ in range(2 * n_vars + 2)]
         self.db: list[list[int] | None] = []
-        self.by_key: dict[tuple[int, ...], list[int]] = {}
+        self.by_key: dict[frozenset[int], list[int]] = {}
         self.root_conflict = False
-
-    @staticmethod
-    def _ilit(e: int) -> int:
-        return (e << 1) if e > 0 else ((-e << 1) | 1)
-
-    def _lit_true(self, i: int) -> bool:
-        v = self.val[i >> 1]
-        return v != 0 and (v > 0) == ((i & 1) == 0)
-
-    def _lit_false(self, i: int) -> bool:
-        v = self.val[i >> 1]
-        return v != 0 and (v > 0) == ((i & 1) == 1)
-
-    def _enqueue(self, i: int) -> bool:
-        if self._lit_false(i):
-            return False
-        if not self._lit_true(i):
-            self.val[i >> 1] = -1 if (i & 1) else 1
-            self.trail.append(i)
-        return True
 
     def _propagate(self) -> bool:
         """Run to fixpoint; False on conflict."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            fl = p ^ 1
-            ws = self.watches[fl]
+        true, trail, watches, db = self.true, self.trail, self.watches, self.db
+        qhead = self.qhead
+        while qhead < len(trail):
+            fl = trail[qhead] ^ 1
+            qhead += 1
+            ws = watches[fl]
             keep: list[int] = []
             idx = 0
-            ok = True
-            while idx < len(ws):
+            nws = len(ws)
+            while idx < nws:
                 ci = ws[idx]
                 idx += 1
-                c = self.db[ci]
+                c = db[ci]
                 if c is None:
                     continue  # deleted, drop the watch entry
                 if c[0] == fl:
-                    c[0], c[1] = c[1], c[0]
-                if self._lit_true(c[0]):
-                    keep.append(ci)
+                    c[0] = c[1]
+                    c[1] = fl
+                w0 = c[0]
+                if true[w0]:
+                    keep.append(ci)  # satisfied by the other watch
                     continue
-                moved = False
                 for k in range(2, len(c)):
-                    if not self._lit_false(c[k]):
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[c[1]].append(ci)
-                        moved = True
+                    lk = c[k]
+                    if not true[lk ^ 1]:
+                        c[1] = lk
+                        c[k] = fl
+                        watches[lk].append(ci)
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if self._lit_false(c[0]):
-                    keep.extend(ws[idx:])
-                    ok = False
-                    break
-                self._enqueue(c[0])
-            self.watches[fl] = keep
-            if not ok:
-                return False
+                else:
+                    keep.append(ci)
+                    if true[w0 ^ 1]:
+                        keep.extend(ws[idx:])
+                        watches[fl] = keep
+                        self.qhead = qhead
+                        return False  # conflict: both watches false
+                    true[w0] = 1  # unit: enqueue w0
+                    trail.append(w0)
+            watches[fl] = keep
+        self.qhead = qhead
         return True
 
-    def _internal_clause(self, ext: tuple[int, ...]) -> tuple[list[int], bool]:
-        """Distinct internal lits plus a tautology flag."""
-        seen: set[int] = set()
-        lits: list[int] = []
-        taut = False
-        for e in ext:
-            i = self._ilit(e)
-            if i ^ 1 in seen:
-                taut = True
-            if i not in seen:
-                seen.add(i)
-                lits.append(i)
-        return lits, taut
-
     def add(self, ext: tuple[int, ...]) -> None:
-        lits, taut = self._internal_clause(ext)
-        # every clause is registered for deletion matching; an inert one (a
-        # tautology, the empty clause, any clause after a root conflict, a
-        # unit at root) keeps None in db
+        # every clause is registered for deletion; an inert one (a tautology, any
+        # clause after a root conflict, one with at most one literal not false
+        # at root) keeps None in db
         ci = len(self.db)
         self.db.append(None)
-        self.by_key.setdefault(tuple(sorted(lits)), []).append(ci)
-        if taut or self.root_conflict:
+        key = frozenset(ext)  # the one pass that drops repeated literals
+        self.by_key.setdefault(key, []).append(ci)
+        if self.root_conflict or len({abs(e) for e in key}) < len(key):
             return
-        if not lits:
-            self.root_conflict = True
-            return
-        # prefer unassigned or true literals as watches
-        lits.sort(key=self._lit_false)
-        if len(lits) == 1 or self._lit_false(lits[1]):
-            # effectively unit (or conflicting) at root
-            if not self._enqueue(lits[0]) or not self._propagate():
-                self.root_conflict = True
-            return
-        self.db[ci] = lits
-        self.watches[lits[0]].append(ci)
-        self.watches[lits[1]].append(ci)
+        true = self.true
+        # a literal false at root stays false, so the clause keeps the others
+        lits = [i for i in [e << 1 if e > 0 else -e << 1 | 1 for e in key] if not true[i ^ 1]]
+        if len(lits) > 1:
+            self.db[ci] = lits
+            self.watches[lits[0]].append(ci)
+            self.watches[lits[1]].append(ci)
+        elif not lits:
+            self.root_conflict = True  # the empty clause, or all literals false
+        elif not true[lits[0]]:
+            true[lits[0]] = 1  # a unit at root
+            self.trail.append(lits[0])
+            self.root_conflict = not self._propagate()
 
     def delete(self, ext: tuple[int, ...]) -> None:
-        lits, _ = self._internal_clause(ext)
-        key = tuple(sorted(lits))
-        ids = self.by_key.get(key)
-        if not ids:
-            return  # deleting an absent clause is ignored, as in forward checking
-        ci = ids.pop()
-        if not ids:
-            del self.by_key[key]
-        self.db[ci] = None  # watch entries are dropped lazily
+        # an absent clause is ignored, as in forward checking; watches go lazily
+        ids = self.by_key.get(frozenset(ext))
+        if ids:
+            self.db[ids.pop()] = None
 
     def rup_holds(self, ext: tuple[int, ...]) -> bool:
         """Assume the negation of every literal; propagation must conflict."""
         if self.root_conflict:
             return True
-        mark = len(self.trail)
-        mark_q = self.qhead
-        conflict = False
-        lits, _ = self._internal_clause(ext)
-        for i in lits:
-            if not self._enqueue(i ^ 1):
-                conflict = True
+        true, trail = self.true, self.trail
+        mark = len(trail)
+        conflict = True
+        for e in ext:
+            n = e << 1 | 1 if e > 0 else -e << 1  # -e
+            if true[n ^ 1]:
                 break
-        if not conflict:
+            if not true[n]:
+                true[n] = 1
+                trail.append(n)
+        else:
             conflict = not self._propagate()
-        for i in range(len(self.trail) - 1, mark - 1, -1):
-            self.val[self.trail[i] >> 1] = 0
-        del self.trail[mark:]
-        self.qhead = mark_q
+        for n in trail[mark:]:
+            true[n] = 0
+        del trail[mark:]
+        self.qhead = mark
         return conflict
 
 
@@ -239,8 +211,6 @@ def verify_rup(f: CnfFormula, proof: RupProof) -> RupCheck:
     eng = _Propagator(f.n_vars)
     for c in f.clauses:
         eng.add(c)
-    if not eng._propagate():
-        eng.root_conflict = True
     empty_derived = False
     for i, step in enumerate(proof.steps):
         if any(not 1 <= abs(l) <= f.n_vars for l in step.lits):
@@ -252,8 +222,7 @@ def verify_rup(f: CnfFormula, proof: RupProof) -> RupCheck:
         if not eng.rup_holds(step.lits):
             return RupCheck(False, i, f"step {i} is not RUP: {step.text()}")
         eng.add(step.lits)
-        if not step.lits:
-            empty_derived = True
+        empty_derived = empty_derived or not step.lits
     if not empty_derived:
         return RupCheck(False, None, "no empty clause was derived")
     return RupCheck(True, None, "ok")

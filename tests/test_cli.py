@@ -481,6 +481,12 @@ def test_qbf_check_empty_clause_is_no_with_all_false(capsys, tmp_path):
     assert run(capsys, "qbf", "check", "--in", str(path)) == (10, "no\ncounterexample: -2 -1\n", "")
 
 
+def test_qbf_check_no_universals_prints_a_bare_counterexample_line(capsys, tmp_path):
+    path = tmp_path / "false.qdimacs"
+    path.write_text("p cnf 1 2\ne 1 0\n1 0\n-1 0\n")
+    assert run(capsys, "qbf", "check", "--in", str(path)) == (10, "no\ncounterexample:\n", "")
+
+
 def test_nae_check_refuses_a_partial_assignment(capsys, tmp_path):
     from monoforge.generate import random_mono_nae_e2
 

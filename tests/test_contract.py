@@ -67,3 +67,18 @@ def test_no_private_names_imported_across_modules():
                 found += [f"{path.name}:{node.lineno} {a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_rup_checker_imports_only_formula_from_the_package():
+    # the trusted checker stays independent of the solver that writes proofs
+    path = Path(monoforge.__file__).parent / "rup.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("monoforge")):
+            module = (node.module or "").removeprefix("monoforge").lstrip(".")
+            found |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("monoforge.") for a in node.names
+                      if a.name.split(".")[0] == "monoforge"}
+    assert found == {"formula"}

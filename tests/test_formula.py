@@ -40,6 +40,18 @@ def test_canonical_clause_rejects_zero():
         canonical_clause([1, 0, 2])
 
 
+@pytest.mark.parametrize("lits, bad", [
+    (["x", 1], "x"), ([None], None), ([2, None, -1], None), ([3, "1", 1.0], "1"), ([1.0], 1.0),
+    ([2, True], True),
+])
+def test_canonical_clause_rejects_literals_that_are_not_ints(lits, bad):
+    # a clause the sort cannot order still fails with the formula's own error
+    for build in (canonical_clause, lambda c: cnf([c])):
+        with pytest.raises(FormulaError) as e:
+            build(lits)
+        assert str(e.value) == f"invalid literal {bad!r}"
+
+
 def test_cnf_rejects_duplicate_vars_in_strict_dialect():
     with pytest.raises(FormulaError):
         cnf([[1, 1, 2]])
@@ -288,11 +300,11 @@ def _ref_key(lit):
 
 
 def ref_canonical_clause(lits):
-    c = tuple(sorted(lits, key=_ref_key))
+    c = tuple(lits)
     for l in c:
         if not isinstance(l, int) or isinstance(l, bool) or l == 0:
             raise FormulaError(f"invalid literal {l!r}")
-    return c
+    return tuple(sorted(c, key=_ref_key))
 
 
 def ref_formula_checks(n_vars, clauses, allows_duplicate_literals):

@@ -230,3 +230,54 @@ def test_mutated_traced_proofs_match_a_naive_replay(f, data):
             steps.insert(at, RupStep(tuple(gone), delete=True))
         check = verify_rup(f, RupProof(tuple(steps)))
         assert (check.ok, check.failed_step) == naive_replay(f, steps)
+
+
+def test_repeats_tautologies_and_reordered_deletions_match_a_naive_replay():
+    # Each of eight mutants of a traced proof takes one to three edits: a
+    # step gets one of its literals again and is shuffled, a tautology
+    # (v, -v and perhaps more) is inserted, a deletion of a formula clause or
+    # an earlier step is inserted with its literals shuffled and perhaps one
+    # repeated, or a step loses a literal so that later steps may fail.
+    # verify_rup's verdict and failed step must be those of the naive replay,
+    # which compares clauses as sets.
+    verdicts = []
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(small_cnfs(min_width=2), st.data())
+    def replay(f, data):
+        res = solve(f, trace=True)
+        assume(res.status is Status.UNSAT)
+        signed = st.integers(1, f.n_vars).flatmap(lambda v: st.sampled_from((v, -v)))
+        for _ in range(8):
+            steps = list(res.proof.steps)
+            edits = st.sampled_from(("repeat", "tautology", "delete", "drop"))
+            for op in data.draw(st.lists(edits, min_size=1, max_size=3)):
+                at = data.draw(st.integers(0, len(steps)))
+                if op == "tautology":
+                    v = data.draw(signed)
+                    lits = data.draw(st.permutations([v, -v] + data.draw(st.lists(signed, max_size=2))))
+                    steps.insert(at, RupStep(tuple(lits)))
+                elif op == "delete":
+                    earlier = [s.lits for s in steps[:at] if not s.delete]
+                    lits = list(data.draw(st.sampled_from(list(f.clauses) + earlier)))
+                    if lits and data.draw(st.booleans()):
+                        lits.append(data.draw(st.sampled_from(lits)))
+                    steps.insert(at, RupStep(tuple(data.draw(st.permutations(lits))), delete=True))
+                else:
+                    targets = [i for i, s in enumerate(steps) if s.lits and not s.delete]
+                    if not targets:
+                        continue
+                    i = data.draw(st.sampled_from(targets))
+                    lits = list(steps[i].lits)
+                    j = data.draw(st.integers(0, len(lits) - 1))
+                    if op == "drop":
+                        del lits[j]
+                    else:
+                        lits = data.draw(st.permutations(lits + [lits[j]]))
+                    steps[i] = RupStep(tuple(lits))
+            check = verify_rup(f, RupProof(tuple(steps)))
+            assert (check.ok, check.failed_step) == naive_replay(f, steps)
+            verdicts.append(check.ok)
+
+    replay()
+    assert sum(verdicts) >= 100 and len(verdicts) - sum(verdicts) >= 100
