@@ -98,7 +98,8 @@ _WRITERS = {
 }
 
 # Input that declares more variables is refused before any layer sizes an
-# array by n_vars; the largest instance the tools use has about 12.5k.
+# array by n_vars; the largest instance the tools build, transform-2222 of
+# random_balanced_qbf(30, 2, 2, 1), has 55,860.
 _MAX_VARS = 1 << 20
 
 
@@ -264,11 +265,11 @@ def _cmd_qbf(args) -> int:
             print("budget exhausted", file=sys.stderr)
             return EXIT_ERROR
         if res.value is QbfValue.YES:
-            print("yes")
+            _write_text(args.out, "yes\n")
             return EXIT_OK
-        print("no")
         literals = _signed(res.counterexample or {}, q.universals)
-        print(f"counterexample: {literals}" if literals else "counterexample:")
+        line = f"counterexample: {literals}" if literals else "counterexample:"
+        _write_text(args.out, f"no\n{line}\n")
         return EXIT_UNSAT
     out = transform_1122(q) if args.action == "transform-1122" else transform_2222(q)
     _write_text(args.out, write_qdimacs(out))
@@ -281,7 +282,7 @@ def _cmd_nae(args) -> int:
         _write_text(args.out, graph_edge_text(variable_graph(f)))
         return EXIT_OK
     if args.action == "solve":
-        print(_value_line(nae_solve_e2(f), f.n_vars))
+        _write_text(args.out, _value_line(nae_solve_e2(f), f.n_vars) + "\n")
         return EXIT_OK
     # check: read an assignment (one line of signed literals) and test it
     if not args.assignment:
@@ -298,7 +299,7 @@ def _cmd_nae(args) -> int:
             continue
         a[abs(l)] = l > 0
     ok = is_nae_satisfied(f, a)
-    print("nae-satisfied" if ok else "not nae-satisfied")
+    _write_text(args.out, "nae-satisfied\n" if ok else "not nae-satisfied\n")
     return EXIT_OK if ok else EXIT_UNSAT
 
 

@@ -20,21 +20,21 @@ join the three copies of a formula included, and the walk is left with
 clauses over the universals alone.
 
 Elimination goes block by block, because a monotonized part is many copies
-of one 96-variable enforcer, equal up to their ports and a global sign flip.
-Let ``need(x)`` be the highest variable up to x of any clause that also has
-one above x.  For a base bound L, every x >= L with ``need(x) <= L`` is a
-cut; the cuts split the existentials above L into blocks, and no clause
-touches two blocks.  L is the one in k..n with the least (L - k) + the size
-of the largest block, the smallest on ties: on the pipelines' parts the
-tripled source's variables, with one block per enforcer.  Each block is
-eliminated, top down, from the clauses that touch it, once per process for
-all blocks that are equal to it with the ports numbered by first occurrence
-in matrix order and the block's own variables by offset, taking the smaller
-of the block and its sign flip: a bounded memo keyed by that folded block
-and both caps keeps the result.  So the enforcer that every monotonized and
-padded formula carries is eliminated once, whatever the number of formulas
-decided.  The results, mapped back, join the other clauses with the
-subsumption checks of a resolvent, and the base existentials go last.
+of one 96-variable enforcer on other ports.  Let ``need(x)`` be the highest
+variable up to x of any clause that also has one above x.  For a base bound
+L, every x >= L with ``need(x) <= L`` is a cut; the cuts split the
+existentials above L into blocks, and no clause touches two blocks.  L is
+the one in k..n with the least (L - k) + the size of the largest block, the
+smallest on ties: on the pipelines' parts the tripled source's variables,
+with one block per enforcer.  Each block is eliminated, top down, from the
+clauses that touch it, once per process for all blocks whose clauses are
+the same in matrix order with the ports numbered by first occurrence and
+the block's own variables by offset: a bounded memo keyed by that numbered
+block and both caps keeps the result.  So each enforcer shape that the
+monotonized and padded formulas carry is eliminated once, whatever the
+number of formulas decided.  The results, mapped back, join the other
+clauses with the subsumption checks of a resolvent, and the base
+existentials go last.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def eliminate(
     renumbered part, highest first, skipping each variable that
     ``_resolvents`` refuses; None when an empty resolvent makes the matrix
     false under every universal assignment, else the canonical clauses left.
-    The ``resolved`` clauses, canonical and non-empty, join before the first
-    step with the subsumption checks of a resolvent."""
+    The ``resolved`` clauses, non-empty with their literals in any order,
+    join before the first step with the subsumption checks of a resolvent."""
     # occ[l] holds the live clauses with literal l; it has 2n + 1 entries,
     # so occ[-l] is entry 2n + 1 - l.  live keeps the live clauses in the
     # order they joined.
@@ -185,13 +185,13 @@ def block_cuts(clauses: Iterable[tuple[int, ...]], k: int, n: int) -> list[int]:
     return [x for x in range(base, n + 1) if need[x] <= base]
 
 
-# a part has a few distinct folded blocks; the bound caps what a long-lived
-# process keeps
+# a part has a few distinct numbered blocks; the bound caps what a
+# long-lived process keeps
 @functools.lru_cache(maxsize=256)
 def eliminated_block(
     key: tuple[int, int, tuple[tuple[int, ...], ...]], caps: tuple[int, int],
 ) -> tuple[tuple[int, ...], ...] | None:
-    """``eliminate`` on a folded block ``key`` = (port count, block size,
+    """``eliminate`` on a numbered block ``key`` = (port count, block size,
     clauses), the ports universal, memoized for the process.  ``caps`` is
     (``MAX_RESOLVENT_WIDTH``, ``MAX_ADDED_CLAUSES``) at the call: it only
     keys the memo, so a result under other caps is never reused."""
@@ -206,11 +206,10 @@ def eliminate_blocks(
 
     Each block of ``block_cuts`` above the base bound is eliminated, top
     down, from the clauses that touch it, through ``eliminated_block``: the
-    key is those clauses with the ports (variables up to the bound) numbered
-    by first occurrence and the block's own variables by offset, or their
-    sign flip if that is smaller.  The results, mapped back, join the other
-    clauses with the subsumption checks of a resolvent, and the base
-    existentials go last.
+    key is those clauses in matrix order with the ports (variables up to the
+    bound) numbered by first occurrence and the block's own variables by
+    offset.  The results, mapped back, join the other clauses with the
+    subsumption checks of a resolvent, and the base existentials go last.
     """
     cuts = block_cuts(clauses, k, n)
     base = cuts[0]
@@ -223,24 +222,19 @@ def eliminate_blocks(
     caps = (MAX_RESOLVENT_WIDTH, MAX_ADDED_CLAUSES)
     resolved: list[tuple[int, ...]] = []
     # lid[l], the literal's id in its block, has 2n + 1 entries, so a
-    # negative literal's entry lies past n
+    # negative literal's entry lies past n; glob, the literal of each id, is
+    # laid out the same way
     lid = [0] * (2 * n + 1)
     get = lid.__getitem__
     for lo, hi, cs in reversed(list(zip(cuts, cuts[1:], touching))):
         ports = dict.fromkeys(abs(l) for c in cs for l in c if abs(l) <= base)
-        glob = [0, *ports, *range(lo + 1, hi + 1)]
-        for i in range(1, len(glob)):
-            lid[glob[i]], lid[-glob[i]] = i, -i
-        # ports by first occurrence rarely ascend; a stable sort by variable
-        # keeps a negative literal before its positive twin
-        named = sorted(tuple(sorted(map(get, c), key=abs)) for c in cs)
-        flipped = sorted(tuple(-l for l in c) for c in named)
-        sign = -1 if flipped < named else 1
+        names = [*ports, *range(lo + 1, hi + 1)]
+        for i, v in enumerate(names, 1):
+            lid[v], lid[-v] = i, -i
         out = eliminated_block(
-            (len(ports), hi - lo, tuple(flipped if sign < 0 else named)), caps)
+            (len(ports), hi - lo, tuple(tuple(map(get, c)) for c in cs)), caps)
         if out is None:
             return None
-        resolved.extend(
-            tuple(sorted((sign * glob[l] if l > 0 else -sign * glob[-l] for l in c), key=abs))
-            for c in out)
+        glob = [0, *names, *(-v for v in reversed(names))].__getitem__
+        resolved.extend(tuple(map(glob, c)) for c in out)
     return eliminate(rest, k, n, resolved=resolved, top=base)

@@ -240,6 +240,44 @@ def test_nae_solve_rejects_invalid(tmp_path, capsys):
     assert code == 20
 
 
+def run_to_file(capsys, path, *argv):
+    """The action run twice: to stdout, then with ``--out path``, which must
+    get the same text and leave stdout empty."""
+    code, out, err = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert path.read_text() == out
+    return code, out
+
+
+def test_nae_solve_writes_to_out(tmp_path, capsys):
+    from monoforge.generate import random_mono_nae_e2
+
+    f = tmp_path / "nae.cnf"
+    f.write_text(write_dimacs(random_mono_nae_e2(9, 2)))
+    code, out = run_to_file(capsys, tmp_path / "out.v", "nae", "solve", "--in", str(f))
+    assert code == 0 and out.startswith("v ")
+
+
+def test_nae_check_writes_to_out(tmp_path, capsys):
+    f = tmp_path / "nae.cnf"
+    f.write_text("p cnf 3 1\n1 2 3 0\n")
+    for literals, code, line in (("1 2 -3", 0, "nae-satisfied"), ("1 2 3", 10, "not nae-satisfied")):
+        assignment = tmp_path / "a.txt"
+        assignment.write_text(literals + "\n")
+        assert run_to_file(capsys, tmp_path / "out.txt", "nae", "check", "--in", str(f),
+                           "--assignment", str(assignment)) == (code, line + "\n")
+
+
+def test_qbf_check_writes_to_out(tmp_path, capsys):
+    q3 = tmp_path / "q3.qdimacs"
+    q3.write_text(write_qdimacs(build_Q3(FreshVarAllocator(1))))
+    assert run_to_file(capsys, tmp_path / "yes.txt", "qbf", "check", "--in", str(q3)) == (0, "yes\n")
+    no = tmp_path / "no.qdimacs"
+    no.write_text("p cnf 1 1\na 1 0\n1 0\n")
+    assert run_to_file(capsys, tmp_path / "no.txt", "qbf", "check", "--in", str(no)) == (
+        10, "no\ncounterexample: -1\n")
+
+
 def test_mine_command(tmp_path, capsys):
     best = tmp_path / "best.cnf"
     trace = tmp_path / "trace.json"

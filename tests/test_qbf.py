@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -740,12 +741,11 @@ def planted_blocks(draw):
     return k, base + copies * size, [canonical_clause(c) for c in clauses], width, growth
 
 
-def folded_blocks(clauses, cuts):
+def numbered_blocks(clauses, cuts):
     """The blocks between ``cuts``, top first, each as the arguments of its
-    elimination: the sorted clauses that touch it with the ports (variables
-    up to ``cuts[0]``) numbered 1..P by first occurrence and the block's
-    variables by offset, or their sign flip when that is smaller; P; and P
-    plus the block's size."""
+    elimination: the clauses that touch it, in matrix order, with the ports
+    (variables up to ``cuts[0]``) numbered 1..P by first occurrence and the
+    block's variables by offset; P; and P plus the block's size."""
     out = []
     for lo, hi in reversed(list(zip(cuts, cuts[1:]))):
         touching = [c for c in clauses if lo < abs(c[-1]) <= hi]
@@ -759,9 +759,7 @@ def folded_blocks(clauses, cuts):
             i = ports.index(abs(l)) + 1 if abs(l) <= cuts[0] else len(ports) + abs(l) - lo
             return i if l > 0 else -i
 
-        plain = sorted(tuple(sorted(map(name, c), key=abs)) for c in touching)
-        flipped = sorted(tuple(-l for l in c) for c in plain)
-        out.append((tuple(min(plain, flipped)), len(ports), len(ports) + hi - lo))
+        out.append((tuple(tuple(map(name, c)) for c in touching), len(ports), len(ports) + hi - lo))
     return out
 
 
@@ -786,7 +784,7 @@ def test_blocks_are_eliminated_once_per_folded_shape(part):
         elimination.eliminated_block.cache_clear()
         left = eliminate_blocks(clauses, k, n)
         cuts = block_cuts(clauses, k, n)
-        blocks = folded_blocks(clauses, cuts)
+        blocks = numbered_blocks(clauses, cuts)
         part_runs = list(runs)
         # qbf_truth on a cold memo, then on the memo it warmed
         results, per_call = [], []
@@ -799,7 +797,7 @@ def test_blocks_are_eliminated_once_per_folded_shape(part):
     assert all(len({bisect.bisect_left(cuts, abs(l)) for l in c if abs(l) > cuts[0]}) <= 1
                for c in clauses)
     assert (set() if left is None else extendable(left, k, n)) == extendable(clauses, k, n)
-    # each distinct folded block once; an empty resolvent stops the blocks
+    # each distinct numbered block once; an empty resolvent stops the blocks
     assert len(part_runs) == len(set(part_runs))
     if left is None:
         assert set(part_runs) <= set(blocks)
@@ -821,9 +819,10 @@ def local_parts(q):
 @pytest.mark.parametrize("s", [1, 2])
 def test_blocks_on_pipeline_stages(s):
     # the joined part of the monotonized and padded stages has the tripled
-    # source's variables as its base, one block per enforcer, and all of
-    # its blocks fold into one; every part loses every existential, with
-    # the clauses of the plain descending elimination
+    # source's variables as its base, one block per enforcer, and its
+    # blocks number into at most two, frakM's and frakMbar's; every part
+    # loses every existential, with the clauses of the plain descending
+    # elimination
     specs = corpus.QBF_1122_SPECS if s == 1 else corpus.QBF_2222_SPECS
     transform = transform_1122 if s == 1 else transform_2222
     seen = set()
@@ -846,17 +845,18 @@ def test_blocks_on_pipeline_stages(s):
                     assert cuts[0] == 3 * q.matrix.n_vars
                     assert len(cuts) - 1 == sum(1 for c in q.matrix.clauses
                                                  if 0 < sum(l > 0 for l in c) < len(c))
-                    assert elimination.eliminated_block.cache_info().currsize == 1
+                    distinct = len(set(numbered_blocks(clauses, cuts)))
+                    assert elimination.eliminated_block.cache_info().currsize == distinct <= 2
         assert joined == 1
 
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_truth_eliminates_each_folded_block_once(s):
     # qbf_truth on a monotonized or padded stage, with a cold memo, runs one
-    # block elimination per distinct folded block of its distinct parts,
+    # block elimination per distinct numbered block of its distinct parts,
     # each part's clauses in matrix order: the block keys number the ports
     # by first occurrence, and with the clauses sorted equal enforcers no
-    # longer fold into one.  A second call on the warm memo runs none.
+    # longer share a key.  A second call on the warm memo runs none.
     specs = corpus.QBF_1122_SPECS if s == 1 else corpus.QBF_2222_SPECS
     transform = transform_1122 if s == 1 else transform_2222
     plain = elimination.eliminate
@@ -875,7 +875,7 @@ def test_truth_eliminates_each_folded_block_once(s):
                 key = (k, n, tuple(sorted(clauses)))
                 if key not in keys:
                     keys.add(key)
-                    blocks.update(folded_blocks(clauses, block_cuts(clauses, k, n)))
+                    blocks.update(numbered_blocks(clauses, block_cuts(clauses, k, n)))
             results, per_call = [], []
             elimination.eliminated_block.cache_clear()
             with pytest.MonkeyPatch.context() as mp:
@@ -887,6 +887,26 @@ def test_truth_eliminates_each_folded_block_once(s):
             assert sorted(per_call[0]) == sorted(blocks)
             assert per_call[1] == []
             assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_block_keys_follow_clause_order(s):
+    # a block's memo key lists its clauses as numbered, so shuffling the
+    # matrix gives other keys and other cold eliminations, never another
+    # verdict or first counterexample
+    specs = corpus.QBF_1122_SPECS if s == 1 else corpus.QBF_2222_SPECS
+    transform = transform_1122 if s == 1 else transform_2222
+    rng = random.Random(5)
+    for p, seed in specs[:3]:
+        q = random_balanced_qbf(p, s, s, seed)
+        for stage in (monotonize(triple_copy(q)), transform(q)):
+            clauses = list(stage.matrix.clauses)
+            rng.shuffle(clauses)
+            shuffled = Qbf2Formula(stage.universals, stage.existentials,
+                                   dataclasses.replace(stage.matrix, clauses=tuple(clauses)))
+            expected = qbf_truth(stage)
+            elimination.eliminated_block.cache_clear()
+            assert qbf_truth(shuffled) == expected
 
 
 def test_block_memo_is_keyed_by_the_caps(monkeypatch):
