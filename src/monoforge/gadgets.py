@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .formula import (
@@ -97,6 +98,10 @@ TEMPLATE_SYMBOLS: dict[int, str] = (
     | {8 + i: f"y{i}" for i in range(1, 10)}
     | {17 + i: f"z{i}" for i in range(1, 16)}
 )
+
+# one getter per listed clause; every clause has at least two literals, so
+# each getter returns a tuple
+_LISTING_GETTERS = tuple(itemgetter(*c) for c in M_LISTING)
 
 # template variables that appear once unnegated and twice negated in M
 ONCE_POSITIVE_VARS = (1, 5, 6, 14, 32)  # x1, x5, x6, y6, z15
@@ -202,18 +207,24 @@ def _m_copies(
     appended to the three port slots (None leaves a slot as written), and
     ``negate`` flips every literal, the slots' included.  Returns each copy's
     clauses, in listing order, and the symbol table of all copies.
+
+    Each copy maps the listing through one 64-entry table (template literal
+    -> shifted, signed literal), one `itemgetter` per clause.  A shift and a
+    global sign flip keep a clause over distinct variables canonical, so only
+    the port slots, whose literal may land anywhere in the order, go through
+    `canonical_clause`.
     """
     bodies: list[list[tuple[int, ...]]] = []
     symbols: dict[int, str] = {}
     for fresh, slots, negate, tag in copies:
         base = fresh.start - 1
         sign = -1 if negate else 1
-        body = []
-        for j, c in enumerate(M_LISTING):
-            lits = [sign * (t + base if t > 0 else t - base) for t in c]
-            if j < 3 and slots[j] is not None:
-                lits.append(sign * slots[j])
-            body.append(canonical_clause(lits))
+        table = {t: sign * (t + base) for t in TEMPLATE_SYMBOLS}
+        table |= {-t: -v for t, v in table.items()}
+        body = [get(table) for get in _LISTING_GETTERS]
+        for j, slot in enumerate(slots):
+            if slot is not None:
+                body[j] = canonical_clause(body[j] + (sign * slot,))
         bodies.append(body)
         symbols |= {base + t: f"{s}^{tag}" for t, s in TEMPLATE_SYMBOLS.items()}
     return bodies, symbols

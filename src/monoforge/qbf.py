@@ -330,7 +330,8 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
 
 def _qbf_copies(q: Qbf2Formula, width: int, count: int) -> tuple[tuple, tuple, tuple]:
     """The blocks and clauses of ``count`` copies of q, copy-major, copy k
-    shifted by k * width; one :func:`copies` call, so one table per copy."""
+    shifted by k * width; one :func:`copies` call, so one column per literal
+    of q and one int object per literal of each copy."""
     universals: list[int] = []
     existentials: list[int] = []
     clauses: list[tuple[int, ...]] = []

@@ -14,6 +14,7 @@ gadget block, so outputs are checked by construction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .formula import (
@@ -67,19 +68,25 @@ class MonotonizeError(ValueError):
 
 def copies(
     rows: Sequence[Sequence[int]], width: int, count: int
-) -> Iterator[list[tuple[int, ...]]]:
-    """``count`` variable-disjoint copies of rows of literals, one list of
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """``count`` variable-disjoint copies of rows of literals, one tuple of
     rows per copy.
 
     Copy k adds k * width to every variable and keeps signs and order, so
     canonical clauses stay canonical and quantifier blocks keep their order.
-    Each copy maps its literals through one table, so a literal is one int
-    object however often it occurs.
+    Each distinct literal gets one column, the tuple of its values in copies
+    0 .. count-1, and the rows of every copy are zipped from those columns,
+    so no Python step runs per literal occurrence.  The columns are tuples,
+    not ranges, so that a literal is one int object wherever it occurs in a
+    copy: a range makes a new int at every read.
     """
-    lits = {l for row in rows for l in row}
-    for k in range(count):
-        shift = {l: l + k * width if l > 0 else l - k * width for l in lits}
-        yield [tuple(map(shift.__getitem__, row)) for row in rows]
+    if not rows:
+        return repeat((), count)
+    columns = {l: tuple(range(l, l + count * width, width)) if l > 0
+               else tuple(range(l, l - count * width, -width))
+               for l in {l for row in rows for l in row}}
+    return zip(*(zip(*map(columns.__getitem__, row)) if row else repeat((), count)
+                 for row in rows))
 
 
 def _mixed_shape(c: Clause) -> int:

@@ -1,9 +1,12 @@
 """The interface that must not move: the package's public names, the CLI
-subcommands and the CLI exit codes."""
+subcommands and the CLI exit codes; and the pairing of the committed
+benchmark files."""
 
 import argparse
 import ast
 import inspect
+import json
+from collections import defaultdict
 from pathlib import Path
 
 import monoforge
@@ -82,3 +85,19 @@ def test_rup_checker_imports_only_formula_from_the_package():
             found |= {a.name.removeprefix("monoforge.") for a in node.names
                       if a.name.split(".")[0] == "monoforge"}
     assert found == {"formula"}
+
+
+def test_bench_files_pair_like_with_like():
+    # a committed BENCH file compares each (workload, seed, trace) once: one
+    # parent run against one change run on the same jobs for the same time
+    paths = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        groups = defaultdict(list)
+        for run in json.loads(path.read_text(encoding="utf-8"))["runs"]:
+            r = run["result"]
+            groups[r["workload"], r["seed"], r["trace"]].append(
+                (run["side"], r["fingerprint"], r["seconds"]))
+        for key, runs in groups.items():
+            assert sorted(side for side, _, _ in runs) == ["change", "parent"], (path.name, key)
+            assert len({(fp, sec) for _, fp, sec in runs}) == 1, (path.name, key)

@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoforge import refdata
 from monoforge.fileio import read_clause_list, write_clause_list
 from monoforge.formula import (
     InstanceClass,
+    canonical_clause,
     canonicalize,
     cnf,
     negate_formula,
@@ -13,7 +15,10 @@ from monoforge.formula import (
     validate_class,
 )
 from monoforge.gadgets import (
+    M_LISTING,
+    TEMPLATE_SYMBOLS,
     FreshVarAllocator,
+    _m_copies,
     build_core8,
     build_F2,
     build_F3,
@@ -330,3 +335,47 @@ def test_u_port_balance_comes_from_mopups():
     u = build_U()
     prof = occurrence_profile(u)
     assert all(prof.of(v) == (2, 2) for v in range(193, 199))
+
+
+def _shift_then_sort_m_copies(copies):
+    """Reference for `_m_copies`: shift each listed literal one at a time,
+    append the slot and sort every clause with `canonical_clause`."""
+    bodies, symbols = [], {}
+    for fresh, slots, negate, tag in copies:
+        base = fresh.start - 1
+        sign = -1 if negate else 1
+        body = []
+        for j, c in enumerate(M_LISTING):
+            lits = [sign * (t + base if t > 0 else t - base) for t in c]
+            if j < 3 and slots[j] is not None:
+                lits.append(sign * slots[j])
+            body.append(canonical_clause(lits))
+        bodies.append(body)
+        symbols |= {base + t: f"{s}^{tag}" for t, s in TEMPLATE_SYMBOLS.items()}
+    return bodies, symbols
+
+
+@st.composite
+def _m_copy_specs(draw):
+    """One to four `(fresh, slots, negate, tag)` specs on drawn 32-variable
+    blocks; each slot is None or a signed literal below or above the block."""
+    specs = []
+    for i in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(1, 400))
+        fresh = range(start, start + 32)
+        outside = st.integers(start + 32, start + 300)
+        if start > 1:
+            outside = st.one_of(st.integers(1, start - 1), outside)
+        slot = st.one_of(st.none(), outside.flatmap(lambda v: st.sampled_from((v, -v))))
+        slots = tuple(draw(slot) for _ in range(3))
+        specs.append((fresh, slots, draw(st.booleans()), draw(st.sampled_from((i, f"t.{i}")))))
+    return specs
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_m_copy_specs())
+def test_m_copies_match_shift_then_sort(specs):
+    bodies, symbols = _m_copies(specs)
+    ref_bodies, ref_symbols = _shift_then_sort_m_copies(specs)
+    assert bodies == ref_bodies
+    assert list(symbols.items()) == list(ref_symbols.items())

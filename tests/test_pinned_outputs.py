@@ -97,6 +97,23 @@ def test_transformation_output_digest(name):
     assert _digest(_pinned_rows(name)) == DIGESTS[name]
 
 
+# the whole QDIMACS text of one large transform per pipeline, far past the
+# corpora's p <= 5: `transform_2222` of its source has 55,860 variables
+QDIMACS_DIGESTS = {
+    "transform_1122_p30": (transform_1122, (30, 1, 1, 1),
+                           "a1e283465c2af60834cc83bb6485fd0dfc64681cbbdbe00a560c3126198a472e"),
+    "transform_2222_p30": (transform_2222, (30, 2, 2, 1),
+                           "74b2c0fa4da49299dc240580768190685a9b458ef0f5d2b7a1331ffde93f70b8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QDIMACS_DIGESTS))
+def test_large_transform_qdimacs_digest(name):
+    transform, source, digest = QDIMACS_DIGESTS[name]
+    text = write_qdimacs(transform(random_balanced_qbf(*source)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _truth_rows(kind):
     """``qbf_truth`` on the source, tripled, monotonized and padded stage of
     each corpus formula: the value and the counterexample in declared order."""

@@ -146,8 +146,26 @@ def _canonical_rows(draw):
 def test_copies_shifts_by_definition(spec, count):
     width, rows = spec
     per_copy = list(copies(rows, width, count))
+    assert len(per_copy) == count
     assert all(len(rows_k) == len(rows) for rows_k in per_copy)
     out = [row for rows_k in per_copy for row in rows_k]
     assert out == [tuple(l + k * width if l > 0 else l - k * width for l in row)
                    for k in range(count) for row in rows]
     assert all(canonical_clause(row) == row for row in out)
+    # within a copy each literal value is one int object wherever it occurs;
+    # the rows are lifted past the interpreter's cached small ints, so that
+    # `is` can tell equal values apart
+    lifted = [tuple(l + 1000 if l > 0 else l - 1000 for l in row) for row in rows]
+    for rows_k in copies(lifted, width + 1000, count):
+        first = {}
+        assert all(first.setdefault(l, l) is l for row in rows_k for l in row)
+
+
+@pytest.mark.parametrize("rows, width, count, expected", [
+    ([], 4, 3, [(), (), ()]),
+    ([()], 4, 2, [((),), ((),)]),
+    ([(1, 2), (), (-3,)], 4, 2, [((1, 2), (), (-3,)), ((5, 6), (), (-7,))]),
+    ([(1,), ()], 4, 0, []),
+])
+def test_copies_of_empty_rows(rows, width, count, expected):
+    assert list(copies(rows, width, count)) == expected
