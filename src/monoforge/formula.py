@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 Clause = tuple[int, ...]
@@ -72,17 +73,12 @@ def canonical_clause(lits: Iterable[int]) -> Clause:
     return tuple(sorted(c, key=_lit_key))
 
 
-def clause_vars(c: Clause) -> tuple[int, ...]:
-    return tuple(abs(l) for l in c)
-
-
 def clause_is_monotone(c: Clause) -> bool:
-    return all(l > 0 for l in c) or all(l < 0 for l in c)
+    return not c or min(c) > 0 or max(c) < 0
 
 
 def clause_has_distinct_vars(c: Clause) -> bool:
-    vs = clause_vars(c)
-    return len(set(vs)) == len(vs)
+    return len(set(map(abs, c))) == len(c)
 
 
 def check_clauses(
@@ -236,16 +232,21 @@ class OccurrenceProfile:
         return sum(p + n for p, n in self.counts)
 
 
+def _literal_counts(f: CnfFormula) -> list[int]:
+    """How often each literal occurs in ``f``, with multiplicity: literal l
+    of a variable in 1..n_vars at index l, so a negative one counts from the
+    end of the list (index 0 is unused)."""
+    counts = [0] * (2 * f.n_vars + 1)
+    for l in chain.from_iterable(f.clauses):
+        counts[l] += 1
+    return counts
+
+
 def occurrence_profile(f: CnfFormula) -> OccurrenceProfile:
-    pos = [0] * (f.n_vars + 1)
-    neg = [0] * (f.n_vars + 1)
-    for c in f.clauses:
-        for l in c:
-            if l > 0:
-                pos[l] += 1
-            else:
-                neg[-l] += 1
-    return OccurrenceProfile(tuple((pos[v], neg[v]) for v in range(1, f.n_vars + 1)))
+    counts = _literal_counts(f)
+    n = f.n_vars
+    # counts[:n:-1] holds the counts of -1, -2, ..., -n
+    return OccurrenceProfile(tuple(zip(counts[1:n + 1], counts[:n:-1])))
 
 
 class InstanceClass(Enum):
@@ -302,9 +303,14 @@ def validate_instance(
     Every clause must have width 3; the flags add three pairwise-distinct
     variables, monotone clauses, no negated literal, and no repeated clause.
     Each group ``(rule, variables, (pos, neg))`` requires every listed
-    variable to appear exactly ``pos`` times unnegated and ``neg`` times
-    negated, reported under ``rule``.  Violations come clause by clause,
-    then repeated clauses, then groups in the order given.
+    variable, which must lie in 1..n_vars, to appear exactly ``pos`` times
+    unnegated and ``neg`` times negated, reported under ``rule``.
+    Violations come clause by clause, then repeated clauses, then groups in
+    the order given.
+
+    Each clause test is one C-level call (``min``, ``max``, a set of its
+    variables), and the occurrences are counted in one pass over all
+    literals, so the Python steps per clause are a few flag tests.
     """
     v: list[Violation] = []
     repeats: list[Violation] = []
@@ -316,15 +322,15 @@ def validate_instance(
             v.append(Violation("distinct-vars", j, f"clause {j} repeats a variable: {c}"))
         if monotone and not clause_is_monotone(c):
             v.append(Violation("monotone", j, f"clause {j} is mixed: {c}"))
-        if all_positive and any(l < 0 for l in c):
+        if all_positive and c and min(c) < 0:
             v.append(Violation("all-positive", j, f"clause {j} has a negated literal: {c}"))
         if unique and (first := seen.setdefault(c, j)) != j:
             repeats.append(Violation("unique", j, f"clause {j} duplicates clause {first}: {c}"))
     v.extend(repeats)
-    counts = occurrence_profile(f).counts
+    counts = _literal_counts(f)
     for rule, variables, want in groups:
         for var in variables:
-            got = counts[var - 1]
+            got = (counts[var], counts[-var])
             if got != want:
                 message = _OCCURRENCE_MESSAGES[rule].format(var=var, got=got, want=want)
                 v.append(Violation(rule, var, message))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .formula import (
     Assignment,
@@ -61,24 +62,36 @@ class VariableGraph:
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
 
     def components(self) -> list[list[int]]:
+        """Vertex sets of the connected components, each sorted, in the
+        order in which ``vertices`` first reaches them.
+
+        A component grows by whole neighbourhoods: each vertex adds the
+        unseen part of its adjacency set in one set intersection.
+        """
+        adj = self.adj
         unseen = set(self.vertices)
         out = []
         for start in self.vertices:
             if start in unseen:
-                comp = _bfs_order(self, start, unseen)
-                unseen.difference_update(comp)
-                out.append(sorted(comp))
+                unseen.remove(start)
+                comp = [start]
+                for u in comp:
+                    new = adj[u] & unseen
+                    unseen -= new
+                    comp += new
+                comp.sort()
+                out.append(comp)
         return out
 
 
 def variable_graph(f: CnfFormula) -> VariableGraph:
+    """The co-occurrence graph on 1..n_vars; each clause adds the edges
+    between its distinct variables, pair by pair from one set of them."""
     adj: dict[int, set[int]] = {v: set() for v in range(1, f.n_vars + 1)}
     for c in f.clauses:
-        vs = sorted({abs(l) for l in c})
-        for i, u in enumerate(vs):
-            for w in vs[i + 1:]:
-                adj[u].add(w)
-                adj[w].add(u)
+        for u, w in combinations(set(map(abs, c)), 2):
+            adj[u].add(w)
+            adj[w].add(u)
     return VariableGraph(
         tuple(range(1, f.n_vars + 1)),
         {v: frozenset(s) for v, s in adj.items()},
@@ -225,9 +238,10 @@ def four_coloring(g: VariableGraph) -> dict[int, int]:
     Requires maximum degree at most 4 and no complete component on five
     vertices; valid stripped two-appearance instances always qualify.
     """
-    for v in g.vertices:
-        if g.degree(v) > 4:
-            raise ColoringError(f"vertex {v} has degree {g.degree(v)} > 4")
+    degrees = list(map(len, map(g.adj.__getitem__, g.vertices)))
+    if max(degrees, default=0) > 4:
+        v, d = next((v, d) for v, d in zip(g.vertices, degrees) if d > 4)
+        raise ColoringError(f"vertex {v} has degree {d} > 4")
     colors: dict[int, int] = {}
     for comp in g.components():
         colors.update(_color(g, comp))

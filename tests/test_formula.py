@@ -9,6 +9,8 @@ from monoforge.formula import (
     InstanceClass,
     canonical_clause,
     canonicalize,
+    clause_has_distinct_vars,
+    clause_is_monotone,
     cnf,
     formula_of_copies,
     map_variables,
@@ -17,6 +19,7 @@ from monoforge.formula import (
     satisfies,
     simplify_under,
     validate_class,
+    validate_instance,
 )
 from monoforge.gadgets import build_F2, build_F3, build_G, build_M, build_U, build_y_core
 from monoforge.generate import random_balanced_qbf
@@ -141,6 +144,115 @@ def test_validate_unique_flags_duplicates():
     # duplicates are fine for the two-appearance all-positive class
     g = cnf([[1, 2, 3], [1, 2, 3]], n_vars=3)
     assert validate_class(g, InstanceClass.MONO_NAE_E2).verdict
+
+
+def test_clause_helpers_on_edge_widths():
+    assert clause_is_monotone(())
+    assert clause_is_monotone((4,)) and clause_is_monotone((-4,))
+    assert clause_is_monotone((-3, -1)) and not clause_is_monotone((-3, 1))
+    assert clause_has_distinct_vars(())
+    assert clause_has_distinct_vars((5,)) and clause_has_distinct_vars((-5,))
+    assert not clause_has_distinct_vars((-2, 2))
+    assert not clause_has_distinct_vars((1, 1, 2))
+    assert not clause_has_distinct_vars((-3, -3))
+    assert clause_has_distinct_vars((-1, 2, -3))
+
+
+# the per-clause generator tests and per-literal count the validator had
+# before each test became one C-level call
+_REFERENCE_MESSAGES = {
+    "occurrence": "variable {var} appears ({got[0]},{got[1]}), expected ({want[0]},{want[1]})",
+    "universal-occurrence": "universal {var} appears {got}, expected {want}",
+    "existential-occurrence": "existential {var} appears {got}, expected {want}",
+}
+
+
+def validate_by_generators(f, groups, *, distinct, monotone, all_positive, unique):
+    v, repeats, seen = [], [], {}
+    for j, c in enumerate(f.clauses):
+        if len(c) != 3:
+            v.append(("width", j, f"clause {j} has width {len(c)}, expected 3"))
+        vs = tuple(abs(l) for l in c)
+        if distinct and len(set(vs)) != len(vs):
+            v.append(("distinct-vars", j, f"clause {j} repeats a variable: {c}"))
+        if monotone and not (all(l > 0 for l in c) or all(l < 0 for l in c)):
+            v.append(("monotone", j, f"clause {j} is mixed: {c}"))
+        if all_positive and any(l < 0 for l in c):
+            v.append(("all-positive", j, f"clause {j} has a negated literal: {c}"))
+        if unique:
+            first = seen.setdefault(c, j)
+            if first != j:
+                repeats.append(("unique", j, f"clause {j} duplicates clause {first}: {c}"))
+    v += repeats
+    pos, neg = [0] * (f.n_vars + 1), [0] * (f.n_vars + 1)
+    for c in f.clauses:
+        for l in c:
+            if l > 0:
+                pos[l] += 1
+            else:
+                neg[-l] += 1
+    for rule, variables, want in groups:
+        for var in variables:
+            got = (pos[var], neg[var])
+            if got != want:
+                v.append((rule, var, _REFERENCE_MESSAGES[rule].format(var=var, got=got, want=want)))
+    return v
+
+
+_CLASS_FLAGS = {
+    InstanceClass.MONO_3SAT_22: ((2, 2), dict(distinct=True, monotone=True, all_positive=False, unique=True)),
+    InstanceClass.MONO_3SAT_STAR_22: ((2, 2), dict(distinct=False, monotone=True, all_positive=False, unique=True)),
+    InstanceClass.THREE_SAT_22: ((2, 2), dict(distinct=True, monotone=False, all_positive=False, unique=True)),
+    InstanceClass.MONO_NAE_E2: ((2, 0), dict(distinct=True, monotone=True, all_positive=True, unique=False)),
+}
+
+
+@st.composite
+def validation_inputs(draw):
+    """A formula in either dialect with clauses of width 0-4, mixed and
+    negated literals, repeated variables (duplicate dialect) and repeated
+    clauses, plus occurrence groups over its variables under every rule."""
+    n = draw(st.integers(0, 5))
+    dup = draw(st.booleans())
+    clauses = []
+    if n:
+        lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+        if not dup:  # one literal per variable
+            lit_lists = st.lists(lit, max_size=4).map(lambda c: list({abs(l): l for l in c}.values()))
+        else:
+            lit_lists = st.lists(lit, max_size=4)
+        clauses = [canonical_clause(c) for c in draw(st.lists(lit_lists, max_size=8))]
+        # repeat some clauses, somewhere later in the list
+        for _ in range(draw(st.integers(0, 3)) if clauses else 0):
+            c = draw(st.sampled_from(clauses))
+            clauses.insert(draw(st.integers(0, len(clauses))), c)
+    f = CnfFormula(n, tuple(clauses), dup)
+    want = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    groups = draw(st.lists(st.tuples(
+        st.sampled_from(sorted(_REFERENCE_MESSAGES)),
+        st.lists(st.integers(1, n), max_size=n + 2) if n else st.just([]),
+        want), max_size=3))
+    flags = draw(st.fixed_dictionaries(
+        {k: st.booleans() for k in ("distinct", "monotone", "all_positive", "unique")}))
+    return f, groups, flags
+
+
+def _triples(violations):
+    return [(x.rule, x.index, x.message) for x in violations]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(validation_inputs())
+def test_validator_matches_per_literal_reference(case):
+    f, groups, flags = case
+    assert _triples(validate_instance(f, groups, **flags)) == validate_by_generators(f, groups, **flags)
+    # the groups of every class: one per variable, each compared with its target
+    for cls, (want, class_flags) in _CLASS_FLAGS.items():
+        report = validate_class(f, cls)
+        expected = validate_by_generators(
+            f, [("occurrence", range(1, f.n_vars + 1), want)], **class_flags)
+        assert _triples(report.violations) == expected
+        assert report.verdict == (not expected)
 
 
 def test_simplify_under_propagation_example():

@@ -71,6 +71,74 @@ def test_stripped_degree_bound(nae_corpus):
         assert all(g.degree(v) in (3, 4) for v in touched)
 
 
+# -- the graph pass against the sorted-pair loop and BFS it replaced ------------
+
+def variable_graph_by_pairs(f):
+    adj = {v: set() for v in range(1, f.n_vars + 1)}
+    for c in f.clauses:
+        vs = sorted({abs(l) for l in c})
+        for i, u in enumerate(vs):
+            for w in vs[i + 1:]:
+                adj[u].add(w)
+                adj[w].add(u)
+    return VariableGraph(tuple(range(1, f.n_vars + 1)), {v: frozenset(s) for v, s in adj.items()})
+
+
+def components_by_bfs(g):
+    unseen = set(g.vertices)
+    out = []
+    for start in g.vertices:
+        if start in unseen:
+            order, seen = [start], {start}
+            for u in order:
+                for w in sorted(g.adj[u]):
+                    if w in unseen and w not in seen:
+                        seen.add(w)
+                        order.append(w)
+            unseen.difference_update(order)
+            out.append(sorted(order))
+    return out
+
+
+def test_graph_pass_matches_pair_loop_and_breadth_first_search(nae_corpus):
+    formulas = list(nae_corpus) + [strip_trivial_pairs(f)[0] for f in nae_corpus]
+    formulas += [negate_formula(f) for f in nae_corpus[:20]]
+    # isolated vertices: variables that no clause mentions
+    formulas += [cnf([[1, 2, 3], [2, 3, 4]], n_vars=9), cnf([[5]], n_vars=7),
+                 cnf([], n_vars=4), cnf([], n_vars=0)]
+    # clauses that repeat a literal or a variable
+    formulas += [cnf([[1, 1, 2], [2, 3, 3], [-4, 4, 4], [6, -6], [8, 8, 8]], n_vars=9,
+                     allows_duplicate_literals=True)]
+    graphs = []
+    for f in formulas:
+        g = variable_graph(f)
+        assert g == variable_graph_by_pairs(f)
+        graphs.append(g)
+    graphs += [cycle_graph(7), complete_graph(5), corpus.octahedron(), corpus.cut_vertex_graph()]
+    graphs += [corpus.glued_chain(3, seed) for seed in range(4)]
+    graphs += [corpus.random_degree4_graph(6 + seed, seed) for seed in range(10)]
+    # the components come in vertex order, whatever that order is
+    graphs += [VariableGraph(tuple(reversed(g.vertices)), g.adj) for g in graphs[::7]]
+    sizes = set()
+    for g in graphs:
+        components = g.components()
+        assert components == components_by_bfs(g)
+        sizes.add(min(len(components), 2))
+    # not vacuous: no component, one, and several all occur
+    assert sizes == {0, 1, 2}
+
+
+def test_four_coloring_reports_the_first_vertex_of_degree_above_four():
+    # vertex 3 has degree 5 and vertex 7 degree 6; the first in vertex order is named
+    g = corpus._graph(8, [(3, w) for w in (1, 2, 4, 5, 6)] + [(7, w) for w in (1, 2, 4, 5, 6, 8)])
+    for vertices, message in ((g.vertices, "vertex 3 has degree 5 > 4"),
+                              (tuple(reversed(g.vertices)), "vertex 7 has degree 6 > 4")):
+        with pytest.raises(ColoringError) as err:
+            four_coloring(VariableGraph(vertices, g.adj))
+        assert str(err.value) == message
+        assert err.value.component is None
+
+
 def test_four_coloring_cycle_and_triangle():
     colors = four_coloring(cycle_graph(6))
     assert len(set(colors.values())) == 2

@@ -765,7 +765,7 @@ def numbered_blocks(clauses, cuts):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(planted_blocks())
-def test_blocks_are_eliminated_once_per_folded_shape(part):
+def test_blocks_are_eliminated_once_per_numbered_shape(part):
     k, n, clauses, width, growth = part
     plain = elimination.eliminate
     runs = []  # the arguments of each block elimination; the base pass names its top
@@ -851,7 +851,7 @@ def test_blocks_on_pipeline_stages(s):
 
 
 @pytest.mark.parametrize("s", [1, 2])
-def test_truth_eliminates_each_folded_block_once(s):
+def test_truth_eliminates_each_numbered_block_once(s):
     # qbf_truth on a monotonized or padded stage, with a cold memo, runs one
     # block elimination per distinct numbered block of its distinct parts,
     # each part's clauses in matrix order: the block keys number the ports
