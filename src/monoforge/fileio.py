@@ -1,4 +1,5 @@
-"""CNF interchange formats: DIMACS, bracketed signed-integer lists, JSON.
+"""CNF interchange formats: DIMACS (with the QDIMACS quantifier prefix),
+bracketed signed-integer lists, JSON.
 
 The list format is the nested ``[[1, 2], [-2, -3]]`` form used by the
 machine-readable gadget listings; it doubles as valid JSON.
@@ -23,12 +24,13 @@ def _needs_dup_flag(clauses) -> bool:
     return any(not clause_has_distinct_vars(c) for c in clauses)
 
 
-def parse_dimacs(text: str, quantifier=None) -> tuple[int, list[tuple[int, ...]]]:
+def parse_dimacs(text: str, prefix: list | None = None) -> tuple[int, list[tuple[int, ...]]]:
     """Header and 0-terminated clauses of DIMACS text: (n_vars, clauses).
 
-    With ``quantifier``, a line whose first token is 'a' or 'e' is passed to
-    ``quantifier(line, lineno, n_vars, after_clauses)`` instead of being read
-    as clauses; ``n_vars`` is None before the header.
+    With ``prefix``, the text is QDIMACS: a line whose first token is 'a' or
+    'e' is a quantifier line, appended to ``prefix`` as (kind, variables).
+    It must come after the header and before any clause, end in 0 and name
+    variables in 1..n_vars, and no 'a' line may follow an 'e' line.
     """
     n_vars = None
     n_clauses = None
@@ -51,8 +53,23 @@ def parse_dimacs(text: str, quantifier=None) -> tuple[int, list[tuple[int, ...]]
             if n_vars < 0 or n_clauses < 0:
                 raise ParseError(f"malformed header {line!r}", lineno)
             continue
-        if quantifier is not None and toks[0] in ("a", "e"):
-            quantifier(line, lineno, n_vars, bool(clauses or pending))
+        if prefix is not None and toks[0] in ("a", "e"):
+            if n_vars is None:
+                raise ParseError("quantifier line before header", lineno)
+            if clauses or pending:
+                raise ParseError("quantifier line after clauses", lineno)
+            if toks[-1] != "0":
+                raise ParseError("quantifier line missing 0 terminator", lineno)
+            try:
+                ids = [int(t) for t in toks[1:-1]]
+            except ValueError:
+                raise ParseError(f"invalid variable in quantifier line {line!r}", lineno) from None
+            if not all(0 < i <= n_vars for i in ids):
+                raise ParseError("quantified variable out of range", lineno)
+            # no 'a' line follows an 'e' line, so the last kind tells if one was seen
+            if toks[0] == "a" and prefix and prefix[-1][0] == "e":
+                raise ParseError("universal block after existential block", lineno)
+            prefix.append((toks[0], ids))
             continue
         if n_vars is None:
             raise ParseError(f"clause before header: {line!r}", lineno)

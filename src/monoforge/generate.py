@@ -19,6 +19,7 @@ from .formula import (
     cnf,
     validate_class,
 )
+from .qbf import BalanceSpec, Qbf2Formula, validate_balanced
 
 _MAX_RESTARTS = 200
 _MAX_SWAPS = 4000
@@ -154,8 +155,6 @@ def random_balanced_qbf(p: int, s1: int, s2: int, seed: int):
     Supported universal profiles: (1,1) and (2,2); the slot budget must fill
     3-clauses exactly, so (2,2) needs p divisible by 3.
     """
-    from .qbf import BalanceSpec, Qbf2Formula, validate_balanced
-
     if (s1, s2) not in ((1, 1), (2, 2)):
         raise GenerationError("supported universal profiles: (1,1) and (2,2)")
     total_slots = p * (s1 + s2) + 4 * p

@@ -268,7 +268,9 @@ def _parts(
     renumbered part (equal clauses up to order) through ``memo``."""
     for part_us, part_es, local in _components(us, es, clauses):
         if local:  # a part without clauses is true under every assignment
-            # not sorted: the block keys number the ports by first occurrence
+            # sorted, so that parts equal up to clause order share one entry:
+            # on the pipeline outputs of p = 27-90 sources, a key taken as
+            # numbered walks three parts where this one walks one
             key = (len(part_us), len(part_es), tuple(sorted(local)))
             if key not in memo:
                 memo[key] = decide(local, len(part_us), len(part_us) + len(part_es))
@@ -450,43 +452,19 @@ def transform_2222(q: Qbf2Formula) -> Qbf2Formula:
 # -- QDIMACS -----------------------------------------------------------------
 
 def read_qdimacs(text: str) -> Qbf2Formula:
-    """Parse a two-block (a then e) QDIMACS file; both blocks may be empty.
+    """Parse a two-block (a then e) QDIMACS file; both blocks may be empty,
+    and the lines of one kind join into one block.
 
     The matrix is read in the strict dialect: a clause that repeats a
     variable is rejected.  Every malformed input, quantifier prefix
     included, raises :class:`ParseError`.
     """
-    universals: list[int] = []
-    existentials: list[int] = []
-    seen_e = False
-
-    def quantifier(line: str, lineno: int, n_vars: int | None, after_clauses: bool) -> None:
-        nonlocal seen_e
-        if n_vars is None:
-            raise ParseError("quantifier line before header", lineno)
-        if after_clauses:
-            raise ParseError("quantifier line after clauses", lineno)
-        toks = line.split()
-        if toks[-1] != "0":
-            raise ParseError("quantifier line missing 0 terminator", lineno)
-        try:
-            ids = [int(t) for t in toks[1:-1]]
-        except ValueError:
-            raise ParseError(f"invalid variable in quantifier line {line!r}", lineno) from None
-        if any(i <= 0 or i > n_vars for i in ids):
-            raise ParseError("quantified variable out of range", lineno)
-        if toks[0] == "a":
-            if seen_e:
-                raise ParseError("universal block after existential block", lineno)
-            universals.extend(ids)
-        else:
-            seen_e = True
-            existentials.extend(ids)
-
-    n_vars, clauses = parse_dimacs(text, quantifier)
+    prefix: list[tuple[str, list[int]]] = []
+    n_vars, clauses = parse_dimacs(text, prefix)
+    universals = tuple(v for kind, ids in prefix if kind == "a" for v in ids)
+    existentials = tuple(v for kind, ids in prefix if kind == "e" for v in ids)
     try:
-        return Qbf2Formula(tuple(universals), tuple(existentials),
-                           CnfFormula(n_vars, tuple(clauses)))
+        return Qbf2Formula(universals, existentials, CnfFormula(n_vars, tuple(clauses)))
     except ValueError as e:  # the clause checks and the quantifier-prefix checks
         raise ParseError(str(e)) from None
 

@@ -1044,6 +1044,32 @@ def test_qdimacs_quantifier_line_is_found_by_its_first_token():
         read_qdimacs("p cnf 2 1\na\ne 2 0\n1 2 0\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("a 1 0\np cnf 1 0\n", 1, "quantifier line before header"),
+    ("p cnf 2 1\n1 2 0\na 1 0\n", 3, "quantifier line after clauses"),
+    ("p cnf 2 1\n1\na 1 0\n2 0\n", 3, "quantifier line after clauses"),
+    ("p cnf 2 1\na 1\n1 2 0\n", 2, "quantifier line missing 0 terminator"),
+    ("p cnf 2 1\na 1 x 0\ne 2 0\n1 2 0\n", 2, "invalid variable in quantifier line 'a 1 x 0'"),
+    ("p cnf 2 0\na 0 0\n", 2, "quantified variable out of range"),
+    ("p cnf 2 0\na -1 0\n", 2, "quantified variable out of range"),
+    ("p cnf 2 0\ne 1 3 0\n", 2, "quantified variable out of range"),
+    ("p cnf 2 1\ne 1 0\na 2 0\n1 2 0\n", 3, "universal block after existential block"),
+    ("p cnf 3 1\na 1 0\ne 2 0\na 3 0\n1 2 3 0\n", 4, "universal block after existential block"),
+])
+def test_qdimacs_prefix_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        read_qdimacs(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_qdimacs_blocks_of_one_kind_concatenate():
+    q = read_qdimacs("p cnf 3 1\na 1 0\na 3 0\ne 2 0\n1 2 3 0\n")
+    assert (q.universals, q.existentials) == ((1, 3), (2,))
+    q = read_qdimacs("p cnf 1 1\na 0\ne 1 0\n1 0\n")
+    assert (q.universals, q.existentials) == ((), (1,))
+
+
 def test_qdimacs_errors():
     with pytest.raises(ParseError, match="header"):
         read_qdimacs("a 1 0\ne 2 0\n1 2 0\n")
