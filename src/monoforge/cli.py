@@ -110,7 +110,7 @@ def _check_size(n_vars: int) -> None:
 
 def _budget(text: str) -> int:
     """The argparse type of ``--budget``: a conflict budget, 0 or more."""
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
     return int(text)
 
@@ -291,10 +291,9 @@ def _cmd_nae(args) -> int:
     for t in _read_text(args.assignment).split():
         if t == "v":  # accept the solve/nae-solve output line as-is
             continue
-        try:
-            l = int(t)
-        except ValueError:
-            raise CliError(f"invalid literal {t!r} in assignment") from None
+        if not (t.isascii() and t.removeprefix("-").isdigit()):
+            raise CliError(f"invalid literal {t!r} in assignment")
+        l = int(t)
         if l == 0:
             continue
         a[abs(l)] = l > 0

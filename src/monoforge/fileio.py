@@ -44,14 +44,12 @@ def parse_dimacs(text: str, prefix: list | None = None) -> tuple[int, list[tuple
         if line.startswith("p"):
             if n_vars is not None:
                 raise ParseError("duplicate header", lineno)
-            if len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf":
+            # both counts are plain ASCII digits: int() alone also takes
+            # '1_0', '+3' and non-ASCII digits
+            if (len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf"
+                    or not all(t.isascii() and t.isdigit() for t in toks[2:])):
                 raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                n_vars, n_clauses = int(toks[2]), int(toks[3])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
-            if n_vars < 0 or n_clauses < 0:
-                raise ParseError(f"malformed header {line!r}", lineno)
+            n_vars, n_clauses = int(toks[2]), int(toks[3])
             continue
         if prefix is not None and toks[0] in ("a", "e"):
             if n_vars is None:
@@ -60,10 +58,9 @@ def parse_dimacs(text: str, prefix: list | None = None) -> tuple[int, list[tuple
                 raise ParseError("quantifier line after clauses", lineno)
             if toks[-1] != "0":
                 raise ParseError("quantifier line missing 0 terminator", lineno)
-            try:
-                ids = [int(t) for t in toks[1:-1]]
-            except ValueError:
-                raise ParseError(f"invalid variable in quantifier line {line!r}", lineno) from None
+            if not all(t.isascii() and t.removeprefix("-").isdigit() for t in toks[1:-1]):
+                raise ParseError(f"invalid variable in quantifier line {line!r}", lineno)
+            ids = [int(t) for t in toks[1:-1]]
             if not all(0 < i <= n_vars for i in ids):
                 raise ParseError("quantified variable out of range", lineno)
             # no 'a' line follows an 'e' line, so the last kind tells if one was seen
@@ -74,10 +71,9 @@ def parse_dimacs(text: str, prefix: list | None = None) -> tuple[int, list[tuple
         if n_vars is None:
             raise ParseError(f"clause before header: {line!r}", lineno)
         for tok in toks:
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"invalid literal token {tok!r}", lineno) from None
+            if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+                raise ParseError(f"invalid literal token {tok!r}", lineno)
+            lit = int(tok)
             if lit == 0:
                 clauses.append(canonical_clause(pending))
                 pending = []
@@ -179,7 +175,9 @@ def formula_from_json(text: str) -> CnfFormula:
             raise ParseError("symbols must be an object")
         symbols = {}
         for v, name in obj["symbols"].items():
-            if not v.isdecimal() or not 1 <= int(v) <= n_vars:
+            # exactly the str(v) that formula_to_json writes: no sign, no
+            # leading zero, ASCII digits only
+            if not (v.isascii() and v.isdigit() and v[0] != "0" and int(v) <= n_vars):
                 raise ParseError(f"symbol key {v!r} is not a variable in 1..{n_vars}")
             if not isinstance(name, str):
                 raise ParseError(f"symbol name for variable {v} is not a string: {name!r}")

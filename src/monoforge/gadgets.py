@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .formula import (
     CnfFormula,
     canonical_clause,
+    canonicalize,
     clause_has_distinct_vars,
     cnf,
     map_variables,
@@ -81,14 +82,12 @@ H_CLAUSES = (
 )
 
 
-def _listing_key(c):
-    return tuple((abs(l), l > 0) for l in c)
-
-
 # the published listing reorders only the last group: positive clauses first,
-# each half sorted lexicographically
-_H_LISTING = tuple(sorted((c for c in H_CLAUSES if c[0] > 0), key=_listing_key)) + tuple(
-    sorted((c for c in H_CLAUSES if c[0] < 0), key=_listing_key)
+# each half in canonical order
+_H_LISTING = tuple(
+    c
+    for positive in (True, False)
+    for c in canonicalize(cnf(h for h in H_CLAUSES if (h[0] > 0) == positive)).clauses
 )
 
 M_LISTING: tuple[tuple[int, ...], ...] = F2_CLAUSES + F3_CLAUSES + G_CLAUSES + _H_LISTING

@@ -10,7 +10,6 @@ by construction.  Identical seeds give identical instances.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .formula import (
     CnfFormula,
@@ -27,10 +26,6 @@ _MAX_SWAPS = 4000
 
 class GenerationError(RuntimeError):
     pass
-
-
-def _chunk3(slots: Sequence[int]) -> list[list[int]]:
-    return [list(slots[i : i + 3]) for i in range(0, len(slots), 3)]
 
 
 def _violations(clauses, distinct: bool, unique: bool) -> list[int]:
@@ -94,7 +89,7 @@ def _configuration(
                 raise GenerationError("slot count not divisible by 3")
             work = list(slots)
             rng.shuffle(work)
-            chunk = _chunk3(work)
+            chunk = [work[i : i + 3] for i in range(0, len(work), 3)]
             groups.append(list(range(len(clauses), len(clauses) + len(chunk))))
             clauses.extend(chunk)
         if _repair(clauses, rng, distinct, unique, groups):

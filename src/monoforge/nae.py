@@ -62,26 +62,32 @@ class VariableGraph:
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
 
     def components(self) -> list[list[int]]:
-        """Vertex sets of the connected components, each sorted, in the
-        order in which ``vertices`` first reaches them.
+        """Vertex sets of the connected components, as :func:`_components`
+        gives them for all of ``vertices``."""
+        return _components(self, self.vertices)
 
-        A component grows by whole neighbourhoods: each vertex adds the
-        unseen part of its adjacency set in one set intersection.
-        """
-        adj = self.adj
-        unseen = set(self.vertices)
-        out = []
-        for start in self.vertices:
-            if start in unseen:
-                unseen.remove(start)
-                comp = [start]
-                for u in comp:
-                    new = adj[u] & unseen
-                    unseen -= new
-                    comp += new
-                comp.sort()
-                out.append(comp)
-        return out
+
+def _components(g: VariableGraph, vertices) -> list[list[int]]:
+    """Components of the subgraph induced by ``vertices``, each sorted, in
+    the order in which ``vertices`` first reaches them.
+
+    A component grows by whole neighbourhoods: each vertex adds the unseen
+    part of its adjacency set in one set intersection.
+    """
+    adj = g.adj
+    unseen = set(vertices)
+    out = []
+    for start in vertices:
+        if start in unseen:
+            unseen.remove(start)
+            comp = [start]
+            for u in comp:
+                new = adj[u] & unseen
+                unseen -= new
+                comp += new
+            comp.sort()
+            out.append(comp)
+    return out
 
 
 def variable_graph(f: CnfFormula) -> VariableGraph:
@@ -139,11 +145,6 @@ def _bfs_order(g: VariableGraph, root: int, vertices: set[int]) -> list[int]:
                 seen.add(w)
                 order.append(w)
     return order
-
-
-def _connected_without(g: VariableGraph, vertices: set[int], banned: set[int]) -> bool:
-    rest = vertices - banned
-    return len(_bfs_order(g, min(rest), rest)) == len(rest)
 
 
 def _lowest_cut_vertex(g: VariableGraph, root: int, vertices: set[int]) -> int | None:
@@ -209,10 +210,7 @@ def _color(g: VariableGraph, vertices: list[int]) -> dict[int, int]:
     v = _lowest_cut_vertex(g, vertices[0], vset)
     if v is not None:
         colors: dict[int, int] = {}
-        rest = vset - {v}
-        while rest:
-            part = _bfs_order(g, min(rest), rest)
-            rest.difference_update(part)
+        for part in _components(g, sorted(vset - {v})):
             local = _color(g, sorted([v, *part]))
             swap = {local[v]: 0, 0: local[v]}
             for x, color in local.items():
@@ -225,7 +223,7 @@ def _color(g: VariableGraph, vertices: list[int]) -> dict[int, int]:
         nx = sorted(g.adj[x] & vset)
         for i, u in enumerate(nx):
             for w in nx[i + 1:]:
-                if w in g.adj[u] or not _connected_without(g, vset, {u, w}):
+                if w in g.adj[u] or len(_components(g, vset - {u, w})) > 1:
                     continue
                 order = _bfs_order(g, x, vset - {u, w})
                 return _greedy(g, reversed(order), {u: 0, w: 0})

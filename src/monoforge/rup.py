@@ -67,10 +67,9 @@ def parse_rup(source: str | Iterable[str]) -> RupProof:
             toks = toks[1:]
         lits = []
         for t in toks:
-            try:
-                lits.append(int(t))
-            except ValueError:
-                raise RupParseError(f"non-integer token {t!r}", i) from None
+            if not (t.isascii() and t.removeprefix("-").isdigit()):
+                raise RupParseError(f"non-integer token {t!r}", i)
+            lits.append(int(t))
         if not lits or lits[-1] != 0:
             raise RupParseError("missing 0 terminator", i)
         if any(l == 0 for l in lits[:-1]):

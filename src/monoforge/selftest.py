@@ -138,10 +138,9 @@ def _checks() -> list[tuple[str, Callable[[], bool]]]:
 
     def q1mon_yes():
         q = build_Q1mon(FreshVarAllocator(1))
-        occ = validate_balanced(q, BalanceSpec(2, 2, 2, 2)).verdict
-        mono = all(all(l > 0 for l in c) or all(l < 0 for l in c) for c in q.matrix.clauses)
+        occ = validate_balanced(q, BalanceSpec(2, 2, 2, 2, require_monotone=True)).verdict
         counts = len(q.universals) == 5 and len(q.existentials) == 4
-        return occ and mono and counts and qbf_truth(q).value is QbfValue.YES
+        return occ and counts and qbf_truth(q).value is QbfValue.YES
 
     def u_nae():
         f = build_U_NAE()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .formula import Assignment, CnfFormula
 from .rup import RupProof
@@ -328,10 +328,6 @@ class Solver:
         learnt[1], learnt[bi] = learnt[bi], learnt[1]
         return learnt, level[learnt[1] >> 1]
 
-    def _record(self, learnt: Sequence[int]) -> None:
-        if self.trace_enabled:
-            self.trace_clauses.append(tuple(_elit(i) for i in learnt))
-
     def _model_satisfies_formula(self) -> bool:
         """Check the formula and the added clauses against the total assignment."""
         val = self.val
@@ -387,7 +383,8 @@ class Solver:
                     return self._result_unsat(used)
                 learnt, bl = self._analyze(confl)
                 self._backtrack(bl)
-                self._record(learnt)
+                if self.trace_enabled:
+                    self.trace_clauses.append(tuple(_elit(i) for i in learnt))
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], -1)
                 else:

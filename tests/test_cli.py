@@ -268,6 +268,17 @@ def test_nae_check_writes_to_out(tmp_path, capsys):
                            "--assignment", str(assignment)) == (code, line + "\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "-\uff13"])
+def test_nae_check_rejects_literals_that_are_not_ascii_digits(tmp_path, capsys, token):
+    # int() reads each of these as a literal; read as 1, '+1' would pass the check
+    f = tmp_path / "nae.cnf"
+    f.write_text("p cnf 10 1\n1 2 3 0\n")
+    assignment = tmp_path / "a.txt"
+    assignment.write_text(f"v {token} -2 3 4 5 6 7 8 9 -10 0\n")
+    code, out, err = run(capsys, "nae", "check", "--in", str(f), "--assignment", str(assignment))
+    assert (code, out, err) == (1, "", f"error: invalid literal {token!r} in assignment\n")
+
+
 def test_qbf_check_writes_to_out(tmp_path, capsys):
     q3 = tmp_path / "q3.qdimacs"
     q3.write_text(write_qdimacs(build_Q3(FreshVarAllocator(1))))
@@ -344,7 +355,7 @@ def test_mine_reports_iterations_not_trace_entries(capsys):
 def test_budget_must_be_a_non_negative_integer(capsys, tmp_path, argv, text):
     path = tmp_path / "in.txt"
     path.write_text(text)
-    for budget in ("-1", "-5", "abc"):
+    for budget in ("-1", "-5", "abc", "\u0661"):
         code, out, err = run(capsys, *argv, "--budget", budget, "--in", str(path))
         assert (code, out) == (1, "")
         assert err == ("error: argument --budget: must be a non-negative integer, "

@@ -129,6 +129,52 @@ def test_json_mirror_rejects_malformed_fields(text, message):
         formula_from_json(text)
 
 
+# int() also reads '1_0' as 10, '+3' as 3 and non-ASCII digits such as
+# '\u0661' (Arabic-Indic one) as 1; the readers take only ASCII -?[0-9]+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 10 1\n1_0 0\n", "line 2: invalid literal token '1_0'"),
+    ("p cnf 10 1\n+3 0\n", "line 2: invalid literal token '+3'"),
+    ("p cnf 10 1\n1 -\u0661 0\n", "line 2: invalid literal token '-\u0661'"),
+    ("p cnf 1_0 1\n1 0\n", "line 1: malformed header 'p cnf 1_0 1'"),
+    ("p cnf +3 1\n1 0\n", "line 1: malformed header 'p cnf +3 1'"),
+    ("p cnf 3 \u0661\n1 0\n", "line 1: malformed header 'p cnf 3 \u0661'"),
+])
+def test_read_dimacs_rejects_integers_that_are_not_ascii_digits(text, message):
+    with pytest.raises(ParseError) as err:
+        read_dimacs(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("line", ["a \u0661 0", "a 1_0 0", "e +2 0"])
+def test_read_qdimacs_rejects_quantified_integers_that_are_not_ascii_digits(line):
+    with pytest.raises(ParseError) as err:
+        read_qdimacs(f"p cnf 10 1\n{line}\n1 2 0\n")
+    assert str(err.value) == f"line 2: invalid variable in quantifier line {line!r}"
+
+
+@pytest.mark.parametrize("step, token", [
+    ("1_0 0", "1_0"), ("+1 0", "+1"), ("d -\u0661 0", "-\u0661"), ("1 \uff10", "\uff10"),
+])
+def test_parse_rup_rejects_integers_that_are_not_ascii_digits(step, token):
+    with pytest.raises(RupParseError) as err:
+        parse_rup(f"1 2 0\n{step}\n")
+    assert str(err.value) == f"step 1: non-integer token {token!r}"
+
+
+@pytest.mark.parametrize("symbols, key", [
+    ({"01": "a"}, "01"),
+    ({"1": "a", "01": "b"}, "01"),
+    ({"\u0661": "a"}, "\u0661"),
+    ({"\uff11": "a"}, "\uff11"),
+])
+def test_formula_from_json_takes_only_the_symbol_keys_it_writes(symbols, key):
+    text = json.dumps({"n_vars": 1, "clauses": [[1]], "symbols": symbols})
+    with pytest.raises(ParseError) as err:
+        formula_from_json(text)
+    assert str(err.value) == f"symbol key {key!r} is not a variable in 1..1"
+
+
 # text shaped like the formats, so that drawn inputs get past the first
 # checks: well-formed clause and quantifier lines over three variables, and
 # lines with any prefix, zeros, bad tokens or no terminator

@@ -114,9 +114,10 @@ def test_graph_pass_matches_pair_loop_and_breadth_first_search(nae_corpus):
         g = variable_graph(f)
         assert g == variable_graph_by_pairs(f)
         graphs.append(g)
-    graphs += [cycle_graph(7), complete_graph(5), corpus.octahedron(), corpus.cut_vertex_graph()]
-    graphs += [corpus.glued_chain(3, seed) for seed in range(4)]
-    graphs += [corpus.random_degree4_graph(6 + seed, seed) for seed in range(10)]
+    hand_built = [cycle_graph(7), complete_graph(5), corpus.octahedron(), corpus.cut_vertex_graph()]
+    hand_built += [corpus.glued_chain(3, seed) for seed in range(4)]
+    hand_built += [corpus.random_degree4_graph(6 + seed, seed) for seed in range(10)]
+    graphs += hand_built
     # the components come in vertex order, whatever that order is
     graphs += [VariableGraph(tuple(reversed(g.vertices)), g.adj) for g in graphs[::7]]
     sizes = set()
@@ -126,6 +127,28 @@ def test_graph_pass_matches_pair_loop_and_breadth_first_search(nae_corpus):
         sizes.add(min(len(components), 2))
     # not vacuous: no component, one, and several all occur
     assert sizes == {0, 1, 2}
+
+    # induced vertex sets in the shapes the coloring passes: a component
+    # minus one vertex (case 3), and minus two non-adjacent neighbours of
+    # one vertex (case 4)
+    splits = {"vertex": set(), "pair": set()}
+    # one corpus sweep over n = 6..60 and every hand-built graph
+    for g in graphs[:19] + hand_built:
+        for comp in g.components():
+            for x in comp:
+                removals = [("vertex", {x})]
+                nx = sorted(g.adj[x])
+                removals += [("pair", {u, w}) for i, u in enumerate(nx) for w in nx[i + 1:]
+                             if w not in g.adj[u]]
+                for shape, banned in removals:
+                    vertices = [v for v in comp if v not in banned]
+                    induced = VariableGraph(
+                        tuple(vertices), {v: g.adj[v] - banned for v in vertices})
+                    components = nae._components(g, vertices)
+                    assert components == components_by_bfs(induced)
+                    splits[shape].add(min(len(components), 2))
+    # not vacuous: each shape leaves some sets connected and splits others
+    assert splits == {"vertex": {1, 2}, "pair": {1, 2}}
 
 
 def test_four_coloring_reports_the_first_vertex_of_degree_above_four():
@@ -327,7 +350,8 @@ def test_nae_solve_makes_a_few_traversals_per_component(monkeypatch):
     f = random_mono_nae_e2(3000, 0)
     components = variable_graph(strip_trivial_pairs(f)[0]).components()
     calls = []
-    bfs = nae._bfs_order
+    bfs, comps = nae._bfs_order, nae._components
     monkeypatch.setattr(nae, "_bfs_order", lambda g, root, vs: calls.append(root) or bfs(g, root, vs))
+    monkeypatch.setattr(nae, "_components", lambda g, vs: calls.append(None) or comps(g, vs))
     assert is_nae_satisfied(f, nae_solve_e2(f))
     assert len(calls) <= 4 * len(components)
