@@ -147,9 +147,8 @@ def _bfs_order(g: VariableGraph, root: int, vertices: set[int]) -> list[int]:
     return order
 
 
-def _lowest_cut_vertex(g: VariableGraph, root: int, vertices: set[int]) -> int | None:
-    """Smallest cut vertex of the connected subgraph induced by ``vertices``,
-    or None when it has none.
+def _lowest_cut_vertex(g: VariableGraph, root: int) -> int | None:
+    """Smallest cut vertex of the component of root, or None when it has none.
 
     One iterative depth-first pass from root computes discovery and low
     numbers.  The root is a cut vertex when it has two or more tree children;
@@ -163,8 +162,6 @@ def _lowest_cut_vertex(g: VariableGraph, root: int, vertices: set[int]) -> int |
     while stack:
         p, todo = stack[-1]
         for u in todo:
-            if u not in vertices:
-                continue
             if u not in disc:
                 disc[u] = low[u] = len(disc)
                 stack.append((u, iter(g.adj[u])))
@@ -193,25 +190,24 @@ def _greedy(g: VariableGraph, order, colors: dict[int, int]) -> dict[int, int]:
 
 
 def _color(g: VariableGraph, vertices: list[int]) -> dict[int, int]:
-    """Color the subgraph induced by a sorted connected vertex list."""
+    """Color one component of g, given as its sorted vertex list."""
     vset = set(vertices)
-    degree = {v: len(g.adj[v] & vset) for v in vertices}
     n = len(vertices)
-    if all(d == n - 1 for d in degree.values()):
+    if all(len(g.adj[v]) == n - 1 for v in vertices):
         if n > 4:
             raise ColoringError(
                 f"component is a complete graph on {n} > 4 vertices", vertices)
         return {v: i for i, v in enumerate(vertices)}
 
-    low = [v for v in vertices if degree[v] < 4]
+    low = [v for v in vertices if len(g.adj[v]) < 4]
     if low:
         return _greedy(g, reversed(_bfs_order(g, low[0], vset)), {})
 
-    v = _lowest_cut_vertex(g, vertices[0], vset)
-    if v is not None:
+    v = _lowest_cut_vertex(g, vertices[0])
+    if v is not None:  # each part plus v has degree < 4 at v only: case 2
         colors: dict[int, int] = {}
         for part in _components(g, sorted(vset - {v})):
-            local = _color(g, sorted([v, *part]))
+            local = _greedy(g, reversed(_bfs_order(g, v, {v, *part})), {})
             swap = {local[v]: 0, 0: local[v]}
             for x, color in local.items():
                 if x != v:
@@ -220,7 +216,7 @@ def _color(g: VariableGraph, vertices: list[int]) -> dict[int, int]:
         return colors
 
     for x in vertices:
-        nx = sorted(g.adj[x] & vset)
+        nx = sorted(g.adj[x])
         for i, u in enumerate(nx):
             for w in nx[i + 1:]:
                 if w in g.adj[u] or len(_components(g, vset - {u, w})) > 1:

@@ -18,9 +18,11 @@ The solver is incremental: :meth:`Solver.add_clause` may be called between
 solves, and every later solve decides ``formula.clauses`` plus the clauses
 added so far.  Learned clauses stay valid because the clause set only grows.
 ``__init__`` feeds the formula through the same intake, and the SAT model
-check covers the added clauses too.  With ``trace=True`` the added clauses
-are premises, not proof steps: the proof replays against the formula plus
-every clause added before the UNSAT answer.
+check covers the added clauses too.  The intake asserts a unit clause on the
+level-0 trail as it is read; once a solve has propagated level 0, it also
+reads each clause under the level-0 values.  With ``trace=True`` the added
+clauses are premises, not proof steps: the proof replays against the formula
+plus every clause added before the UNSAT answer.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class Solver:
         self.phase = [False] * (n + 1)
         self.seen = bytearray(n + 1)
         self.root_conflict = False
-        self.pending_units: list[int] = []
         self.added: list[tuple[int, ...]] = []
 
         for c in formula.clauses:
@@ -133,9 +134,10 @@ class Solver:
     def _intake(self, clause: Iterable[int]) -> None:
         """The one clause path: collapse duplicates, drop tautologies, watch.
 
-        Called at level 0 only.  The two watches go to literals that are not
-        false at level 0; a clause with one such literal becomes a pending
-        unit and one with none a root conflict (level-0 values are final).
+        Called at level 0 only.  Once level 0 has been propagated, the two
+        watches go to literals that are not false there.  A clause with one
+        such literal is asserted on the level-0 trail as it is read, and one
+        with none is a root conflict (level-0 values are final).
         """
         lits: list[int] = []
         seen: set[int] = set()
@@ -147,7 +149,7 @@ class Solver:
                 continue  # duplicate literals collapse for propagation
             seen.add(i)
             lits.append(i)
-        if self.trail:  # only after a solve has assigned level 0
+        if self.qhead:  # only once a solve has propagated level 0
             free = [i for i in lits if not self._lit_false(i)]
             lits = free + [i for i in lits if self._lit_false(i)]
             n_free = len(free)
@@ -156,7 +158,10 @@ class Solver:
         if n_free == 0:
             self.root_conflict = True
         elif n_free == 1:
-            self.pending_units.append(lits[0])
+            if self._lit_false(lits[0]):
+                self.root_conflict = True
+            elif not self._lit_true(lits[0]):
+                self._enqueue(lits[0], -1)
         else:
             self._attach(lits)
 
@@ -363,13 +368,6 @@ class Solver:
         val, trail, trail_lim, level_of, reason = (
             self.val, self.trail, self.trail_lim, self.level_of, self.reason)
         activity, heap, in_heap, phase = self.activity, self.heap, self.in_heap, self.phase
-        self.qhead = min(self.qhead, len(trail))
-        for u in self.pending_units:
-            if val[u >> 1] == 0:
-                self._enqueue(u, -1)
-            elif not self._lit_true(u):
-                self.root_conflict = True
-                return self._result_unsat(0)
         restart_since = 0
         restart_idx = 1
         threshold = _luby(restart_idx) * _RESTART_BASE

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import corpus
@@ -185,11 +187,36 @@ def test_four_coloring_4regular_two_connected():
 
 def test_four_coloring_4regular_with_cut_vertex():
     # two complete-minus-an-edge blocks glued through one vertex: 4-regular
-    # with a cut vertex, which the recursive cut-vertex branch handles
+    # with a cut vertex, which the cut-vertex branch handles
     g = corpus.cut_vertex_graph()
     assert all(g.degree(v) == 4 for v in g.vertices)
     colors = four_coloring(g)
     assert max(colors.values()) <= 3
+
+
+def test_coloring_takes_whole_components_only(monkeypatch):
+    # case 3 colours each part plus the cut vertex by case 2 in place, so
+    # every coloring call gets a component of the graph; 30 variables with
+    # seed 1 is the one seeded instance of n = 6..300 (seeds 0-39) whose
+    # coloring reaches case 3
+    calls = []
+    color = nae._color
+    monkeypatch.setattr(nae, "_color",
+                        lambda g, vertices: calls.append((g, vertices)) or color(g, vertices))
+    chains = [corpus.cut_vertex_graph()]
+    chains += [corpus.glued_chain(blocks, seed, size)
+               for seed in range(4) for blocks in range(2, 7) for size in (5, 8)]
+    for g in chains:
+        assert_proper(g, four_coloring(g))
+    for n, seed in ((3000, 0), (30, 1)):
+        f = random_mono_nae_e2(n, seed)
+        assert is_nae_satisfied(f, nae_solve_e2(f))
+    # one call per component of each graph colored
+    graphs = {id(g): g for g, _ in calls}
+    assert len(graphs) == len(chains) + 2
+    assert Counter(id(g) for g, _ in calls) == {k: len(g.components()) for k, g in graphs.items()}
+    for g, vertices in calls:
+        assert vertices in g.components()
 
 
 def test_nae_solve_trivial_pair():
@@ -339,7 +366,7 @@ def test_lowest_cut_vertex_matches_brute_force(nae_corpus):
         want = brute_lowest_cut_vertex(g, vertices)
         # the pass finds every cut vertex, so the answer does not depend on the root
         for root in {min(vertices), max(vertices)}:
-            assert nae._lowest_cut_vertex(g, root, vertices) == want, (sorted(vertices), root)
+            assert nae._lowest_cut_vertex(g, root) == want, (sorted(vertices), root)
         found.append("none" if want is None else "root" if want == min(vertices) else "inner")
     # not vacuous: 2-connected parts, cut roots and cut inner vertices all occur
     assert {"none", "root", "inner"} <= set(found)

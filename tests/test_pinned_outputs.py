@@ -21,7 +21,7 @@ import corpus
 from monoforge import gadgets, solver as solver_module
 from monoforge.cli import _PLAIN_GADGETS, _PORT_GADGETS, main
 from monoforge.fileio import formula_to_json, write_clause_list, write_dimacs
-from monoforge.formula import simplify_under
+from monoforge.formula import cnf, simplify_under
 from monoforge.generate import (
     random_3sat22,
     random_balanced_qbf,
@@ -30,7 +30,7 @@ from monoforge.generate import (
     random_mono_nae_e2,
 )
 from monoforge.miner import MinerConfig, mine, swap_move
-from monoforge.models import count_models
+from monoforge.models import count_models, enumerate_models
 from monoforge.nae import four_coloring, nae_solve_e2
 from monoforge.qbf import (
     PadVariant,
@@ -591,3 +591,62 @@ def test_solver_search_digest(monkeypatch):
     rows = _solver_rows(monkeypatch)
     assert (len(rows), sum(row[1] for row in rows if len(row) == 4)) == (615, 12827)
     assert _digest(rows) == SOLVER_DIGEST
+
+
+def _unit_rows(monkeypatch):
+    """Every ``Solver.solve`` answer on formulas holding unit clauses: seeded
+    (2,2) formulas with one to four units inserted, each solved traced and
+    then on one solver under assumptions with a unit added after each solve;
+    the matrix of each 'no' monotonized stage simplified under its
+    counterexample and under all universals false; and solve-and-block
+    enumerations past the dense limit with two units added."""
+    rng = random.Random(11)
+    unit_formulas = []
+    for seed in range(60):
+        f = random_3sat22(12 + 3 * (seed % 5), seed)
+        clauses = list(f.clauses)
+        for _ in range(rng.randint(1, 4)):
+            unit = (rng.choice((1, -1)) * rng.randint(1, f.n_vars),)
+            clauses.insert(rng.randint(0, len(clauses)), unit)
+        unit_formulas.append(cnf(clauses, n_vars=f.n_vars))
+    simplified = []
+    for s, p in ((1, 3), (2, 3), (1, 4)):
+        for seed in range(1, 9):
+            mono = monotonize(triple_copy(random_balanced_qbf(p, s, s, seed)))
+            alpha = qbf_truth(mono).counterexample
+            if alpha is not None:
+                simplified.append(simplify_under(mono.matrix, alpha))
+                simplified.append(simplify_under(mono.matrix, dict.fromkeys(mono.universals, False)))
+    rows = []
+    plain_solve = solver_module.Solver.solve
+
+    def recorded(self, assumptions=()):
+        res = plain_solve(self, assumptions)
+        rows.append(_solve_row(res))
+        return res
+
+    monkeypatch.setattr(solver_module.Solver, "solve", recorded)
+    for f in unit_formulas:
+        solver_module.solve(f, trace=True)
+        s = solver_module.Solver(f)
+        for k in range(3):
+            s.solve([k + 1])
+            s.add_clause([-(k + 2)])
+    for f in simplified:
+        solver_module.solve(f, trace=True)
+    for seed in range(6):
+        f = random_3sat22(24, seed)
+        enum = enumerate_models(cnf(list(f.clauses) + [(1,), (-5,)], n_vars=24), 30)
+        rows.append((len(enum.models), enum.capped))
+    return rows
+
+
+# pinned while the solver still replayed pending unit clauses at every solve:
+# 436 answers with 3953 conflicts between them, and six capped enumerations
+UNIT_SOLVER_DIGEST = "94f9ccd208c2e0b768379bb388fd87f11625d089c4deb397159282f174780d5f"
+
+
+def test_solver_unit_clause_digest(monkeypatch):
+    rows = _unit_rows(monkeypatch)
+    assert (len(rows), sum(row[1] for row in rows if len(row) == 4)) == (442, 3953)
+    assert _digest(rows) == UNIT_SOLVER_DIGEST

@@ -103,9 +103,42 @@ def test_determinism():
     assert solve(g).model == solve(g).model
 
 
-def test_conflicting_pending_units():
+def test_conflicting_root_units():
     f = cnf([[1], [-1]])
     assert solve(f).status is Status.UNSAT
+
+
+@pytest.mark.parametrize("clauses, conflicts", [
+    ([[1], [-1, 2], [-2]], 1),
+    ([[1], [-1]], 0),
+    ([[-1, 2], [1], [-2]], 1),
+    ([[1], [2], [-1, -2, 3], [-3]], 1),
+    ([[1], [-1, 2], [-2, 3], [-3, -1]], 1),
+])
+def test_root_units_conflict_in_propagation_only(clauses, conflicts):
+    # a unit contradicting an earlier one is refuted as it is read; one that
+    # propagation falsifies costs the one conflict found at level 0
+    res = solve(cnf(clauses))
+    assert (res.status, res.conflicts) == (Status.UNSAT, conflicts)
+
+
+def test_units_added_between_solves_conflict_once_propagated():
+    # added before level 0 holds anything, the units meet in propagation;
+    # added once level 0 has been propagated, they are checked as read
+    s = Solver(cnf([[1, 2, 3]], n_vars=3))
+    s.solve()
+    for c in ([-1], [1, 2], [-2]):
+        s.add_clause(c)
+    res = s.solve()
+    assert (res.status, res.conflicts) == (Status.UNSAT, 1)
+    s = Solver(cnf([[1, 2, 3]], n_vars=3))
+    s.solve()
+    s.add_clause([-1])
+    s.solve()
+    s.add_clause([1, 2])
+    s.add_clause([-2])
+    res = s.solve()
+    assert (res.status, res.conflicts) == (Status.UNSAT, 0)
 
 
 def test_assumption_out_of_range():
@@ -201,12 +234,13 @@ def test_add_clause_sequences_match_fresh_solves(case):
 
 @st.composite
 def interleaved_calls(draw):
-    """A formula, a first conflict budget and a sequence of calls on one
-    solver: clauses to add, assumption lists (with repeated and
-    contradictory literals) to solve under, and new budgets, 0 among them."""
+    """A formula of clauses of width 1-3, so that unit clauses sit on level
+    0, a first conflict budget and a sequence of calls on one solver:
+    clauses to add, assumption lists (with repeated and contradictory
+    literals) to solve under, and new budgets, 0 among them."""
     n = draw(st.integers(1, 12))
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
-    clauses = draw(st.lists(st.lists(lit, min_size=3, max_size=3), max_size=4 * n))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3), max_size=4 * n))
     # parity constraints on three variables make wrong decisions conflict
     for a, b, c in draw(st.lists(st.lists(lit, min_size=3, max_size=3), max_size=n)):
         clauses += [[a, b, c], [a, -b, -c], [-a, b, -c], [-a, -b, c]]
