@@ -9,50 +9,11 @@ with a ``ValueError``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import fileio
 from .formula import CnfFormula, InstanceClass, InvalidInstanceError, validate_class
-from .gadgets import (
-    FreshVarAllocator,
-    build_core8,
-    build_F2,
-    build_F3,
-    build_frakM,
-    build_frakMbar,
-    build_G,
-    build_H,
-    build_M,
-    build_M_enforcer,
-    build_Mbar_enforcer,
-    build_N,
-    build_S,
-    build_Sbar,
-    build_U,
-    build_U_NAE,
-    build_y_core,
-    build_z_core,
-)
-from .miner import MinerConfig, mine
-from .models import EnumerationBudgetError, count_models
-from .nae import graph_edge_text, is_nae_satisfied, nae_solve_e2, variable_graph
-from .qbf import (
-    QbfValue,
-    build_Q1mon,
-    build_Q3,
-    qbf_truth,
-    read_qdimacs,
-    transform_1122,
-    transform_2222,
-    write_qdimacs,
-)
-from .reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
-from .rup import parse_rup, verify_rup
-from .selftest import run_selftest
-from .solver import Status, solve
 
 EXIT_OK = 0
 EXIT_UNSAT = 10
@@ -115,6 +76,14 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+def _integer(text: str) -> int:
+    """The argparse type of the other integer options: ASCII digits with an
+    optional leading minus, refused as argparse refuses ``type=int``."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _load_formula(args) -> CnfFormula:
     """The formula named by ``--in``, read as ``--format`` (``auto`` picks by
     the first non-blank character: '[' list, '{' json, else dimacs)."""
@@ -140,36 +109,37 @@ def _value_line(a, n_vars: int) -> str:
 
 _CLASS_NAMES = {c.value: c for c in InstanceClass}
 
+# Builders by name, looked up in ``gadgets`` or ``qbf`` when the command
+# runs, so that ``gadget`` loads only the module it builds from.
 _PLAIN_GADGETS = {
-    "F2": build_F2,
-    "F3": build_F3,
-    "G": build_G,
-    "H": build_H,
-    "M": build_M,
-    "core8": build_core8,
-    "U": build_U,
-    "U_NAE": build_U_NAE,
-    "ycore": build_y_core,
-    "zcore": build_z_core,
+    "F2": "build_F2",
+    "F3": "build_F3",
+    "G": "build_G",
+    "H": "build_H",
+    "M": "build_M",
+    "core8": "build_core8",
+    "U": "build_U",
+    "U_NAE": "build_U_NAE",
+    "ycore": "build_y_core",
+    "zcore": "build_z_core",
 }
 
 _PORT_GADGETS = {
-    "Menf": (build_M_enforcer, 3),
-    "Mbarenf": (build_Mbar_enforcer, 3),
-    "N": (build_N, 1),
-    "S": (build_S, 3),
-    "Sbar": (build_Sbar, 3),
-    # nine ports make three mixed triples: (x, -y, -z) for frakM, negated for frakMbar
-    "frakM": (lambda alloc, *p: build_frakM(alloc, [(p[i], -p[i + 1], -p[i + 2])
-                                                    for i in (0, 3, 6)]), 9),
-    "frakMbar": (lambda alloc, *p: build_frakMbar(alloc, [(-p[i], p[i + 1], p[i + 2])
-                                                          for i in (0, 3, 6)]), 9),
+    "Menf": ("build_M_enforcer", 3),
+    "Mbarenf": ("build_Mbar_enforcer", 3),
+    "N": ("build_N", 1),
+    "S": ("build_S", 3),
+    "Sbar": ("build_Sbar", 3),
+    "frakM": ("build_frakM", 9),
+    "frakMbar": ("build_frakMbar", 9),
 }
 
-_QBF_GADGETS = {"Q3": build_Q3, "Q1mon": build_Q1mon}
+_QBF_GADGETS = {"Q3": "build_Q3", "Q1mon": "build_Q1mon"}
 
 
 def _cmd_gadget(args) -> int:
+    from . import gadgets
+
     name, ports = args.name, args.ports or []
     if name in _PORT_GADGETS:
         build, arity = _PORT_GADGETS[name]
@@ -179,7 +149,14 @@ def _cmd_gadget(args) -> int:
             raise CliError("port variables are positive integers")
         if max(ports) > _MAX_VARS:
             raise CliError(f"port variable {max(ports)} is out of range; the limit is {_MAX_VARS}")
-        f = build(FreshVarAllocator(max(ports) + 1), *ports).formula
+        build, alloc = getattr(gadgets, build), gadgets.FreshVarAllocator(max(ports) + 1)
+        if arity == 9:
+            # nine ports make three mixed triples: (x, -y, -z) for frakM, negated for frakMbar
+            sign = 1 if name == "frakM" else -1
+            f = build(alloc, [(sign * ports[i], -sign * ports[i + 1], -sign * ports[i + 2])
+                              for i in (0, 3, 6)]).formula
+        else:
+            f = build(alloc, *ports).formula
     elif name not in _PLAIN_GADGETS and name not in _QBF_GADGETS:
         raise CliError(f"unknown gadget {name!r}; choices: " + ", ".join(
             sorted(_PLAIN_GADGETS) + sorted(_PORT_GADGETS) + list(_QBF_GADGETS)))
@@ -188,10 +165,13 @@ def _cmd_gadget(args) -> int:
     elif name in _QBF_GADGETS:
         if args.format != "dimacs":
             raise CliError(f"gadget {name} is QDIMACS only, not --format {args.format}")
-        _write_text(args.out, write_qdimacs(_QBF_GADGETS[name](FreshVarAllocator(1))))
+        from . import qbf
+
+        q = getattr(qbf, _QBF_GADGETS[name])(gadgets.FreshVarAllocator(1))
+        _write_text(args.out, qbf.write_qdimacs(q))
         return EXIT_OK
     else:
-        f = _PLAIN_GADGETS[name]()
+        f = getattr(gadgets, _PLAIN_GADGETS[name])()
     _write_text(args.out, _WRITERS[args.format](f))
     return EXIT_OK
 
@@ -206,6 +186,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import Status, solve
+
     f = _load_formula(args)
     res = solve(f, trace=args.trace is not None, conflict_budget=args.budget)
     if res.status is Status.BUDGET:
@@ -222,6 +204,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .models import EnumerationBudgetError, count_models
+
     f = _load_formula(args)
     try:
         mc = count_models(f, cap=args.cap)
@@ -234,6 +218,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_rup_check(args) -> int:
+    from .rup import parse_rup, verify_rup
+
     f = _load_formula(args)
     check = verify_rup(f, parse_rup(_read_text(args.proof)))
     if check.ok:
@@ -244,6 +230,11 @@ def _cmd_rup_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    import dataclasses
+    import json
+
+    from .reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
+
     f = _load_formula(args)
     if args.source == "star22":
         out = reduce_star22_to_mono22(f)
@@ -257,6 +248,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_qbf(args) -> int:
+    from .qbf import (
+        QbfValue, qbf_truth, read_qdimacs, transform_1122, transform_2222, write_qdimacs,
+    )
+
     q = read_qdimacs(_read_text(args.input))
     _check_size(q.matrix.n_vars)
     if args.action == "check":
@@ -277,6 +272,8 @@ def _cmd_qbf(args) -> int:
 
 
 def _cmd_nae(args) -> int:
+    from .nae import graph_edge_text, is_nae_satisfied, nae_solve_e2, variable_graph
+
     f = _load_formula(args)
     if args.action == "graph":
         _write_text(args.out, graph_edge_text(variable_graph(f)))
@@ -303,6 +300,10 @@ def _cmd_nae(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    import json
+
+    from .miner import MinerConfig, mine
+
     trace = mine(MinerConfig(
         n_vars=args.vars,
         n_clauses=args.clauses,
@@ -320,6 +321,12 @@ def _cmd_mine(args) -> int:
     return EXIT_OK
 
 
+def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
+    return run_selftest(sys.stdout)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="monoforge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -329,7 +336,7 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gadget", help="emit a named gadget or instance")
     g.add_argument("name")
-    g.add_argument("--ports", type=int, nargs="*", default=None,
+    g.add_argument("--ports", type=_integer, nargs="*", default=None,
                    help="port variable ids for enforcer gadgets")
     g.add_argument("--format", choices=tuple(_WRITERS), default="dimacs")
     g.add_argument("--out", default=None)
@@ -346,7 +353,7 @@ def build_parser() -> _Parser:
     s.set_defaults(fn=_cmd_solve)
 
     c = sub.add_parser("count", parents=[formula_in], help="count satisfying assignments")
-    c.add_argument("--cap", type=int, default=None)
+    c.add_argument("--cap", type=_integer, default=None)
     c.set_defaults(fn=_cmd_count)
 
     r = sub.add_parser("rup-check", parents=[formula_in], help="replay a clause-addition proof")
@@ -374,19 +381,19 @@ def build_parser() -> _Parser:
     n.set_defaults(fn=_cmd_nae)
 
     m = sub.add_parser("mine", help="search for low-model-count gadgets")
-    m.add_argument("--vars", type=int, required=True)
-    m.add_argument("--clauses", type=int, required=True)
-    m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--iters", type=int, default=500)
-    m.add_argument("--population", type=int, default=8)
+    m.add_argument("--vars", type=_integer, required=True)
+    m.add_argument("--clauses", type=_integer, required=True)
+    m.add_argument("--seed", type=_integer, default=0)
+    m.add_argument("--iters", type=_integer, default=500)
+    m.add_argument("--population", type=_integer, default=8)
     m.add_argument("--sideways", type=float, default=0.2)
-    m.add_argument("--stall", type=int, default=100)
+    m.add_argument("--stall", type=_integer, default=100)
     m.add_argument("--out", default=None)
     m.add_argument("--trace", default=None)
     m.set_defaults(fn=_cmd_mine)
 
     t = sub.add_parser("selftest", help="replay every golden claim")
-    t.set_defaults(fn=lambda args: run_selftest(sys.stdout))
+    t.set_defaults(fn=_cmd_selftest)
 
     return p
 

@@ -13,7 +13,7 @@ from monoforge.fileio import read_dimacs, write_dimacs
 from monoforge.gadgets import build_U, build_U_NAE, build_y_core
 from monoforge.qbf import build_Q3, read_qdimacs, write_qdimacs
 from monoforge.gadgets import FreshVarAllocator
-from monoforge.generate import random_3sat22
+from monoforge.generate import random_3sat22, random_mono_nae_e2
 from monoforge.kernels import clause_arrays, count_sat
 
 
@@ -364,6 +364,31 @@ def test_budget_must_be_a_non_negative_integer(capsys, tmp_path, argv, text):
     assert code == 0 and out.splitlines()[0] in ("s SATISFIABLE", "yes") and err == ""
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["count"], "--cap", "1_0"),
+    (["count"], "--cap", "\u0661"),
+    (["count"], "--cap", "+3"),
+    (["count"], "--cap", "abc"),
+    (["gadget", "N"], "--ports", "\u0665"),
+    (["gadget", "N"], "--ports", "5 "),
+    (["mine", "--vars", "9", "--iters", "3"], "--clauses", "1_2"),
+    (["mine", "--clauses", "12", "--iters", "3"], "--vars", "\uff19"),
+    (["mine", "--vars", "9", "--clauses", "12", "--iters", "3"], "--seed", "+1"),
+    (["mine", "--vars", "9", "--clauses", "12"], "--iters", "3_0"),
+    (["mine", "--vars", "9", "--clauses", "12", "--iters", "3"], "--population", "\u0663"),
+    (["mine", "--vars", "9", "--clauses", "12", "--iters", "3"], "--stall", "1_0"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, tmp_path, argv, flag, value):
+    # int() would read each of these values; the options refuse them as they refuse "abc"
+    if argv == ["count"]:
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 2 1\n1 2 0\n")
+        argv = ["count", "--in", str(path)]
+    code, out, err = run(capsys, *argv, flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
+
+
 def test_gadget_refuses_ports_above_the_variable_limit(capsys):
     code, out, err = run(capsys, "gadget", "N", "--ports", "99999999999")
     assert (code, out) == (1, "")
@@ -501,6 +526,44 @@ def test_no_command_loads_numpy(tmp_path):
     lits, widths = clause_arrays(f.clauses)
     want = count_sat(lits, widths, f.n_vars, (1 << f.n_vars) + 1)
     assert proc.stdout == f"[False, False, False, False] {want}\n"
+
+
+# Run in a fresh interpreter: runs one command (if any is given) and prints the
+# package's submodules that the process has loaded.
+_MODULES_PROBE = """
+import contextlib, io, sys
+import monoforge
+if sys.argv[1:]:
+    from monoforge.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0, sys.argv[1:]
+print(" ".join(sorted(m.removeprefix("monoforge.") for m in sys.modules
+                      if m.startswith("monoforge."))))
+"""
+
+_NOT_FOR_A_FORMULA = {"qbf", "gadgets", "reductions", "elimination", "miner", "generate",
+                      "selftest", "refdata"}
+
+
+@pytest.mark.parametrize("argv, needed, not_loaded", [
+    ([], set(), None),
+    (["count", "--in", "f.cnf"], {"models"}, _NOT_FOR_A_FORMULA),
+    (["validate", "--class", "3sat22", "--in", "f.cnf"], {"formula"}, _NOT_FOR_A_FORMULA),
+    (["nae", "solve", "--in", "nae.cnf"], {"nae"}, _NOT_FOR_A_FORMULA),
+    (["gadget", "U"], {"gadgets"}, {"qbf", "solver", "models"}),
+], ids=["import", "count", "validate", "nae-solve", "gadget-U"])
+def test_each_command_loads_only_its_own_layers(tmp_path, argv, needed, not_loaded):
+    (tmp_path / "f.cnf").write_text(write_dimacs(random_3sat22(9, 5)))
+    (tmp_path / "nae.cnf").write_text(write_dimacs(random_mono_nae_e2(30, 1)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    if not argv:  # a bare import loads no submodule
+        assert loaded == set()
+    else:
+        assert needed <= loaded and not loaded & not_loaded, sorted(loaded)
 
 
 @pytest.mark.parametrize("name, fmt", [("Q3", "list"), ("Q1mon", "json")])

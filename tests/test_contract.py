@@ -4,10 +4,13 @@ benchmark files."""
 
 import argparse
 import ast
+import importlib
 import inspect
 import json
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 import monoforge
 from monoforge import cli
@@ -42,11 +45,49 @@ SUBCOMMANDS = {
 
 
 def test_public_names():
+    # names are bound on first use, so resolve every one that dir() offers first
+    for name in dir(monoforge):
+        if not name.startswith("_"):
+            getattr(monoforge, name)
     exported = {
         name for name, value in vars(monoforge).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
+
+
+def _top_level_definitions(path: Path) -> set[str]:
+    """Names a module binds itself (def, class, assignment), not by import."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_lazy_namespace_behaves_like_an_eager_one():
+    namespace = {}
+    exec("from monoforge import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    with pytest.raises(AttributeError):
+        monoforge.nope
+    with pytest.raises(ImportError):
+        exec("from monoforge import nope", {})
+    import monoforge.qbf as q
+
+    assert monoforge.qbf_truth is q.qbf_truth
+    # each name comes from the module that the table names for it
+    package = Path(monoforge.__file__).parent
+    for module, names in monoforge._EXPORTS.items():
+        assert set(names) <= _top_level_definitions(package / f"{module}.py"), module
+        loaded = importlib.import_module(f"monoforge.{module}")
+        for name in names:
+            assert getattr(monoforge, name) is getattr(loaded, name), name
+    assert [n for names in monoforge._EXPORTS.values() for n in names] == monoforge.__all__
 
 
 def test_cli_subcommands():
