@@ -9,6 +9,7 @@ with a ``ValueError``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -82,6 +83,14 @@ def _integer(text: str) -> int:
     if not (text.isascii() and text.removeprefix("-").isdecimal()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
+
+
+def _decimal(text: str) -> float:
+    """The argparse type of ``--sideways``: an ASCII decimal with an optional
+    leading minus, refused as argparse refuses ``type=float``."""
+    if not re.fullmatch(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)", text):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
 
 
 def _load_formula(args) -> CnfFormula:
@@ -386,7 +395,7 @@ def build_parser() -> _Parser:
     m.add_argument("--seed", type=_integer, default=0)
     m.add_argument("--iters", type=_integer, default=500)
     m.add_argument("--population", type=_integer, default=8)
-    m.add_argument("--sideways", type=float, default=0.2)
+    m.add_argument("--sideways", type=_decimal, default=0.2)
     m.add_argument("--stall", type=_integer, default=100)
     m.add_argument("--out", default=None)
     m.add_argument("--trace", default=None)

@@ -34,7 +34,9 @@ The pipeline stages (tripling, monotonization, padding) make each matrix
 only of clauses of formulas already built: the input's, its shifted copies,
 the enforcers' and the padding block's shifted copies.  So they build it
 with :func:`.formula.formula_of_copies`, which checks it by construction
-with one comparison per source, and their prefixes are all of 1..n.
+with one comparison per source, and their prefixes are all of 1..n.  They
+import the gadget and reduction layers (:mod:`.gadgets`, :mod:`.reductions`)
+when they run, so deciding a formula loads neither.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import itertools
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .elimination import eliminate_blocks
 from .fileio import ParseError, parse_dimacs, write_dimacs
@@ -56,9 +58,10 @@ from .formula import (
     formula_of_copies,
     validate_instance,
 )
-from .gadgets import FreshVarAllocator
-from .reductions import MonotonizeError, build_enforcer, copies, mixed_triples, splice
 from .solver import Solver, SolveResult, Status
+
+if TYPE_CHECKING:
+    from .gadgets import FreshVarAllocator
 
 
 @dataclass(frozen=True)
@@ -332,8 +335,10 @@ def qbf_truth(q: Qbf2Formula, *, conflict_budget: int = 1_000_000) -> QbfResult:
 
 def _qbf_copies(q: Qbf2Formula, width: int, count: int) -> tuple[tuple, tuple, tuple]:
     """The blocks and clauses of ``count`` copies of q, copy-major, copy k
-    shifted by k * width; one :func:`copies` call, so one column per literal
-    of q and one int object per literal of each copy."""
+    shifted by k * width; one :func:`.reductions.copies` call, so one column
+    per literal of q and one int object per literal of each copy."""
+    from .reductions import copies
+
     universals: list[int] = []
     existentials: list[int] = []
     clauses: list[tuple[int, ...]] = []
@@ -364,8 +369,11 @@ def monotonize(q: Qbf2Formula) -> Qbf2Formula:
     Triples pair the i-th mixed clause of each shape with the (i + k)-th and
     (i + 2k)-th, which matches same-source clauses across the copies produced
     by :func:`triple_copy`.  Gadget variables join the existential block.
-    Raises :class:`MonotonizeError` unless each shape count is divisible by 3.
+    Raises :class:`.reductions.MonotonizeError` unless each shape count is
+    divisible by 3.
     """
+    from .reductions import build_enforcer, mixed_triples, splice
+
     clauses, fresh, _, blocks = splice(
         q.matrix.clauses, q.matrix.n_vars, mixed_triples(q.matrix.clauses), build_enforcer)
     matrix = formula_of_copies(q.matrix.n_vars + len(fresh), tuple(clauses),
@@ -408,9 +416,11 @@ def pad_to_balance(q: Qbf2Formula, variant: PadVariant) -> Qbf2Formula:
     Each five-universal enforcer nets +3 universals (two existentials) for
     USE_Q3 or +1 (four existentials) for USE_Q1MON, so the existential surplus
     must be divisible by 3 for USE_Q3.  One enforcer is built above the
-    input's variables; :func:`copies`, which also triples, shifts it into
-    the others, keeping every clause canonical.
+    input's variables; :func:`.reductions.copies`, which also triples,
+    shifts it into the others, keeping every clause canonical.
     """
+    from .gadgets import FreshVarAllocator
+
     surplus = len(q.existentials) - len(q.universals)
     if surplus < 0:
         raise PadError(f"more universals than existentials by {-surplus}; cannot pad")

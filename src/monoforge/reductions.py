@@ -2,6 +2,8 @@
 and provenance-tracked transformations, and the copy / splice core they share
 with the pipelines of :mod:`monoforge.qbf`: :func:`copies` (tripling and
 padding), :func:`mixed_triples`, :func:`build_enforcer` and :func:`splice`.
+Those pipelines import this module when they run, not when :mod:`.qbf`
+loads, so the QBF decider never loads it.
 
 Outputs keep pass-through clauses first (in copy order after tripling) and
 append gadget blocks in the order of their groups, so they are deterministic

@@ -13,7 +13,7 @@ from monoforge.fileio import read_dimacs, write_dimacs
 from monoforge.gadgets import build_U, build_U_NAE, build_y_core
 from monoforge.qbf import build_Q3, read_qdimacs, write_qdimacs
 from monoforge.gadgets import FreshVarAllocator
-from monoforge.generate import random_3sat22, random_mono_nae_e2
+from monoforge.generate import random_3sat22, random_balanced_qbf, random_mono_nae_e2
 from monoforge.kernels import clause_arrays, count_sat
 
 
@@ -389,6 +389,21 @@ def test_integer_options_take_ascii_digits_only(capsys, tmp_path, argv, flag, va
     assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
 
 
+@pytest.mark.parametrize("value, code, err", [
+    *((v, 1, f"error: argument --sideways: invalid float value: {v!r}\n")
+      for v in ("0_1", "\u0661", " 0.5", "0.5 ", "+0.5", "1e-1", "nan", "inf", ".")),
+    *((v, 1, "error: sideways_prob must be between 0 and 1, not -0.5\n") for v in ("-0.5", "-.5")),
+    (".5", 0, ""),
+    ("1.", 0, ""),
+])
+def test_sideways_takes_an_ascii_decimal_only(capsys, value, code, err):
+    # float() would read each refused value but "."; the option refuses them as it refuses "abc"
+    got_code, out, got_err = run(capsys, "mine", "--vars", "9", "--clauses", "12",
+                                 "--iters", "3", "--sideways", value)
+    assert (got_code, got_err) == (code, err)
+    assert (out == "") == (code == 1)
+
+
 def test_gadget_refuses_ports_above_the_variable_limit(capsys):
     code, out, err = run(capsys, "gadget", "N", "--ports", "99999999999")
     assert (code, out) == (1, "")
@@ -551,10 +566,20 @@ _NOT_FOR_A_FORMULA = {"qbf", "gadgets", "reductions", "elimination", "miner", "g
     (["validate", "--class", "3sat22", "--in", "f.cnf"], {"formula"}, _NOT_FOR_A_FORMULA),
     (["nae", "solve", "--in", "nae.cnf"], {"nae"}, _NOT_FOR_A_FORMULA),
     (["gadget", "U"], {"gadgets"}, {"qbf", "solver", "models"}),
-], ids=["import", "count", "validate", "nae-solve", "gadget-U"])
+    (["qbf", "check", "--in", "q3.qdimacs"], {"qbf", "elimination", "solver"},
+     {"gadgets", "reductions", "models", "kernels", "nae", "miner", "generate", "selftest",
+      "refdata"}),
+    (["mine", "--vars", "9", "--clauses", "12", "--iters", "5"], {"miner", "models"},
+     {"gadgets", "reductions"}),
+    (["qbf", "transform-2222", "--in", "q2222.qdimacs", "--out", "t.qdimacs"],
+     {"qbf", "gadgets", "reductions"}, set()),
+], ids=["import", "count", "validate", "nae-solve", "gadget-U", "qbf-check", "mine",
+        "qbf-transform-2222"])
 def test_each_command_loads_only_its_own_layers(tmp_path, argv, needed, not_loaded):
     (tmp_path / "f.cnf").write_text(write_dimacs(random_3sat22(9, 5)))
     (tmp_path / "nae.cnf").write_text(write_dimacs(random_mono_nae_e2(30, 1)))
+    (tmp_path / "q3.qdimacs").write_text(write_qdimacs(build_Q3(FreshVarAllocator(1))))
+    (tmp_path / "q2222.qdimacs").write_text(write_qdimacs(random_balanced_qbf(3, 2, 2, 1)))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], env=env,
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)

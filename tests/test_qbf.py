@@ -20,7 +20,6 @@ from monoforge.qbf import (
     _component_first_failure,
     _components,
     BalanceSpec,
-    MonotonizeError,
     PadError,
     PadVariant,
     Qbf2Formula,
@@ -39,6 +38,7 @@ from monoforge.qbf import (
     write_qdimacs,
 )
 from monoforge.fileio import ParseError
+from monoforge.reductions import MonotonizeError
 
 
 def test_formula_invariants():
