@@ -239,7 +239,6 @@ def _cmd_rup_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    import dataclasses
     import json
 
     from .reductions import reduce_3sat22_to_mono22, reduce_star22_to_mono22
@@ -251,7 +250,7 @@ def _cmd_reduce(args) -> int:
         out = reduce_3sat22_to_mono22(f)
     _write_text(args.out, _WRITERS[args.out_format](out.formula))
     if args.provenance:
-        payload = {"stats": dataclasses.asdict(out.stats), "clauses": out.provenance_json()}
+        payload = {"stats": out.stats._asdict(), "clauses": out.provenance_json()}
         _write_text(args.provenance, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 

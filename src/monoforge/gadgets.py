@@ -16,12 +16,12 @@ their links, reservation labels and port literals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .formula import (
     CnfFormula,
+    FrozenRecord,
     canonical_clause,
     canonicalize,
     clause_has_distinct_vars,
@@ -128,17 +128,23 @@ class FreshVarAllocator:
         return r
 
 
-@dataclass(frozen=True)
-class GadgetInstantiation:
+class GadgetInstantiation(FrozenRecord):
     """One freshly built gadget: its formula, port literals and tag.
 
     The formula's symbol table names exactly the fresh variables;
     ``fresh_vars`` is that table inverted (name -> id), in the same order.
+    The port literals do not take part in equality.
     """
 
+    __slots__ = ("formula", "port_literals", "tag")
+    _compared = ("formula", "tag")
+
     formula: CnfFormula
-    port_literals: dict[str, int] = field(compare=False)
-    tag: int | str = 0
+    port_literals: dict[str, int]
+    tag: int | str
+
+    def __init__(self, formula: CnfFormula, port_literals: dict[str, int], tag: int | str = 0):
+        self._set(formula, port_literals, tag)
 
     @property
     def fresh_vars(self) -> dict[str, int]:

@@ -10,6 +10,7 @@ by construction.  Identical seeds give identical instances.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from .formula import (
     CnfFormula,
@@ -18,7 +19,9 @@ from .formula import (
     cnf,
     validate_class,
 )
-from .qbf import BalanceSpec, Qbf2Formula, validate_balanced
+
+if TYPE_CHECKING:
+    from .qbf import Qbf2Formula
 
 _MAX_RESTARTS = 200
 _MAX_SWAPS = 4000
@@ -143,13 +146,15 @@ def random_mono_22(n_vars: int, rng: random.Random) -> CnfFormula:
     return _random_instance(InstanceClass.MONO_3SAT_22, n_vars, rng)
 
 
-def random_balanced_qbf(p: int, s1: int, s2: int, seed: int):
+def random_balanced_qbf(p: int, s1: int, s2: int, seed: int) -> Qbf2Formula:
     """A balanced two-level instance: p universals at (s1, s2), p existentials
     at (2,2), variables split into the blocks at random.
 
     Supported universal profiles: (1,1) and (2,2); the slot budget must fill
     3-clauses exactly, so (2,2) needs p divisible by 3.
     """
+    from .qbf import BalanceSpec, Qbf2Formula, validate_balanced
+
     if (s1, s2) not in ((1, 1), (2, 2)):
         raise GenerationError("supported universal profiles: (1,1) and (2,2)")
     total_slots = p * (s1 + s2) + 4 * p

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .formula import (
     CnfFormula,
+    FrozenRecord,
     OccurrenceProfile,
     canonical_clause,
     clause_has_distinct_vars,
@@ -32,18 +34,33 @@ class MinerConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MinerConfig:
+class MinerConfig(FrozenRecord):
+    __slots__ = ("n_vars", "n_clauses", "population_size", "max_iters", "sideways_prob",
+                 "stall_window", "seed", "initial")
+    _compared = __slots__
+
     n_vars: int
     n_clauses: int
-    population_size: int = 8
-    max_iters: int = 500
-    sideways_prob: float = 0.2
-    stall_window: int = 100
-    seed: int = 0
-    initial: CnfFormula | None = None  # optional explicit starting candidate
+    population_size: int
+    max_iters: int
+    sideways_prob: float
+    stall_window: int
+    seed: int
+    initial: CnfFormula | None  # optional explicit starting candidate
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n_vars: int,
+        n_clauses: int,
+        population_size: int = 8,
+        max_iters: int = 500,
+        sideways_prob: float = 0.2,
+        stall_window: int = 100,
+        seed: int = 0,
+        initial: CnfFormula | None = None,
+    ) -> None:
+        self._set(n_vars, n_clauses, population_size, max_iters, sideways_prob, stall_window,
+                  seed, initial)
         if self.max_iters < 0:
             raise MinerConfigError(f"max_iters must be at least 0, not {self.max_iters}")
         if self.population_size < 1:
@@ -74,20 +91,41 @@ class MinerConfig:
                 "no all-(2,2) monotone candidate on 3 variables: its two positive clauses coincide")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     iteration: int
     candidate_hash: str
     model_count: int
     accepted: bool
 
 
-@dataclass
 class SearchTrace:
-    entries: list[TraceEntry] = field(default_factory=list)
-    best_formula: CnfFormula | None = None
-    best_count: int | None = None
-    restarts: int = 0
+    """What one run of :func:`mine` saw: every evaluated candidate, the best
+    one and its count, and the number of restarts; the search fills it in."""
+
+    __slots__ = ("entries", "best_formula", "best_count", "restarts")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self,
+        entries: list[TraceEntry] | None = None,
+        best_formula: CnfFormula | None = None,
+        best_count: int | None = None,
+        restarts: int = 0,
+    ) -> None:
+        self.entries = [] if entries is None else entries
+        self.best_formula = best_formula
+        self.best_count = best_count
+        self.restarts = restarts
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SearchTrace:
+            return NotImplemented
+        fields = attrgetter(*self.__slots__)
+        return fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        return (f"SearchTrace(entries={self.entries!r}, best_formula={self.best_formula!r}, "
+                f"best_count={self.best_count!r}, restarts={self.restarts!r})")
 
     def to_json(self) -> dict:
         return {

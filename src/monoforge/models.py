@@ -10,16 +10,16 @@ enumeration and adds each blocking clause to it, so learned clauses carry
 over from one model to the next.  Neither check on a model trusts the
 solver: each is checked against the formula, and a model already returned
 raises ``AssertionError``.  A solver that runs out of conflicts raises
-:class:`EnumerationBudgetError`.
+:class:`EnumerationBudgetError`.  The solver is imported when solve-and-block
+runs, so a dense count loads neither it nor the proof checker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .formula import Assignment, CnfFormula, satisfies
-from .solver import Solver, Status
 
 DENSE_VAR_LIMIT = 22
 
@@ -28,14 +28,12 @@ class EnumerationBudgetError(RuntimeError):
     """Solve-and-block ran out of conflicts before the enumeration ended."""
 
 
-@dataclass(frozen=True)
-class ModelCount:
+class ModelCount(NamedTuple):
     count: int
     capped: bool
 
 
-@dataclass(frozen=True)
-class ModelEnumeration:
+class ModelEnumeration(NamedTuple):
     models: list[Assignment]
     capped: bool
 
@@ -89,6 +87,8 @@ def enumerate_models(f: CnfFormula, cap: int = 1 << 20) -> ModelEnumeration:
 
 def _enumerate_blocking(f: CnfFormula, cap: int) -> ModelEnumeration:
     """Solve-and-block on one solver; blocking clauses span all variables."""
+    from .solver import Solver, Status
+
     models: list[Assignment] = []
     seen: set[int] = set()
     solver = Solver(f)

@@ -29,8 +29,8 @@ constant number of traversals before case 4, not one per vertex.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .formula import (
     Assignment,
@@ -48,8 +48,7 @@ from .formula import (
 )
 
 
-@dataclass(frozen=True)
-class VariableGraph:
+class VariableGraph(NamedTuple):
     """Co-occurrence graph: an edge joins variables sharing a clause."""
 
     vertices: tuple[int, ...]

@@ -43,15 +43,15 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .elimination import eliminate_blocks
 from .fileio import ParseError, parse_dimacs, write_dimacs
 from .formula import (
     Assignment,
     CnfFormula,
+    FrozenRecord,
     InvalidInstanceError,
     ValidationReport,
     Violation,
@@ -64,13 +64,18 @@ if TYPE_CHECKING:
     from .gadgets import FreshVarAllocator
 
 
-@dataclass(frozen=True)
-class Qbf2Formula:
+class Qbf2Formula(FrozenRecord):
+    __slots__ = ("universals", "existentials", "matrix")
+    _compared = __slots__
+
     universals: tuple[int, ...]
     existentials: tuple[int, ...]
     matrix: CnfFormula
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, universals: tuple[int, ...], existentials: tuple[int, ...], matrix: CnfFormula
+    ) -> None:
+        self._set(universals, existentials, matrix)
         u = set(self.universals)
         e = set(self.existentials)
         if len(u) != len(self.universals) or len(e) != len(self.existentials):
@@ -101,14 +106,12 @@ class QbfValue(Enum):
     BUDGET = "budget"
 
 
-@dataclass(frozen=True)
-class QbfResult:
+class QbfResult(NamedTuple):
     value: QbfValue
     counterexample: Assignment | None = None
 
 
-@dataclass(frozen=True)
-class BalanceSpec:
+class BalanceSpec(NamedTuple):
     """Occurrence targets: universals (s1, s2), existentials (t1, t2)."""
 
     s1: int

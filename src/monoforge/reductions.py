@@ -15,9 +15,8 @@ gadget block, so outputs are checked by construction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .formula import (
     Clause,
@@ -37,8 +36,7 @@ from .gadgets import (
 )
 
 
-@dataclass(frozen=True)
-class ProvenanceEntry:
+class ProvenanceEntry(NamedTuple):
     kind: str  # "original" | "gadget"
     source_clause: int | None
     gadget: str | None = None
@@ -47,15 +45,13 @@ class ProvenanceEntry:
         return {"kind": self.kind, "source_clause": self.source_clause, "gadget": self.gadget}
 
 
-@dataclass(frozen=True)
-class ReductionStats:
+class ReductionStats(NamedTuple):
     vars_added: int
     clauses_added: int
     enforcers_used: int
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     formula: CnfFormula
     provenance: tuple[ProvenanceEntry, ...]  # aligned with formula.clauses
     stats: ReductionStats

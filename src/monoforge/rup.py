@@ -16,8 +16,7 @@ undoes its assumptions by clearing the trail suffix it pushed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .formula import CnfFormula
 
@@ -30,8 +29,7 @@ class RupParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class RupStep:
+class RupStep(NamedTuple):
     lits: tuple[int, ...]
     delete: bool = False
 
@@ -40,8 +38,7 @@ class RupStep:
         return f"d {body}" if self.delete else body
 
 
-@dataclass(frozen=True)
-class RupProof:
+class RupProof(NamedTuple):
     steps: tuple[RupStep, ...]
 
     def lines(self) -> list[str]:
@@ -78,8 +75,7 @@ def parse_rup(source: str | Iterable[str]) -> RupProof:
     return RupProof(tuple(steps))
 
 
-@dataclass
-class RupCheck:
+class RupCheck(NamedTuple):
     ok: bool
     failed_step: int | None = None
     message: str = "ok"

@@ -8,7 +8,9 @@ live entry and leaves the old one stale, to be dropped when popped.  Every
 unassigned variable has its live entry, so a decision is the unassigned
 variable of highest activity.  With ``trace=True`` every learned clause is
 recorded in order; on a global UNSAT answer the empty clause is appended,
-giving a proof that :func:`monoforge.rup.verify_rup` accepts.
+giving a proof that :func:`monoforge.rup.verify_rup` accepts.  The proof
+record's module is imported only when a traced solve answers UNSAT, so
+deciding without a trace never loads the checker.
 
 Assumptions are asserted as the first decisions, so one solver instance can
 decide a fixed matrix under many partial assignments while keeping its
@@ -28,12 +30,13 @@ plus every clause added before the UNSAT answer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .formula import Assignment, CnfFormula
-from .rup import RupProof
+
+if TYPE_CHECKING:
+    from .rup import RupProof
 
 _ACT_RESCALE = 1e100
 _ACT_DECAY = 0.95
@@ -46,8 +49,7 @@ class Status(Enum):
     BUDGET = "budget"
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     status: Status
     model: Assignment | None = None
     proof: RupProof | None = None
@@ -348,6 +350,8 @@ class Solver:
     def _result_unsat(self, conflicts: int) -> SolveResult:
         proof = None
         if self.trace_enabled:
+            from .rup import RupProof
+
             if not self.trace_clauses or self.trace_clauses[-1]:
                 self.trace_clauses.append(())  # once, however often asked
             proof = RupProof.from_added_clauses(self.trace_clauses)

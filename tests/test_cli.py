@@ -557,26 +557,27 @@ print(" ".join(sorted(m.removeprefix("monoforge.") for m in sys.modules
 """
 
 _NOT_FOR_A_FORMULA = {"qbf", "gadgets", "reductions", "elimination", "miner", "generate",
-                      "selftest", "refdata"}
+                      "selftest", "refdata", "solver", "rup"}
 
 
 @pytest.mark.parametrize("argv, needed, not_loaded", [
     ([], set(), None),
-    (["count", "--in", "f.cnf"], {"models"}, _NOT_FOR_A_FORMULA),
+    (["count", "--in", "f18.cnf"], {"models", "kernels"}, _NOT_FOR_A_FORMULA),
     (["validate", "--class", "3sat22", "--in", "f.cnf"], {"formula"}, _NOT_FOR_A_FORMULA),
     (["nae", "solve", "--in", "nae.cnf"], {"nae"}, _NOT_FOR_A_FORMULA),
     (["gadget", "U"], {"gadgets"}, {"qbf", "solver", "models"}),
     (["qbf", "check", "--in", "q3.qdimacs"], {"qbf", "elimination", "solver"},
      {"gadgets", "reductions", "models", "kernels", "nae", "miner", "generate", "selftest",
-      "refdata"}),
+      "refdata", "rup"}),
     (["mine", "--vars", "9", "--clauses", "12", "--iters", "5"], {"miner", "models"},
-     {"gadgets", "reductions"}),
+     {"gadgets", "reductions", "qbf", "elimination", "solver", "rup"}),
     (["qbf", "transform-2222", "--in", "q2222.qdimacs", "--out", "t.qdimacs"],
      {"qbf", "gadgets", "reductions"}, set()),
 ], ids=["import", "count", "validate", "nae-solve", "gadget-U", "qbf-check", "mine",
         "qbf-transform-2222"])
 def test_each_command_loads_only_its_own_layers(tmp_path, argv, needed, not_loaded):
     (tmp_path / "f.cnf").write_text(write_dimacs(random_3sat22(9, 5)))
+    (tmp_path / "f18.cnf").write_text(write_dimacs(random_3sat22(18, 1)))
     (tmp_path / "nae.cnf").write_text(write_dimacs(random_mono_nae_e2(30, 1)))
     (tmp_path / "q3.qdimacs").write_text(write_qdimacs(build_Q3(FreshVarAllocator(1))))
     (tmp_path / "q2222.qdimacs").write_text(write_qdimacs(random_balanced_qbf(3, 2, 2, 1)))
@@ -638,12 +639,12 @@ def test_nae_check_refuses_a_partial_assignment(capsys, tmp_path):
 def test_count_out_of_conflicts_prints_only_budget_exhausted(capsys, tmp_path, monkeypatch):
     import functools
 
-    from monoforge import models
-    from monoforge.solver import Solver
+    from monoforge import solver
 
     f = tmp_path / "f.cnf"
     f.write_text(write_dimacs(random_3sat22(30, 1)))  # 30 variables: solve-and-block
-    monkeypatch.setattr(models, "Solver", functools.partial(Solver, conflict_budget=0))
+    # models imports the solver when it enumerates, so patch it where it is defined
+    monkeypatch.setattr(solver, "Solver", functools.partial(solver.Solver, conflict_budget=0))
     assert run(capsys, "count", "--in", str(f), "--cap", "5") == (1, "", "budget exhausted\n")
 
 

@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -900,10 +899,11 @@ def test_block_keys_follow_clause_order(s):
     for p, seed in specs[:3]:
         q = random_balanced_qbf(p, s, s, seed)
         for stage in (monotonize(triple_copy(q)), transform(q)):
-            clauses = list(stage.matrix.clauses)
+            m = stage.matrix
+            clauses = list(m.clauses)
             rng.shuffle(clauses)
             shuffled = Qbf2Formula(stage.universals, stage.existentials,
-                                   dataclasses.replace(stage.matrix, clauses=tuple(clauses)))
+                                   CnfFormula(m.n_vars, tuple(clauses), m.allows_duplicate_literals))
             expected = qbf_truth(stage)
             elimination.eliminated_block.cache_clear()
             assert qbf_truth(shuffled) == expected
